@@ -40,6 +40,19 @@ def test_hierarchy_read_hit_throughput(benchmark):
     benchmark(reads)
 
 
+def test_hierarchy_cold_stream_throughput(benchmark):
+    """A fresh hierarchy streaming 4096 lines: construction plus the
+    fill/evict path every cold simulation cell starts with."""
+
+    def stream():
+        hierarchy = MemoryHierarchy()
+        for i in range(4096):
+            hierarchy.read(0x100000 + 64 * i, 8)
+        return hierarchy.l2.stats.misses
+
+    assert benchmark(stream) == 4096
+
+
 def test_hierarchy_arm_disarm_throughput(benchmark):
     hierarchy = MemoryHierarchy()
 

@@ -9,13 +9,16 @@ line, everything else untouched.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.line import CacheLine
 from repro.cache.mshr import MshrFile
 from repro.cache.writebuffer import WriteBuffer
 from repro.obs.tracer import NULL_TRACER
+
+_lru_tick = attrgetter("lru_tick")
 
 
 @dataclass(frozen=True)
@@ -32,6 +35,8 @@ class CacheConfig:
     write_buffer_entries: int = 8
 
     def __post_init__(self) -> None:
+        if self.line_size <= 0 or self.line_size & (self.line_size - 1):
+            raise ValueError("line size must be a positive power of two")
         if self.size % (self.associativity * self.line_size):
             raise ValueError("size must be divisible by assoc * line size")
 
@@ -61,160 +66,117 @@ class CacheStats:
 
 
 class Cache:
-    """One level of a write-back, write-allocate cache hierarchy."""
+    """One level of a write-back, write-allocate cache hierarchy.
+
+    Ways are allocated on first fill: a fresh cache holds no line
+    objects, so building a Table II hierarchy costs nothing per line
+    and a run pays only for the lines it touches.  Every line object
+    in the cache is resident; eviction and invalidation detach it.
+    """
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self._sets = [
-            [CacheLine() for _ in range(config.associativity)]
-            for _ in range(config.num_sets)
-        ]
         self.mshrs = MshrFile(config.mshr_registers, config.mshr_entries)
         self.write_buffer = WriteBuffer(config.write_buffer_entries)
         self.stats = CacheStats()
         #: Observability hook; only the (rare) eviction path emits.
         self.tracer = NULL_TRACER
         self._tick = 0
-        # Precomputed geometry: Table II sizes are powers of two, so the
-        # per-access index/tag split reduces to shift/mask; the divmod
-        # path remains for odd geometries.  ``-1`` marks "not a power of
-        # two" for the shift/mask fields.
-        line_size = config.line_size
-        num_sets = config.num_sets
-        self._line_size = line_size
-        self._num_sets = num_sets
-        self._line_shift = (
-            line_size.bit_length() - 1
-            if line_size & (line_size - 1) == 0
-            else -1
-        )
-        self._set_mask = (
-            num_sets - 1 if num_sets & (num_sets - 1) == 0 else -1
-        )
-        self._set_shift = num_sets.bit_length() - 1
-        # Per-set tag -> CacheLine map, replacing the linear way scan.
-        # Entries can go stale when external code resets a line in place
-        # (coherence surrender, writeback_all), so a map hit must be
-        # confirmed against the line's own valid/tag state.
-        self._tag_maps = [dict() for _ in range(num_sets)]
+        self._line_shift = config.line_size.bit_length() - 1
+        self._num_sets = config.num_sets
+        self._associativity = config.associativity
+        #: Resident lines by line number (address >> line shift): the one
+        #: source of truth for presence, so a lookup is a single probe.
+        self._lines: Dict[int, CacheLine] = {}
+        #: Resident lines of each set that has seen a fill, for victim
+        #: selection.
+        self._sets: Dict[int, List[CacheLine]] = {}
 
     # -- geometry helpers ------------------------------------------------
 
     def line_address(self, address: int) -> int:
-        if self._line_shift >= 0:
-            return (address >> self._line_shift) << self._line_shift
-        return address - (address % self._line_size)
-
-    def _index_tag(self, address: int) -> Tuple[int, int]:
-        if self._line_shift >= 0:
-            line = address >> self._line_shift
-        else:
-            line = address // self._line_size
-        if self._set_mask >= 0:
-            return line & self._set_mask, line >> self._set_shift
-        return line % self._num_sets, line // self._num_sets
+        return (address >> self._line_shift) << self._line_shift
 
     # -- lookup / install ------------------------------------------------
 
     def lookup(self, address: int, touch: bool = True) -> Optional[CacheLine]:
         """Find the line containing ``address``; None on miss."""
-        if self._line_shift >= 0:
-            line_no = address >> self._line_shift
-        else:
-            line_no = address // self._line_size
-        if self._set_mask >= 0:
-            index = line_no & self._set_mask
-            tag = line_no >> self._set_shift
-        else:
-            index = line_no % self._num_sets
-            tag = line_no // self._num_sets
-        line = self._tag_maps[index].get(tag)
-        if line is not None and line.valid and line.tag == tag:
-            if touch:
-                self._tick += 1
-                line.lru_tick = self._tick
-            return line
-        return None
+        line = self._lines.get(address >> self._line_shift)
+        if line is not None and touch:
+            self._tick += 1
+            line.lru_tick = self._tick
+        return line
 
     def install(self, address: int, token_bits: int = 0) -> Tuple[CacheLine, Optional[CacheLine]]:
         """Install the line for ``address``; returns (line, victim).
 
-        ``victim`` is a copy of the evicted line's metadata if a valid
-        line was displaced (the caller handles write-back and token
-        eviction semantics), else None.
+        ``victim`` is the set's least recently used line, detached with
+        its metadata intact, if the set was full; else None.  The caller
+        handles write-back and token eviction semantics.  Installing a
+        line that is already resident refills it in place.
         """
-        index, tag = self._index_tag(address)
-        ways = self._sets[index]
-        # First invalid way, else LRU-minimum valid way.  (Invalid lines
-        # always carry lru_tick == 0, so way order breaks ties exactly
-        # like the old min() over (valid, lru_tick) tuples.)
-        victim_way = None
-        best_tick = None
-        for way in ways:
-            if not way.valid:
-                victim_way = way
-                break
-            if best_tick is None or way.lru_tick < best_tick:
-                best_tick = way.lru_tick
-                victim_way = way
-        tag_map = self._tag_maps[index]
-        evicted: Optional[CacheLine] = None
-        if victim_way.valid:
-            evicted = CacheLine(
-                tag=victim_way.tag,
-                valid=True,
-                dirty=victim_way.dirty,
-                token_bits=victim_way.token_bits,
-                lru_tick=victim_way.lru_tick,
-            )
+        line_no = address >> self._line_shift
+        self._tick += 1
+        if token_bits:
+            self.stats.token_fills += 1
+        line = self._lines.get(line_no)
+        if line is not None:
+            line.dirty = False
+            line.token_bits = token_bits
+            line.lru_tick = self._tick
+            return line, None
+        tag, index = divmod(line_no, self._num_sets)
+        ways = self._sets.get(index)
+        if ways is None:
+            ways = self._sets[index] = []
+        victim: Optional[CacheLine] = None
+        if len(ways) == self._associativity:
+            victim = min(ways, key=_lru_tick)
+            ways.remove(victim)
+            del self._lines[victim.tag * self._num_sets + index]
             self.stats.evictions += 1
-            if victim_way.dirty:
+            if victim.dirty:
                 self.stats.dirty_evictions += 1
-            if victim_way.token_bits:
+            if victim.token_bits:
                 self.stats.token_evictions += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     "evict",
                     self.tracer.now,
                     cache=self.config.name,
-                    tag=victim_way.tag,
-                    dirty=victim_way.dirty,
-                    tokens=victim_way.token_bits,
+                    tag=victim.tag,
+                    dirty=victim.dirty,
+                    tokens=victim.token_bits,
                 )
-            if tag_map.get(victim_way.tag) is victim_way:
-                del tag_map[victim_way.tag]
-        victim_way.tag = tag
-        victim_way.valid = True
-        victim_way.dirty = False
-        victim_way.token_bits = token_bits
-        self._tick += 1
-        victim_way.lru_tick = self._tick
-        tag_map[tag] = victim_way
-        if token_bits:
-            self.stats.token_fills += 1
-        return victim_way, evicted
+        line = CacheLine(tag, False, token_bits, self._tick)
+        ways.append(line)
+        self._lines[line_no] = line
+        return line, victim
 
     def victim_address(self, probe_address: int, victim: CacheLine) -> int:
         """Reconstruct the base address of an evicted line."""
-        index, _ = self._index_tag(probe_address)
-        line_number = victim.tag * self.config.num_sets + index
-        return line_number * self.config.line_size
+        index = (probe_address >> self._line_shift) % self._num_sets
+        return (victim.tag * self._num_sets + index) << self._line_shift
+
+    def lines(self) -> Iterator[Tuple[int, CacheLine]]:
+        """(base address, line) for every resident line, in fill order."""
+        shift = self._line_shift
+        for line_no, line in self._lines.items():
+            yield line_no << shift, line
 
     def invalidate(self, address: int) -> None:
-        line = self.lookup(address, touch=False)
+        line_no = address >> self._line_shift
+        line = self._lines.pop(line_no, None)
         if line is not None:
-            index, tag = self._index_tag(address)
-            tag_map = self._tag_maps[index]
-            if tag_map.get(tag) is line:
-                del tag_map[tag]
-            line.reset()
+            self._sets[line_no % self._num_sets].remove(line)
+
+    def invalidate_all(self) -> None:
+        """Drop every resident line; MSHRs and write buffer untouched."""
+        self._lines.clear()
+        self._sets.clear()
 
     def flush(self) -> None:
-        for ways in self._sets:
-            for line in ways:
-                line.reset()
-        for tag_map in self._tag_maps:
-            tag_map.clear()
+        self.invalidate_all()
         self.mshrs.reset()
         self.write_buffer.reset()
 

@@ -93,12 +93,7 @@ class MulticoreHierarchy:
         if line is None:
             return
         if line.token_bits:
-            token = hierarchy.detector.token
-            for slot in range(hierarchy.detector.slots_per_line):
-                if line.token_bits & (1 << slot):
-                    self.backing.write(
-                        line_base + slot * token.width, token.value
-                    )
+            hierarchy.materialise_tokens(line_base, line.token_bits)
             self.stats.token_line_transfers += 1
             self.stats.remote_writebacks += 1
         elif line.dirty:
@@ -106,7 +101,7 @@ class MulticoreHierarchy:
             # functionally; account the coherence traffic.
             self.stats.remote_writebacks += 1
         if invalidate:
-            line.reset()
+            hierarchy.l1d.invalidate(line_base)
             self.stats.invalidations += 1
         else:
             # Downgrade to shared: the line's data now *is* the token

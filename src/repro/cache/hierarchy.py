@@ -269,24 +269,27 @@ class MemoryHierarchy:
                 wb_stall=stall,
             )
         if victim.token_bits:
-            token = self.detector.token
-            for slot in range(self.detector.slots_per_line):
-                if victim.token_bits & (1 << slot):
-                    self.backing.write(
-                        victim_base + slot * token.width, token.value
-                    )
+            self.materialise_tokens(victim_base, victim.token_bits)
         if victim.dirty or victim.token_bits:
             l2_line = self.l2.lookup(victim_base)
             if l2_line is not None:
                 l2_line.dirty = True
             else:
-                _, l2_victim = self.l2.install(victim_base)
+                l2_line, l2_victim = self.l2.install(victim_base)
                 if l2_victim is not None and l2_victim.dirty:
                     self._account_line_to_memory(
                         self.l2.victim_address(victim_base, l2_victim)
                     )
-                self.l2.lookup(victim_base).dirty = True
+                l2_line.dirty = True
         return stall
+
+    def materialise_tokens(self, line_base: int, token_bits: int) -> None:
+        """Write the token value into every armed slot of a line leaving
+        the L1-D (eviction, coherence surrender, ``writeback_all``)."""
+        token = self.detector.token
+        for slot in range(self.detector.slots_per_line):
+            if token_bits & (1 << slot):
+                self.backing.write(line_base + slot * token.width, token.value)
 
     def _account_line_to_memory(self, line_base: int) -> None:
         """An L2 line drains to DRAM; count token lines crossing over."""
@@ -569,23 +572,10 @@ class MemoryHierarchy:
 
     def writeback_all(self) -> None:
         """Drain all L1-D token/dirty state into the backing store."""
-        for set_index, ways in enumerate(self.l1d._sets):
-            for line in ways:
-                if not line.valid:
-                    continue
-                line_number = line.tag * self.l1d.config.num_sets + set_index
-                base = line_number * self.line_size
-                if line.token_bits:
-                    token = self.detector.token
-                    for slot in range(self.detector.slots_per_line):
-                        if line.token_bits & (1 << slot):
-                            self.backing.write(
-                                base + slot * token.width, token.value
-                            )
-                line.reset()
-        # Lines were reset in place; drop the now-stale lookup entries.
-        for tag_map in self.l1d._tag_maps:
-            tag_map.clear()
+        for base, line in self.l1d.lines():
+            if line.token_bits:
+                self.materialise_tokens(base, line.token_bits)
+        self.l1d.invalidate_all()
         self.l2.flush()
 
     def reset_stats(self) -> None:

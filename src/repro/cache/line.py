@@ -1,38 +1,40 @@
 """Cache line metadata.
 
-Lines track tag/valid/dirty state plus the REST extension: a small
-bitmap of token bits, one per token slot in the line (1 bit for 64-byte
-tokens, up to 4 bits for 16-byte tokens — paper Section III-B).  Data
-itself is held authoritatively by the backing store; the line records
-only metadata, which is all the REST hardware adds to a real cache.
+Lines track tag/dirty state plus the REST extension: a small bitmap of
+token bits, one per token slot in the line (1 bit for 64-byte tokens,
+up to 4 bits for 16-byte tokens — paper Section III-B).  Data itself is
+held authoritatively by the backing store; the line records only
+metadata, which is all the REST hardware adds to a real cache.
+
+A line object exists only while it is resident: the owning cache
+allocates it on fill and hands it back as the victim on eviction, so
+there is no "invalid way" state to model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 
-
-@dataclass
 class CacheLine:
-    """One way of one set."""
+    """One resident way of one set (or an evicted victim's metadata)."""
 
-    tag: int = -1
-    valid: bool = False
-    dirty: bool = False
-    #: Bitmap of token bits; bit i covers token slot i of the line.
-    token_bits: int = 0
-    #: LRU timestamp, maintained by the owning cache.
-    lru_tick: int = 0
+    __slots__ = ("tag", "dirty", "token_bits", "lru_tick")
 
-    def reset(self) -> None:
-        self.tag = -1
-        self.valid = False
-        self.dirty = False
-        self.token_bits = 0
-        self.lru_tick = 0
+    def __init__(
+        self,
+        tag: int,
+        dirty: bool = False,
+        token_bits: int = 0,
+        lru_tick: int = 0,
+    ) -> None:
+        self.tag = tag
+        self.dirty = dirty
+        #: Bitmap of token bits; bit i covers token slot i of the line.
+        self.token_bits = token_bits
+        #: LRU timestamp, maintained by the owning cache.
+        self.lru_tick = lru_tick
 
-    def has_token(self, slot_mask: int = -1) -> bool:
-        """Whether any token bit in ``slot_mask`` is set (-1 = any slot)."""
-        if slot_mask == -1:
-            return self.token_bits != 0
-        return bool(self.token_bits & slot_mask)
+    def __repr__(self) -> str:
+        return (
+            f"CacheLine(tag={self.tag:#x}, dirty={self.dirty}, "
+            f"token_bits={self.token_bits:#x}, lru_tick={self.lru_tick})"
+        )

@@ -31,28 +31,29 @@ from repro.mem.dram import DramConfig
 class LeanCache:
     """Presence/LRU model of one cache level.
 
-    Same set/way geometry and LRU-with-invalid-first victim policy as
-    :class:`repro.cache.cache.Cache`, with a per-set ``{tag: tick}``
-    dict as the only state.
+    Same set/way geometry and LRU victim policy as
+    :class:`repro.cache.cache.Cache`, and the same lazy layout: a
+    ``{line number: tick}`` dict of resident lines plus, for each set
+    that has seen a fill, the list of its resident line numbers.
     """
 
-    __slots__ = ("num_sets", "ways", "maps", "tick", "hits", "misses")
+    __slots__ = ("num_sets", "ways", "ticks", "sets", "tick", "hits", "misses")
 
     def __init__(self, size: int, associativity: int, line_size: int) -> None:
         self.num_sets = size // (associativity * line_size)
         self.ways = associativity
-        self.maps = [dict() for _ in range(self.num_sets)]
+        self.ticks = {}
+        self.sets = {}
         self.tick = 0
         self.hits = 0
         self.misses = 0
 
     def probe(self, line_no: int) -> bool:
         """Touch ``line_no``; True on hit (LRU updated)."""
-        entry = self.maps[line_no % self.num_sets]
-        tag = line_no // self.num_sets
-        if tag in entry:
+        ticks = self.ticks
+        if line_no in ticks:
             self.tick += 1
-            entry[tag] = self.tick
+            ticks[line_no] = self.tick
             self.hits += 1
             return True
         self.misses += 1
@@ -60,16 +61,22 @@ class LeanCache:
 
     def contains(self, line_no: int) -> bool:
         """Presence test without an LRU touch (prefetch probe)."""
-        return (line_no // self.num_sets) in self.maps[line_no % self.num_sets]
+        return line_no in self.ticks
 
     def install(self, line_no: int) -> None:
-        entry = self.maps[line_no % self.num_sets]
-        tag = line_no // self.num_sets
-        if len(entry) >= self.ways and tag not in entry:
-            evict = min(entry, key=entry.__getitem__)
-            del entry[evict]
+        ticks = self.ticks
+        if line_no not in ticks:
+            index = line_no % self.num_sets
+            members = self.sets.get(index)
+            if members is None:
+                members = self.sets[index] = []
+            if len(members) == self.ways:
+                evict = min(members, key=ticks.__getitem__)
+                members.remove(evict)
+                del ticks[evict]
+            members.append(line_no)
         self.tick += 1
-        entry[tag] = self.tick
+        ticks[line_no] = self.tick
 
     @property
     def accesses(self) -> int:
