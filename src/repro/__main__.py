@@ -111,7 +111,7 @@ EXPERIMENTS = (
 )
 
 #: Defense axes of the foundry (canonical registry names — kept in
-#: lock-step with repro.defenses.registry.DEFENSE_MODES, as a literal
+#: lock-step with repro.defenses.plugin.DEFENSE_MODES, as a literal
 #: so argparse help never imports the simulator).
 FOUNDRY_DEFENSES = (
     "none",

@@ -17,11 +17,13 @@ from repro.defenses.asan import AsanDefense
 from repro.defenses.mte import MteDefense
 from repro.defenses.rest import RestDefense
 from repro.defenses.softrest import SoftRestDefense
-from repro.defenses.plugin import DefensePlugin, get_plugin, registered_plugins
-from repro.defenses.registry import (
+from repro.defenses.plugin import (
     DEFENSE_MODES,
+    DefensePlugin,
     canonical_mode,
+    get_plugin,
     make_defense,
+    registered_plugins,
 )
 
 __all__ = [

@@ -14,9 +14,7 @@ consumer needs (canonical name, aliases, capability flags).  The CLI,
 the attack suite, the foundry and the experiment harness all resolve
 mode names through this registry, so registering one plugin makes a
 new scheme runnable *everywhere* a mode name is accepted today.
-
-``defenses/registry.py`` re-exports the name-resolution helpers for
-backwards compatibility; new code should import from here.
+:data:`DEFENSE_MODES` is the canonical mode tuple, in report order.
 """
 
 from __future__ import annotations
@@ -252,3 +250,6 @@ register(DefensePlugin(
     hardware_cost=_hwcost("mte_cost"),
     from_spec=lambda machine, spec: MteDefense(machine, check_mode="asymm"),
 ))
+
+#: Canonical mode names, in report order (= plugin registration order).
+DEFENSE_MODES = registered_modes()

@@ -23,7 +23,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments import run_all as driver
 from repro.faults.inject import ENV_VAR, corrupt_cache_entry
@@ -51,20 +51,56 @@ class ChaosReport:
     problems: List[str] = field(default_factory=list)
 
 
-def _experiment_records(manifest: Dict, exclude: Sequence[str]) -> Dict:
-    return {
-        name: record
-        for name, record in manifest.get("experiments", {}).items()
-        if name not in exclude
-    }
+def check_identity(
+    baseline_dir: Path, chaos_dir: Path, expected_quarantine: Sequence[str]
+) -> Tuple[List[str], List[str], List[str]]:
+    """Compare a fault-injected sweep against its fault-free baseline.
 
+    Returns ``(quarantined, mismatches, problems)``: the chaos run's
+    quarantined units; one line per non-quarantined experiment whose
+    record (after ``strip_volatile``) or artifact bytes differ; and
+    every disagreement between the quarantine set and
+    ``expected_quarantine`` (the plan's permanent faults).  The run
+    healed iff both lists are empty.
+    """
+    baseline = json.loads((baseline_dir / "manifest.json").read_text())
+    chaos = json.loads((chaos_dir / "manifest.json").read_text())
+    quarantined = sorted(chaos.get("quarantine", {}))
+    expected = set(expected_quarantine)
+    problems = [
+        f"{uid}: quarantined but its fault was healable"
+        for uid in quarantined
+        if uid not in expected
+    ] + [
+        f"{uid}: permanently faulted but not quarantined"
+        for uid in sorted(expected)
+        if uid not in quarantined
+    ]
 
-def _artifact_bytes(outdir: Path, record: Dict) -> Optional[bytes]:
-    name = record.get("file")
-    if not name:
-        return None
-    path = outdir / name
-    return path.read_bytes() if path.is_file() else None
+    def records(manifest: Dict) -> Dict:
+        return {
+            name: record
+            for name, record in manifest.get("experiments", {}).items()
+            if name not in quarantined
+        }
+
+    def artifact(outdir: Path, filename: str) -> Optional[bytes]:
+        path = outdir / filename
+        return path.read_bytes() if path.is_file() else None
+
+    mismatches: List[str] = []
+    base_records, chaos_records = records(baseline), records(chaos)
+    for name in sorted(set(base_records) | set(chaos_records)):
+        record = base_records.get(name)
+        if strip_volatile(record) != strip_volatile(chaos_records.get(name)):
+            mismatches.append(f"{name}: manifest record differs")
+            continue
+        filename = record.get("file")
+        if filename and record.get("status") == "ok" and artifact(
+            baseline_dir, filename
+        ) != artifact(chaos_dir, filename):
+            mismatches.append(f"{name}: artifact bytes differ")
+    return quarantined, mismatches, problems
 
 
 def run_chaos(
@@ -145,39 +181,10 @@ def run_chaos(
         if previous_plan is not None:
             os.environ[ENV_VAR] = previous_plan
 
-    baseline = json.loads((baseline_dir / "manifest.json").read_text())
+    quarantined, mismatches, problems = check_identity(
+        baseline_dir, chaos_dir, plan.permanent_uids()
+    )
     chaos = json.loads((chaos_dir / "manifest.json").read_text())
-    quarantined = sorted(chaos.get("quarantine", {}))
-    expected = set(plan.permanent_uids())
-
-    problems: List[str] = []
-    for uid in quarantined:
-        if uid not in expected:
-            problems.append(
-                f"{uid}: quarantined but its fault was healable"
-            )
-    for uid in sorted(expected):
-        if uid not in quarantined:
-            problems.append(
-                f"{uid}: permanently faulted but not quarantined"
-            )
-
-    mismatches: List[str] = []
-    base_records = _experiment_records(baseline, quarantined)
-    chaos_records = _experiment_records(chaos, quarantined)
-    if strip_volatile(base_records) != strip_volatile(chaos_records):
-        for name in sorted(set(base_records) | set(chaos_records)):
-            if strip_volatile(base_records.get(name)) != strip_volatile(
-                chaos_records.get(name)
-            ):
-                mismatches.append(f"{name}: manifest record differs")
-    for name, record in sorted(base_records.items()):
-        if name in mismatches or record.get("status") != "ok":
-            continue
-        if _artifact_bytes(baseline_dir, record) != _artifact_bytes(
-            chaos_dir, chaos_records.get(name, {})
-        ):
-            mismatches.append(f"{name}: artifact bytes differ")
 
     report = ChaosReport(
         ok=not problems and not mismatches,

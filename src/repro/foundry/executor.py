@@ -25,7 +25,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import RestException
 from repro.defenses.base import Defense
-from repro.defenses.registry import canonical_mode, make_defense
+from repro.defenses.plugin import canonical_mode, make_defense
 from repro.defenses.rest import RestDefense
 from repro.foundry.primitives import AttackCase, CaseOutcome
 from repro.runtime.allocators.base import AllocationError

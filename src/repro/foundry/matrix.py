@@ -210,7 +210,7 @@ def handwritten_matrix(
     golden (``results/attack_matrix_golden.json``) must equal this
     exactly, so no refactor can silently flip an outcome.
     """
-    from repro.defenses.registry import make_defense
+    from repro.defenses.plugin import make_defense
     from repro.workloads.attacks import ATTACK_REGISTRY, run_attack
 
     modes = list(defenses) if defenses else list(DEFENSE_MODES)

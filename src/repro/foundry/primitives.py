@@ -19,7 +19,7 @@ from typing import Any, Dict, Optional
 #: Defense modes a corpus is scored against, in report order — the
 #: plugin registry's canonical mode tuple, re-exported so foundry
 #: callers never drift from the defenses package.
-from repro.defenses.registry import DEFENSE_MODES  # noqa: F401
+from repro.defenses.plugin import DEFENSE_MODES  # noqa: F401
 
 
 class Family(enum.Enum):

@@ -42,6 +42,14 @@ dispatch path is exactly the classic pool/serial one.  Retry/timeout/
 crash/quarantine decisions are emitted as ``fault.*`` events on an
 optional tracer (see :mod:`repro.obs.tracer`).
 
+The layer's two halves are shared with the job service and the
+distributed fabric, so each exists once: :class:`RetryPolicy` decides
+what an attempt's outcome means (retry after a seeded backoff,
+quarantine, or done) and stamps the final result, and
+:class:`SupervisedAttempt` runs one attempt in its own process and
+classifies crashes, timeouts and drain aborts.  Both report through
+one ``emit(kind, info)`` callable.
+
 Timing discipline: units report their own ``cpu_seconds`` (process CPU
 time, well-defined under parallelism) and ``wall_seconds``; retried
 units accumulate timing across *all* attempts, failed ones included,
@@ -79,7 +87,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Environment variable activating worker-side fault injection (see
 #: :mod:`repro.faults.inject`).  Checked once per work-unit attempt.
@@ -611,104 +619,271 @@ def _supervised_worker(conn, task, progress=None, tag=None) -> None:
         conn.close()
 
 
+def _quiet(kind: str, info: dict) -> None:
+    """The ``emit`` of a caller that records no ``fault.*`` events."""
+
+
+#: Answers of :meth:`RetryPolicy.decide`.
+RETRY, QUARANTINE, DONE = "retry", "quarantine", "done"
+
+#: Structured error type of an attempt killed because its host is
+#: draining; final, never quarantined (the unit re-runs after restart).
+WORKER_ABORTED = "WorkerAborted"
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """The one retry/backoff/quarantine policy of every executor.
+
+    The sweep engine, the job service's :class:`UnitExecutor` and the
+    fabric's lost-lease bound (``backoff=0``) all ask this object what
+    an attempt's outcome means: retry after a seeded backoff delay,
+    quarantine (the retry budget is spent), or done.  ``WorkerAborted``
+    and an active drain are final and never quarantined.
+    """
+
+    retries: int = 0
+    backoff: float = 0.25
+    retry_seed: int = 0
+
+    def decide(
+        self, result: UnitResult, attempt: int, draining: bool = False
+    ) -> Tuple[str, float]:
+        """``(answer, delay)`` for attempt number ``attempt`` (1-based)."""
+        if (
+            result.ok
+            or draining
+            or (result.error or {}).get("type") == WORKER_ABORTED
+        ):
+            return DONE, 0.0
+        if attempt > self.retries:
+            return QUARANTINE, 0.0
+        return RETRY, backoff_delay(
+            self.backoff, attempt, result.uid, self.retry_seed
+        )
+
+    def finish(
+        self,
+        result: UnitResult,
+        attempt: int,
+        spent: Sequence[float],
+        quarantine: bool,
+        emit: Callable[[str, dict], None] = _quiet,
+    ) -> UnitResult:
+        """Stamp a final result: timing over every attempt, the attempt
+        count and the quarantine mark (announced as ``fault.quarantine``)."""
+        result.cpu_seconds, result.wall_seconds = spent
+        result.attempts = attempt
+        result.quarantined = quarantine
+        if quarantine:
+            emit(
+                "fault.quarantine",
+                {
+                    "uid": result.uid,
+                    "attempts": attempt,
+                    "error": result.error["type"],
+                },
+            )
+        return result
+
+    def settle(
+        self,
+        result: UnitResult,
+        attempt: int,
+        spent: List[float],
+        emit: Callable[[str, dict], None] = _quiet,
+        draining: bool = False,
+    ) -> Optional[float]:
+        """Account one attempt; the delay before the next, or None.
+
+        ``spent`` is the unit's running ``[cpu, wall]`` total.  None
+        means ``result`` is final and stamped (see :meth:`finish`).
+        """
+        spent[0] += result.cpu_seconds
+        spent[1] += result.wall_seconds
+        answer, delay = self.decide(result, attempt, draining)
+        if answer == RETRY:
+            emit(
+                "fault.retry",
+                {
+                    "uid": result.uid,
+                    "attempt": attempt,
+                    "error": result.error["type"],
+                    "delay": round(delay, 4),
+                },
+            )
+            return delay
+        self.finish(result, attempt, spent, answer == QUARANTINE, emit)
+        return None
+
+
+class SupervisedAttempt:
+    """One attempt of one unit in its own worker process.
+
+    The worker reports over a one-way pipe.  The owner waits on
+    :attr:`conn` (alone, or multiplexed with other attempts) and then
+    calls :meth:`collect`; in between, :meth:`expire` enforces the
+    per-unit timeout and an optional drain deadline.  A dead worker
+    takes down exactly this attempt, never a shared pool.
+    """
+
+    def __init__(
+        self,
+        context,
+        unit: WorkUnit,
+        attempt: int,
+        timeout: Optional[float],
+        progress_queue=None,
+        tag: Optional[str] = None,
+    ) -> None:
+        self.unit = unit
+        self.attempt = attempt
+        self.timeout = timeout
+        self.conn, child_conn = context.Pipe(duplex=False)
+        task = (unit.uid, unit.module, unit.func, unit.kwargs, attempt)
+        self.process = context.Process(
+            target=_supervised_worker,
+            args=(child_conn, task, progress_queue, tag),
+            daemon=True,
+        )
+        self.process.start()
+        child_conn.close()
+        self.started = time.monotonic()
+        self.deadline = (
+            self.started + timeout if timeout is not None else None
+        )
+
+    def _failure(self, error_type: str, message: str) -> UnitResult:
+        return UnitResult(
+            uid=self.unit.uid,
+            ok=False,
+            error={"type": error_type, "message": message, "traceback": ""},
+            wall_seconds=time.monotonic() - self.started,
+            attempts=self.attempt,
+        )
+
+    def close(self, kill: bool = True) -> Optional[int]:
+        """Reap the worker (SIGKILL first unless ``kill=False``) and
+        close the pipe; returns the exit code."""
+        if kill:
+            self.process.kill()
+        self.process.join(timeout=5.0)
+        self.conn.close()
+        return self.process.exitcode
+
+    def collect(self, emit: Callable[[str, dict], None] = _quiet) -> UnitResult:
+        """The worker's result once :attr:`conn` is ready.
+
+        Pipe EOF with no result means the worker died hard (``os._exit``,
+        SIGKILL, OOM-kill): a ``WorkerCrash`` carrying the exit code,
+        read after the worker is joined.
+        """
+        try:
+            result = self.conn.recv()
+        except (EOFError, OSError):
+            code = self.close(kill=False)
+            emit(
+                "fault.crash",
+                {"uid": self.unit.uid, "attempt": self.attempt,
+                 "exit_code": code},
+            )
+            return self._failure(
+                "WorkerCrash",
+                f"worker died with exit code {code} on attempt "
+                f"{self.attempt}",
+            )
+        self.close(kill=False)
+        return result
+
+    def expire(
+        self,
+        now: float,
+        emit: Callable[[str, dict], None] = _quiet,
+        drain_deadline: Optional[float] = None,
+    ) -> Optional[UnitResult]:
+        """SIGKILL a worker past its deadline; None while it may run.
+
+        Past the per-unit timeout the attempt is a ``WorkerTimeout``;
+        past ``drain_deadline`` it is ``WorkerAborted``.
+        """
+        if self.deadline is not None and now >= self.deadline:
+            self.close()
+            emit(
+                "fault.timeout",
+                {"uid": self.unit.uid, "attempt": self.attempt,
+                 "timeout": self.timeout},
+            )
+            return self._failure(
+                "WorkerTimeout",
+                f"exceeded {self.timeout}s wall-clock on attempt "
+                f"{self.attempt}",
+            )
+        if drain_deadline is not None and now >= drain_deadline:
+            self.close()
+            return self._failure(
+                WORKER_ABORTED,
+                "daemon drain grace expired; unit will be re-run after "
+                "restart",
+            )
+        return None
+
+
 def _run_supervised(
     pending: List[WorkUnit],
     jobs: int,
     absorb: Callable[[UnitResult, bool], None],
     timeout: Optional[float],
-    retries: int,
-    backoff: float,
-    retry_seed: int,
-    tracer,
+    policy: RetryPolicy,
+    emit: Callable[[str, dict], None],
     progress_queue=None,
 ) -> None:
-    """Resilient dispatch: one supervised process per attempt.
+    """Resilient dispatch: one :class:`SupervisedAttempt` per attempt.
 
     Owning each attempt's process (instead of sharing a pool) is what
-    makes hung-worker SIGKILL, hard-crash detection (pipe EOF plus exit
-    code), and re-dispatch possible without ever tearing down or
-    rebuilding a shared pool: a dead worker takes down exactly one
-    attempt.  ``absorb`` receives only *final* results — retries are
-    internal — with timing accumulated across attempts.
+    makes hung-worker SIGKILL, hard-crash detection and re-dispatch
+    possible without ever tearing down or rebuilding a shared pool.
+    Up to ``jobs`` attempts run at once, multiplexed on their pipes.
+    ``absorb`` receives only *final* results — retries are internal —
+    with timing accumulated across attempts.
     """
     context = _pool_context()
-    emit = tracer is not None and getattr(tracer, "enabled", False)
     queue = deque((unit, 1) for unit in pending)
     waiting: List = []  # (ready_at, seq, unit, attempt) retry backoff heap
     seq = itertools.count()
-    inflight: Dict = {}  # conn -> attempt entry
+    inflight: Dict = {}  # conn -> SupervisedAttempt
     spent: Dict[str, List[float]] = {}  # uid -> [cpu, wall]
 
-    def spawn(unit: WorkUnit, attempt: int) -> None:
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        task = (unit.uid, unit.module, unit.func, unit.kwargs, attempt)
-        process = context.Process(
-            target=_supervised_worker,
-            args=(child_conn, task, progress_queue),
-            daemon=True,
+    def settle(
+        attempt: SupervisedAttempt, result: UnitResult, quiet: bool = False
+    ) -> None:
+        unit = attempt.unit
+        delay = policy.settle(
+            result,
+            attempt.attempt,
+            spent.setdefault(unit.uid, [0.0, 0.0]),
+            emit,
         )
-        process.start()
-        child_conn.close()
-        now = time.monotonic()
-        inflight[parent_conn] = {
-            "unit": unit,
-            "attempt": attempt,
-            "process": process,
-            "started": now,
-            "deadline": now + timeout if timeout is not None else None,
-        }
-
-    def reap(entry, kill: bool = False) -> Optional[int]:
-        process = entry["process"]
-        if kill:
-            process.kill()
-        process.join(timeout=5.0)
-        return process.exitcode
-
-    def finalize(entry, result: UnitResult, quiet: bool = False) -> None:
-        unit, attempt = entry["unit"], entry["attempt"]
-        acc = spent.setdefault(unit.uid, [0.0, 0.0])
-        acc[0] += result.cpu_seconds
-        acc[1] += result.wall_seconds
-        if result.ok or attempt > retries:
-            result.cpu_seconds, result.wall_seconds = acc[0], acc[1]
-            result.attempts = attempt
-            if not result.ok:
-                result.quarantined = True
-                if emit:
-                    tracer.emit(
-                        "fault.quarantine",
-                        0,
-                        uid=unit.uid,
-                        attempts=attempt,
-                        error=result.error["type"],
-                    )
+        if delay is None:
             absorb(result, quiet)
         else:
-            delay = backoff_delay(backoff, attempt, unit.uid, retry_seed)
-            if emit:
-                tracer.emit(
-                    "fault.retry",
-                    0,
-                    uid=unit.uid,
-                    attempt=attempt,
-                    error=result.error["type"],
-                    delay=round(delay, 4),
-                )
             heapq.heappush(
                 waiting,
-                (time.monotonic() + delay, next(seq), unit, attempt + 1),
+                (time.monotonic() + delay, next(seq), unit,
+                 attempt.attempt + 1),
             )
 
     try:
         while queue or waiting or inflight:
             now = time.monotonic()
             while waiting and waiting[0][0] <= now:
-                _, _, unit, attempt = heapq.heappop(waiting)
-                queue.append((unit, attempt))
+                _, _, unit, number = heapq.heappop(waiting)
+                queue.append((unit, number))
             while queue and len(inflight) < jobs:
-                unit, attempt = queue.popleft()
-                spawn(unit, attempt)
+                unit, number = queue.popleft()
+                attempt = SupervisedAttempt(
+                    context, unit, number, timeout, progress_queue
+                )
+                inflight[attempt.conn] = attempt
             if not inflight:
                 if waiting:
                     time.sleep(
@@ -716,101 +891,43 @@ def _run_supervised(
                     )
                 continue
 
-            wait_for = 0.05
-            deadlines = [
-                entry["deadline"]
-                for entry in inflight.values()
-                if entry["deadline"] is not None
+            wake = [now + 0.05] + [
+                attempt.deadline
+                for attempt in inflight.values()
+                if attempt.deadline is not None
             ]
-            if deadlines:
-                wait_for = min(wait_for, max(0.0, min(deadlines) - now))
             if waiting:
-                wait_for = min(wait_for, max(0.0, waiting[0][0] - now))
-            ready = _mp_connection.wait(list(inflight), timeout=wait_for)
-
+                wake.append(waiting[0][0])
+            ready = _mp_connection.wait(
+                list(inflight), timeout=max(0.0, min(wake) - now)
+            )
             for conn in ready:
-                entry = inflight.pop(conn)
-                try:
-                    result = conn.recv()
-                    reap(entry)
-                except (EOFError, OSError):
-                    # Pipe closed with no result: the worker died hard
-                    # (os._exit, SIGKILL, OOM-kill).
-                    code = reap(entry)
-                    if emit:
-                        tracer.emit(
-                            "fault.crash",
-                            0,
-                            uid=entry["unit"].uid,
-                            attempt=entry["attempt"],
-                            exit_code=code,
-                        )
-                    result = UnitResult(
-                        uid=entry["unit"].uid,
-                        ok=False,
-                        error={
-                            "type": "WorkerCrash",
-                            "message": (
-                                f"worker died with exit code {code} on "
-                                f"attempt {entry['attempt']}"
-                            ),
-                            "traceback": "",
-                        },
-                        wall_seconds=time.monotonic() - entry["started"],
-                    )
-                conn.close()
-                finalize(entry, result)
+                attempt = inflight.pop(conn)
+                settle(attempt, attempt.collect(emit))
 
             now = time.monotonic()
-            for conn, entry in list(inflight.items()):
-                if entry["deadline"] is not None and now >= entry["deadline"]:
-                    # Hung worker: SIGKILL and hand the unit back to the
-                    # retry policy.
+            for conn, attempt in list(inflight.items()):
+                result = attempt.expire(now, emit)
+                if result is not None:
                     del inflight[conn]
-                    reap(entry, kill=True)
-                    conn.close()
-                    if emit:
-                        tracer.emit(
-                            "fault.timeout",
-                            0,
-                            uid=entry["unit"].uid,
-                            attempt=entry["attempt"],
-                            timeout=timeout,
-                        )
-                    finalize(
-                        entry,
-                        UnitResult(
-                            uid=entry["unit"].uid,
-                            ok=False,
-                            error={
-                                "type": "WorkerTimeout",
-                                "message": (
-                                    f"exceeded {timeout}s wall-clock on "
-                                    f"attempt {entry['attempt']}"
-                                ),
-                                "traceback": "",
-                            },
-                            wall_seconds=now - entry["started"],
-                        ),
-                    )
+                    settle(attempt, result)
     except KeyboardInterrupt:
         # Checkpoint flush: absorb every completed-but-unmerged result
         # (which writes it to the cache) before tearing workers down,
         # so an interrupted sweep resumes without re-executing them.
-        for conn, entry in list(inflight.items()):
+        for conn, attempt in list(inflight.items()):
             try:
                 if conn.poll(0):
                     result = conn.recv()
                     if result.ok:
-                        finalize(entry, result, quiet=True)
+                        settle(attempt, result, quiet=True)
             except Exception:  # noqa: BLE001 — best-effort flush
                 pass
         raise
     finally:
-        for conn, entry in inflight.items():
+        for attempt in inflight.values():
             try:
-                reap(entry, kill=True)
-                conn.close()
+                attempt.close()
             except Exception:  # noqa: BLE001
                 pass
 
@@ -916,18 +1033,26 @@ def execute_units(
     resilient = (
         timeout is not None
         or retries > 0
-        or bool(os.environ.get(FAULT_PLAN_ENV))
+        or (
+            bool(os.environ.get(FAULT_PLAN_ENV))
+            # A supervised worker may not spawn children, so a sweep
+            # nested in one (defensezoo runs the foundry) stays put.
+            and not multiprocessing.current_process().daemon
+        )
     )
     if resilient:
+        emit = _quiet
+        if tracer is not None and getattr(tracer, "enabled", False):
+            def emit(kind: str, info: dict) -> None:
+                tracer.emit(kind, 0, **info)
+
         _run_supervised(
             pending,
             jobs=max(1, jobs),
             absorb=absorb,
             timeout=timeout,
-            retries=retries,
-            backoff=backoff,
-            retry_seed=retry_seed,
-            tracer=tracer,
+            policy=RetryPolicy(retries, backoff, retry_seed),
+            emit=emit,
             progress_queue=progress_queue,
         )
         return results

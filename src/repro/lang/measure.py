@@ -18,10 +18,9 @@ from repro.core.modes import Mode
 from repro.core.token import Token, TokenConfigRegister
 from repro.cpu.pipeline import CoreConfig, OutOfOrderCore
 from repro.harness.configs import DefenseSpec
-from repro.harness.experiment import build_defense
+from repro.harness.experiment import build_defense, make_trace_machine
 from repro.lang.ast import Program
 from repro.lang.interp import Interpreter
-from repro.runtime.machine import ExecutionMode, Machine
 
 
 @dataclass
@@ -63,12 +62,7 @@ def measure_program(
     token_seed: int = 7,
 ) -> ProgramMeasurement:
     """Trace one program under one defense spec and time the replay."""
-    machine = Machine(
-        mode=ExecutionMode.TRACE,
-        perfect_hw=spec.perfect_hw,
-        software_rest=spec.defense == "softrest",
-    )
-    machine.token_width = spec.token_width
+    machine = make_trace_machine(spec)
     defense = build_defense(machine, spec)
     Interpreter(program, defense).run(*args)
     trace = machine.take_trace()

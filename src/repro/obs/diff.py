@@ -548,8 +548,7 @@ def build_fast_tier_diff(
     from repro.fasttier.engine import Q, DECLARED_TOLERANCE, FastTierEngine
     from repro.harness.bench import bench_specs
     from repro.harness.configs import SimulationConfig
-    from repro.harness.experiment import build_defense
-    from repro.runtime.machine import ExecutionMode, Machine
+    from repro.harness.experiment import build_defense, make_trace_machine
     from repro.workloads.generator import SyntheticWorkload
     from repro.workloads.spec import profile_by_name
 
@@ -561,12 +560,7 @@ def build_fast_tier_diff(
     spec = specs[mode]
     profile = profile_by_name(benchmark)
     config = SimulationConfig(scale=scale, seed=seed)
-    machine = Machine(
-        mode=ExecutionMode.TRACE,
-        perfect_hw=spec.perfect_hw,
-        software_rest=spec.defense == "softrest",
-    )
-    machine.token_width = spec.token_width
+    machine = make_trace_machine(spec)
     defense = build_defense(machine, spec)
     SyntheticWorkload(
         profile,

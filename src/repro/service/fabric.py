@@ -51,7 +51,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from repro.harness.parallel import UnitResult, WorkUnit
+from repro.harness.parallel import (
+    QUARANTINE,
+    WORKER_ABORTED,
+    RetryPolicy,
+    UnitResult,
+    WorkUnit,
+)
 from repro.service import protocol
 
 #: How often the monitor task scans lease/worker deadlines, as a
@@ -141,7 +147,9 @@ class FabricDispatcher:
     ) -> None:
         self.heartbeat = heartbeat
         self.miss_factor = miss_factor
-        self.unit_retries = unit_retries  # extra assignments after the first
+        # A lost lease is a failed attempt with no backoff: up to
+        # ``unit_retries`` reassignments, then the policy quarantines.
+        self.lost_policy = RetryPolicy(retries=unit_retries, backoff=0.0)
         self.timeout = timeout  # worker-side per-unit policy, sent in assign
         self.retries = retries
         self.salt = salt
@@ -339,7 +347,7 @@ class FabricDispatcher:
             uid=unit.uid,
             ok=False,
             error={
-                "type": "WorkerAborted",
+                "type": WORKER_ABORTED,
                 "message": "coordinator drained while the unit was "
                 "pending; it will re-run after restart",
                 "traceback": "",
@@ -404,29 +412,23 @@ class FabricDispatcher:
             )
             if self._draining:
                 return self._aborted(unit, assignment)
-            if assignment > self.unit_retries:
+            lost = UnitResult(
+                uid=unit.uid,
+                ok=False,
+                error={
+                    "type": WORKER_LOST,
+                    "message": (
+                        f"{assignment} worker(s) died or went silent "
+                        f"while running this unit"
+                    ),
+                    "traceback": "",
+                },
+            )
+            answer, _ = self.lost_policy.decide(lost, assignment)
+            if answer == QUARANTINE:
                 self.lost_units += 1
-                emit(
-                    "fault.quarantine",
-                    {
-                        "uid": unit.uid,
-                        "attempts": assignment,
-                        "error": WORKER_LOST,
-                    },
-                )
-                return UnitResult(
-                    uid=unit.uid,
-                    ok=False,
-                    error={
-                        "type": WORKER_LOST,
-                        "message": (
-                            f"{assignment} worker(s) died or went silent "
-                            f"while running this unit"
-                        ),
-                        "traceback": "",
-                    },
-                    attempts=assignment,
-                    quarantined=True,
+                return self.lost_policy.finish(
+                    lost, assignment, (0.0, 0.0), True, emit
                 )
             self.reassignments += 1
 

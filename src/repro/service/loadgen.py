@@ -35,7 +35,6 @@ noisy for that to be signal.
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import shutil
@@ -50,7 +49,6 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro.faults.plan import FaultPlan, WorkerKillPlan
-from repro.harness.parallel import strip_volatile
 from repro.service.client import ServiceClient, ServiceError, wait_for_daemon
 
 #: Format tag of the committed benchmark artifact.
@@ -492,47 +490,10 @@ def _execute_kill_plan(
     return executed
 
 
-def _manifest_identity(
-    baseline_dir: Path, chaos_dir: Path, quarantined: List[str]
-) -> List[str]:
-    """Mismatch list (empty = identical) for non-quarantined units."""
-    baseline = json.loads((baseline_dir / "manifest.json").read_text())
-    chaos = json.loads((chaos_dir / "manifest.json").read_text())
-    mismatches: List[str] = []
-    base_records = {
-        name: record
-        for name, record in baseline.get("experiments", {}).items()
-        if name not in quarantined
-    }
-    chaos_records = {
-        name: record
-        for name, record in chaos.get("experiments", {}).items()
-        if name not in quarantined
-    }
-    for name in sorted(set(base_records) | set(chaos_records)):
-        if strip_volatile(base_records.get(name)) != strip_volatile(
-            chaos_records.get(name)
-        ):
-            mismatches.append(f"{name}: manifest record differs")
-            continue
-        record = base_records.get(name) or {}
-        filename = record.get("file")
-        if not filename or record.get("status") != "ok":
-            continue
-        base_file = baseline_dir / filename
-        chaos_file = chaos_dir / filename
-        base_bytes = base_file.read_bytes() if base_file.is_file() else None
-        chaos_bytes = (
-            chaos_file.read_bytes() if chaos_file.is_file() else None
-        )
-        if base_bytes != chaos_bytes:
-            mismatches.append(f"{name}: artifact bytes differ")
-    return mismatches
-
-
 def run_chaos_phase(options: LoadgenOptions, say) -> Dict:
     out = Path(options.out)
     from repro.experiments.run_all import experiment_units
+    from repro.faults.chaos import check_identity
 
     units = experiment_units(
         options.scale, 1234, names=list(FAST_EXPERIMENTS)
@@ -613,15 +574,11 @@ def run_chaos_phase(options: LoadgenOptions, say) -> Dict:
     if journal.is_file():
         shutil.copy(journal, chaos_run / "fabric-events.jsonl")
 
-    chaos_manifest = json.loads((chaos_run / "manifest.json").read_text())
-    quarantine_actual = sorted(chaos_manifest.get("quarantine", {}))
     quarantine_expected = fault_plan.permanent_uids()
-    mismatches = _manifest_identity(
-        baseline_run, chaos_run, quarantine_actual
+    quarantine_actual, mismatches, problems = check_identity(
+        baseline_run, chaos_run, quarantine_expected
     )
-    identity = (
-        not mismatches and quarantine_actual == quarantine_expected
-    )
+    identity = not mismatches and not problems
     return {
         "workers": options.chaos_workers,
         "kills_planned": options.kills,

@@ -4,12 +4,12 @@ The daemon cannot use :func:`repro.harness.parallel.execute_units`
 directly — that call owns its workers for one synchronous sweep, while
 the service interleaves units from *many* jobs, deduplicates across
 them, and must keep admitting work while simulations run.  So the pool
-reuses the engine one layer lower: each attempt is one supervised
-worker process (the same :func:`~repro.harness.parallel._supervised_worker`
-entry the resilience layer spawns), the blocking supervise loop runs in
-a thread via :func:`asyncio.to_thread`, and the retry/backoff/
-quarantine policy is re-expressed as an ``async`` loop so the event
-loop stays responsive between attempts.
+reuses the engine one layer lower: each attempt is one
+:class:`~repro.harness.parallel.SupervisedAttempt` (the engine's
+supervised worker process), waited on in a thread via
+:func:`asyncio.to_thread`, and the engine's
+:class:`~repro.harness.parallel.RetryPolicy` decides between attempts
+while the event loop stays responsive.
 
 Per-attempt processes — not a long-lived ``Pool`` — are a deliberate
 inheritance from the resilience layer: a hung simulation is SIGKILLed
@@ -31,14 +31,15 @@ import time
 from typing import Callable, Optional
 
 from repro.harness.parallel import (
+    RetryPolicy,
+    SupervisedAttempt,
     UnitResult,
     WorkUnit,
     _pool_context,
-    _supervised_worker,
-    backoff_delay,
 )
 
-#: Poll period of the supervise loop; bounds drain/timeout latency.
+#: Poll period of an attempt's wait; bounds drain latency.  A result
+#: wakes the wait at once.
 _POLL_SECONDS = 0.05
 
 
@@ -87,133 +88,55 @@ class UnitExecutor:
 
         ``tag`` stamps the worker's progress events so the daemon can
         route one shared queue to the right execution's watchers.
-        ``on_event`` receives the same ``fault.*`` decisions the engine
-        emits on its tracer (retry, timeout, crash, quarantine, abort),
-        called on the event loop.
+        ``on_event`` receives the same ``fault.*`` events the engine
+        emits on its tracer (retry, timeout, crash, quarantine), called
+        on the event loop.
         """
         emit = on_event if on_event is not None else (lambda kind, info: None)
+        # Built per unit: a fabric worker updates timeout/retries from
+        # each assignment.
+        policy = RetryPolicy(self.retries, self.backoff, self.retry_seed)
+        spent = [0.0, 0.0]
         attempt = 1
-        cpu = wall = 0.0
         while True:
-            result = await asyncio.to_thread(self._attempt, unit, attempt, tag)
-            cpu += result.cpu_seconds
-            wall += result.wall_seconds
-            error_type = (result.error or {}).get("type")
-            if error_type == "WorkerTimeout":
-                emit("fault.timeout", {"uid": unit.uid, "attempt": attempt,
-                                       "timeout": self.timeout})
-            elif error_type == "WorkerCrash":
-                emit("fault.crash", {"uid": unit.uid, "attempt": attempt})
-            aborted = error_type == "WorkerAborted"
-            if result.ok or aborted or attempt > self.retries or self._draining:
-                result.cpu_seconds, result.wall_seconds = cpu, wall
-                result.attempts = attempt
-                if not result.ok and not aborted:
-                    result.quarantined = True
-                    emit(
-                        "fault.quarantine",
-                        {
-                            "uid": unit.uid,
-                            "attempts": attempt,
-                            "error": result.error["type"],
-                        },
-                    )
+            events = []
+            result = await asyncio.to_thread(
+                self._attempt,
+                unit,
+                attempt,
+                tag,
+                lambda kind, info: events.append((kind, info)),
+            )
+            for kind, info in events:
+                emit(kind, info)
+            delay = policy.settle(
+                result, attempt, spent, emit, draining=self._draining
+            )
+            if delay is None:
                 return result
-            delay = backoff_delay(
-                self.backoff, attempt, unit.uid, self.retry_seed
-            )
-            emit(
-                "fault.retry",
-                {
-                    "uid": unit.uid,
-                    "attempt": attempt,
-                    "error": result.error["type"],
-                    "delay": round(delay, 4),
-                },
-            )
             await asyncio.sleep(delay)
             attempt += 1
 
-    def _attempt(self, unit: WorkUnit, attempt: int, tag: Optional[str]) -> UnitResult:
-        """One supervised attempt; blocking — runs in a worker thread.
-
-        Mirrors the engine's ``_run_supervised`` per-connection logic:
-        pipe EOF without a result is a hard crash, the per-unit
-        ``timeout`` SIGKILLs a hung worker, and an expired drain
-        deadline SIGKILLs with a ``WorkerAborted`` error instead.
-        """
-        parent_conn, child_conn = self.context.Pipe(duplex=False)
-        task = (unit.uid, unit.module, unit.func, unit.kwargs, attempt)
-        process = self.context.Process(
-            target=_supervised_worker,
-            args=(child_conn, task, self.progress_queue, tag),
-            daemon=True,
+    def _attempt(
+        self,
+        unit: WorkUnit,
+        attempt: int,
+        tag: Optional[str],
+        emit: Callable[[str, dict], None],
+    ) -> UnitResult:
+        """One supervised attempt; blocking — runs in a worker thread."""
+        running = SupervisedAttempt(
+            self.context, unit, attempt, self.timeout,
+            self.progress_queue, tag,
         )
-        started = time.monotonic()
-        process.start()
-        child_conn.close()
-        deadline = (
-            started + self.timeout if self.timeout is not None else None
-        )
-
-        def kill_with(error_type: str, message: str) -> UnitResult:
-            process.kill()
-            process.join(timeout=5.0)
-            parent_conn.close()
-            return UnitResult(
-                uid=unit.uid,
-                ok=False,
-                error={"type": error_type, "message": message,
-                       "traceback": ""},
-                wall_seconds=time.monotonic() - started,
-                attempts=attempt,
-            )
-
         try:
             while True:
-                if parent_conn.poll(_POLL_SECONDS):
-                    try:
-                        result = parent_conn.recv()
-                    except (EOFError, OSError):
-                        code = process.exitcode
-                        process.join(timeout=5.0)
-                        return UnitResult(
-                            uid=unit.uid,
-                            ok=False,
-                            error={
-                                "type": "WorkerCrash",
-                                "message": (
-                                    f"worker died with exit code {code} "
-                                    f"on attempt {attempt}"
-                                ),
-                                "traceback": "",
-                            },
-                            wall_seconds=time.monotonic() - started,
-                            attempts=attempt,
-                        )
-                    process.join(timeout=5.0)
+                if running.conn.poll(_POLL_SECONDS):
+                    return running.collect(emit)
+                result = running.expire(
+                    time.monotonic(), emit, self._drain_deadline
+                )
+                if result is not None:
                     return result
-                now = time.monotonic()
-                if deadline is not None and now >= deadline:
-                    return kill_with(
-                        "WorkerTimeout",
-                        f"exceeded {self.timeout}s wall-clock on "
-                        f"attempt {attempt}",
-                    )
-                if (
-                    self._drain_deadline is not None
-                    and now >= self._drain_deadline
-                ):
-                    return kill_with(
-                        "WorkerAborted",
-                        "daemon drain grace expired; unit will be "
-                        "re-run after restart",
-                    )
         finally:
-            try:
-                parent_conn.close()
-            except OSError:
-                pass
-            if process.is_alive():
-                process.kill()
-                process.join(timeout=5.0)
+            running.close()

@@ -42,7 +42,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.harness.parallel import ResultCache, UnitResult, WorkUnit
+from repro.harness.parallel import (
+    WORKER_ABORTED,
+    ResultCache,
+    UnitResult,
+    WorkUnit,
+)
 from repro.harness.persistence import atomic_write_json
 from repro.service.jobs import (
     PRIORITIES,
@@ -332,7 +337,7 @@ class Scheduler:
             self.cache.put(execution.key, unit, result.value)
         self._inflight.pop(execution.key, None)
         self._by_tag.pop(execution.tag, None)
-        aborted = (result.error or {}).get("type") == "WorkerAborted"
+        aborted = (result.error or {}).get("type") == WORKER_ABORTED
         for job, uid in execution.subscribers:
             delivered = UnitResult(
                 uid=uid,
