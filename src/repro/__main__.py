@@ -30,9 +30,10 @@ Commands
     degraded run's manifest/artifacts are byte-identical to the
     baseline for every non-quarantined unit.
 ``attack <name|all> [--defense MODE]``
-    Run attack scenarios and print the outcome; MODE is any plugin-
-    registered defense (plain, asan, rest, rest-heap, softrest, mte,
-    mte-async, mte-asymm, ...) — unknown modes exit 2 with suggestions.
+    Run attack scenarios and print the outcome.  Here and in ``trace``
+    and ``minic``, MODE is any mode or alias in the plugin registry
+    (``repro.defenses.plugin.DEFENSE_MODES``); ``foundry --defenses``
+    takes its canonical modes.  Unknown modes exit 2.
 ``foundry [--seed S] [--cases N] [--jobs N] [--defenses ...] ...``
     Generate a seeded adversarial corpus, execute it across defense
     modes through the parallel engine, and score a detection-coverage
@@ -110,27 +111,6 @@ EXPERIMENTS = (
     "defensezoo",
 )
 
-#: Defense axes of the foundry (canonical registry names — kept in
-#: lock-step with repro.defenses.plugin.DEFENSE_MODES, as a literal
-#: so argparse help never imports the simulator).
-FOUNDRY_DEFENSES = (
-    "none",
-    "asan",
-    "rest",
-    "rest-heap",
-    "softrest",
-    "mte",
-    "mte-async",
-    "mte-asymm",
-)
-
-#: Experiments whose numbers come from attack execution (detection
-#: outcomes, tripwire hits), not trace replay — the fast tier only
-#: replaces the replay, so these reject ``--tier fast``.
-ATTACK_EXPERIMENTS = frozenset(
-    {"table3", "security", "attackmatrix", "defensezoo"}
-)
-
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
     from repro.harness.parallel import ResultCache, WorkUnit, execute_units
@@ -141,7 +121,16 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             print(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
             return 2
     if args.tier == "fast":
-        unsupported = [n for n in names if n in ATTACK_EXPERIMENTS]
+        import importlib
+        import inspect
+
+        # Attack-driven experiments report detection outcomes, not
+        # replay cycles, so their regenerate() takes no tier.
+        unsupported = [
+            n for n in names if "tier" not in inspect.signature(
+                importlib.import_module(f"repro.experiments.{n}").regenerate
+            ).parameters
+        ]
         if unsupported:
             print(
                 f"--tier fast is not supported for attack-driven "
@@ -376,23 +365,16 @@ def _cmd_trace(args: argparse.Namespace) -> int:
 
     if args.action == "record":
         from repro.harness.configs import DefenseSpec, SimulationConfig
-        from repro.harness.experiment import build_defense
-        from repro.runtime.machine import ExecutionMode, Machine
+        from repro.harness.experiment import build_defense, make_trace_machine
         from repro.workloads.generator import SyntheticWorkload
         from repro.workloads.spec import profile_by_name
 
-        spec = {
-            "plain": DefenseSpec.plain(),
-            "asan": DefenseSpec.asan(),
-            "rest": DefenseSpec.rest("Secure Full"),
-            "rest-heap": DefenseSpec.rest(
-                "Secure Heap", protect_stack=False
-            ),
-            "mte": DefenseSpec.mte(),
-            "mte-async": DefenseSpec.mte("MTE Async", "async"),
-            "mte-asymm": DefenseSpec.mte("MTE Asymm", "asymm"),
-        }[args.defense]
-        machine = Machine(mode=ExecutionMode.TRACE)
+        spec = DefenseSpec(name=args.defense, defense=args.defense)
+        try:
+            machine = make_trace_machine(spec)
+        except ValueError as error:  # unknown mode, with suggestions
+            print(str(error))
+            return 2
         defense = build_defense(machine, spec)
         config = SimulationConfig(scale=args.scale)
         SyntheticWorkload(
@@ -488,9 +470,8 @@ def _cmd_demo(_args: argparse.Namespace) -> int:
 
 def _cmd_minic(args: argparse.Namespace) -> int:
     from repro.core import RestException
-    from repro.defenses import AsanDefense, MteDefense, PlainDefense, RestDefense
+    from repro.defenses import make_defense
     from repro.lang import Interpreter, parse
-    from repro.runtime import Machine
     from repro.runtime.mte import MteViolation
     from repro.runtime.shadow import AsanViolation
 
@@ -498,16 +479,11 @@ def _cmd_minic(args: argparse.Namespace) -> int:
         program = parse(handle.read())
 
     if args.action == "run":
-        factories = {
-            "plain": lambda: PlainDefense(Machine()),
-            "asan": lambda: AsanDefense(Machine()),
-            "rest": lambda: RestDefense(Machine(), protect_stack=True),
-            "rest-heap": lambda: RestDefense(Machine(), protect_stack=False),
-            "mte": lambda: MteDefense(Machine()),
-            "mte-async": lambda: MteDefense(Machine(), check_mode="async"),
-            "mte-asymm": lambda: MteDefense(Machine(), check_mode="asymm"),
-        }
-        defense = factories[args.defense]()
+        try:
+            defense = make_defense(args.defense)
+        except ValueError as error:  # unknown mode, with suggestions
+            print(str(error))
+            return 2
         try:
             result = Interpreter(program, defense).run(*args.args)
             defense.flush_pending_faults()
@@ -1061,6 +1037,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.defenses.plugin import DEFENSE_MODES
+
     parser = argparse.ArgumentParser(
         prog="python -m repro",
         description="REST (ISCA 2018) reproduction toolkit",
@@ -1165,7 +1143,7 @@ def main(argv=None) -> int:
     p_fnd.add_argument("--cases", type=_positive_int, default=500,
                        help="corpus size, round-robin over families")
     p_fnd.add_argument("--jobs", "-j", type=_positive_int, default=1)
-    p_fnd.add_argument("--defenses", nargs="*", choices=FOUNDRY_DEFENSES,
+    p_fnd.add_argument("--defenses", nargs="*", choices=DEFENSE_MODES,
                        metavar="mode",
                        help="defense modes (default: none asan rest "
                             "softrest mte mte-async)")
@@ -1196,12 +1174,8 @@ def main(argv=None) -> int:
     p_trace.add_argument("action", choices=("record", "replay", "stats"))
     p_trace.add_argument("file")
     p_trace.add_argument("--benchmark", default="xalancbmk")
-    p_trace.add_argument(
-        "--defense",
-        choices=("plain", "asan", "rest", "rest-heap", "mte",
-                 "mte-async", "mte-asymm"),
-        default="rest",
-    )
+    p_trace.add_argument("--defense", default="rest", metavar="MODE",
+                         help="any plugin-registered defense mode")
     p_trace.add_argument("--scale", type=float, default=0.1)
     p_trace.add_argument("--debug", action="store_true",
                          help="replay in debug (precise) mode")
@@ -1218,12 +1192,8 @@ def main(argv=None) -> int:
     )
     p_minic.add_argument("action", choices=("run", "measure"))
     p_minic.add_argument("file")
-    p_minic.add_argument(
-        "--defense",
-        choices=("plain", "asan", "rest", "rest-heap", "mte",
-                 "mte-async", "mte-asymm"),
-        default="rest",
-    )
+    p_minic.add_argument("--defense", default="rest", metavar="MODE",
+                         help="any plugin-registered defense mode")
     p_minic.add_argument(
         "args", nargs="*", type=int, help="integer arguments to main()"
     )

@@ -129,6 +129,15 @@ def get_plugin(name: str) -> DefensePlugin:
     return _PLUGINS[canonical_mode(name)]
 
 
+def is_baseline(name: str) -> bool:
+    """Whether ``name`` resolves to the unprotected ``none`` mode.
+
+    The one baseline test: ``plain``, ``none`` and any future alias
+    of the unprotected mode all collapse to a single Plain cell.
+    """
+    return canonical_mode(name) == "none"
+
+
 def make_defense(name: str, machine: Optional[Machine] = None) -> Defense:
     """Build a fresh functional-mode defense for ``name``.
 
@@ -162,7 +171,6 @@ register(DefensePlugin(
     aliases=("plain",),
     capabilities=PlainDefense.capabilities,
     requires_recompilation=False,
-    from_spec=lambda machine, spec: PlainDefense(machine),
 ))
 
 register(DefensePlugin(
@@ -202,7 +210,6 @@ register(DefensePlugin(
     capabilities=RestDefense.capabilities,
     requires_recompilation=False,
     hardware_cost=_hwcost("rest_cost"),
-    from_spec=lambda machine, spec: RestDefense(machine, protect_stack=False),
 ))
 
 register(DefensePlugin(
@@ -226,7 +233,6 @@ register(DefensePlugin(
     capabilities=MteDefense.capabilities,
     requires_recompilation=False,
     hardware_cost=_hwcost("mte_cost"),
-    from_spec=lambda machine, spec: MteDefense(machine, check_mode="sync"),
 ))
 
 register(DefensePlugin(
@@ -237,7 +243,6 @@ register(DefensePlugin(
     capabilities=MteDefense.capabilities,
     requires_recompilation=False,
     hardware_cost=_hwcost("mte_cost"),
-    from_spec=lambda machine, spec: MteDefense(machine, check_mode="async"),
 ))
 
 register(DefensePlugin(
@@ -248,7 +253,6 @@ register(DefensePlugin(
     capabilities=MteDefense.capabilities,
     requires_recompilation=False,
     hardware_cost=_hwcost("mte_cost"),
-    from_spec=lambda machine, spec: MteDefense(machine, check_mode="asymm"),
 ))
 
 #: Canonical mode names, in report order (= plugin registration order).

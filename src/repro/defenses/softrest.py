@@ -29,6 +29,10 @@ from repro.runtime.machine import Machine
 class SoftRestDefense(RestDefense):
     """Token redzones checked by instrumented software, not hardware."""
 
+    #: "software-tokens" asks ``make_trace_machine`` for a
+    #: ``Machine(software_rest=True)``.
+    capabilities = RestDefense.capabilities | {"software-tokens"}
+
     def __init__(
         self,
         machine: Machine,

@@ -11,6 +11,15 @@ from repro.harness.configs import SimulationConfig
 #: Figure 7 sweep (12 benchmarks x 8 configurations) under a minute.
 DEFAULT_SCALE = 0.35
 
+#: Column label -> registered defense mode, for the attack-suite tables
+#: (Table III's detection matrix, the security coverage table).
+ATTACK_COLUMNS = {
+    "plain": "plain",
+    "asan": "asan",
+    "rest (full)": "rest",
+    "rest (heap)": "rest-heap",
+}
+
 
 def make_config(scale: float = DEFAULT_SCALE, seed: int = 1234) -> SimulationConfig:
     return SimulationConfig(scale=scale, seed=seed)

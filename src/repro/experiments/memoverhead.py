@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.defenses import AsanDefense, PlainDefense, RestDefense
+from repro.defenses import RestDefense, get_plugin
 from repro.experiments.common import DEFAULT_SCALE, cli_main
 from repro.harness.reporting import format_table
 from repro.runtime.machine import ExecutionMode, Machine
@@ -46,11 +46,10 @@ def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234,
     # shadow bookkeeping); there is no replay, so ``tier`` is accepted
     # for CLI uniformity but has no effect.
     factories = {
-        "plain": PlainDefense,
-        "asan": AsanDefense,
-        "rest": RestDefense,
-        "rest (fast)": lambda m: RestDefense(m, allocator="fast"),
+        label: get_plugin(label).factory for label in ("plain", "asan", "rest")
     }
+    # An allocator variant of REST, not a registered mode.
+    factories["rest (fast)"] = lambda m: RestDefense(m, allocator="fast")
     rows = []
     totals = {name: [0, 0, 0] for name in factories}
     for profile in ALL_PROFILES:

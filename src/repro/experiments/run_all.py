@@ -42,7 +42,8 @@ from repro.harness.parallel import (
     quarantine_report,
 )
 
-#: experiment name -> scale override (None = use the requested scale).
+#: experiment name -> scale cap (None = use the requested scale): a
+#: capped experiment runs at ``min(cap, requested)``.
 EXPERIMENT_SCALES = {
     "table1": None,
     "table2": None,
@@ -55,7 +56,7 @@ EXPERIMENT_SCALES = {
     "security": None,
     #: Defense zoo: REST-vs-MTE-vs-ASan overhead/coverage matrix; runs
     #: the full workload suite under six specs plus a foundry corpus,
-    #: so it gets a fixed small scale regardless of the sweep's.
+    #: so its scale is capped small whatever the sweep's.
     "defensezoo": 0.2,
     #: Observability artifact: per-defense top-down stall decomposition
     #: (written as ``stalls.json``; rendered by ``repro report``).
@@ -94,8 +95,8 @@ def experiment_units(
             )
         scales = {name: scales[name] for name in names}
     units = []
-    for name, override in scales.items():
-        effective = override if override is not None else scale
+    for name, cap in scales.items():
+        effective = scale if cap is None else min(cap, scale)
         module, _ = _SPECIAL_UNITS.get(
             name, (f"repro.experiments.{name}", None)
         )

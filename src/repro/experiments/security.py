@@ -14,29 +14,25 @@ from repro.analysis import (
     token_width_tradeoff,
 )
 from repro.analysis.coverage import ATTACK_CLASSES
-from repro.defenses import AsanDefense, PlainDefense, RestDefense
-from repro.experiments.common import cli_main
+from repro.defenses import make_defense
+from repro.experiments.common import ATTACK_COLUMNS, cli_main
 from repro.harness.reporting import format_table
-from repro.runtime.machine import Machine
 
 
 def _coverage_table() -> str:
-    factories = {
-        "plain": lambda: PlainDefense(Machine()),
-        "asan": lambda: AsanDefense(Machine()),
-        "rest (full)": lambda: RestDefense(Machine(), protect_stack=True),
-        "rest (heap)": lambda: RestDefense(Machine(), protect_stack=False),
+    reports = {
+        label: coverage_report(lambda mode=mode: make_defense(mode))
+        for label, mode in ATTACK_COLUMNS.items()
     }
-    reports = {name: coverage_report(f) for name, f in factories.items()}
     rows = []
     for class_name in ATTACK_CLASSES:
         row = [class_name]
-        for name in factories:
+        for name in ATTACK_COLUMNS:
             fraction = reports[name].stopped_fraction(class_name)
             row.append(f"{fraction:.0%}")
         rows.append(row)
     table = format_table(
-        ["bug class (applicable attacks stopped)"] + list(factories),
+        ["bug class (applicable attacks stopped)"] + list(ATTACK_COLUMNS),
         rows,
         title="Measured detection coverage by bug class",
     )

@@ -16,10 +16,9 @@ from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.defenses import AsanDefense, PlainDefense, RestDefense
-from repro.experiments.common import cli_main
+from repro.defenses import make_defense
+from repro.experiments.common import ATTACK_COLUMNS, cli_main
 from repro.harness.reporting import format_table
-from repro.runtime.machine import Machine
 from repro.workloads.attacks import ATTACK_REGISTRY, AttackOutcome, run_attack
 
 #: The paper's Table III rows (single-core systems assumed).
@@ -46,7 +45,7 @@ def _empirical_rest_row() -> Dict[str, str]:
     """Derive REST's claimed properties from the attack suite."""
 
     def rest():
-        return RestDefense(Machine(), protect_stack=True)
+        return make_defense("rest")
 
     linear_detected = all(
         run_attack(name, rest()).detected
@@ -83,21 +82,15 @@ def _empirical_rest_row() -> Dict[str, str]:
 
 
 def _detection_matrix() -> str:
-    factories = {
-        "plain": lambda: PlainDefense(Machine()),
-        "asan": lambda: AsanDefense(Machine()),
-        "rest (full)": lambda: RestDefense(Machine(), protect_stack=True),
-        "rest (heap)": lambda: RestDefense(Machine(), protect_stack=False),
-    }
     rows: List[List[str]] = []
     for attack in sorted(ATTACK_REGISTRY):
         row = [attack]
-        for label, factory in factories.items():
-            result = run_attack(attack, factory())
+        for mode in ATTACK_COLUMNS.values():
+            result = run_attack(attack, make_defense(mode))
             row.append(result.outcome.value)
         rows.append(row)
     return format_table(
-        ["attack"] + list(factories),
+        ["attack"] + list(ATTACK_COLUMNS),
         rows,
         title="Measured detection matrix (attack suite vs defenses)",
     )

@@ -12,6 +12,12 @@ given ordered access pattern intersects poisoned/armed metadata.  For
 spatial families the ``expected`` oracle map is *computed* from this
 model rather than hand-written; temporal and benign families use small
 hand tables that encode the quarantine/shadow state machines.
+
+The model for a mode follows its plugin's capabilities, not its name:
+``shadow-memory`` is ASan's geometry, ``rest-tokens`` REST's,
+``memory-tagging`` + ``heap-tags`` MTE's; no capabilities detects
+nothing.  Only plugins that require recompilation guard the stack
+(paper §IV-A: stack tokens are what change the binary).
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import random
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from repro.defenses.plugin import get_plugin
 from repro.runtime.mte import TagSequencer
 from repro.foundry.primitives import (
     AttackCase,
@@ -90,28 +97,37 @@ def rest_stack_span(size: int) -> int:
     return max(TOKEN, _round_up(size, TOKEN))
 
 
+def _caps(defense: str) -> frozenset:
+    return get_plugin(defense).capabilities
+
+
+def _tags_heap(defense: str) -> bool:
+    return {"memory-tagging", "heap-tags"} <= _caps(defense)
+
+
 def poison_intervals(
     defense: str, region: str, size: int
 ) -> Tuple[Tuple[int, int], ...]:
     """Payload-relative [lo, hi) intervals the defense has made lethal.
 
-    Empty for unprotected combinations (``none`` everywhere, stack
+    Empty for unprotected combinations (no redzone capability, stack
     buffers under ``rest-heap``).
     """
-    if defense == "none":
+    plugin = get_plugin(defense)
+    heap = region == "heap"
+    if not heap and not plugin.requires_recompilation:
         return ()
-    if region == "heap":
-        if defense == "asan":
+    if "shadow-memory" in plugin.capabilities:
+        if heap:
             span, rz = asan_heap_span(size), asan_heap_redzone(size)
-        else:  # rest / rest-heap / softrest share the REST allocator
+        else:
+            span, rz = asan_stack_span(size), ASAN_STACK_REDZONE
+    elif "rest-tokens" in plugin.capabilities:
+        if heap:
             span, rz = rest_heap_span(size), rest_heap_redzone(size)
-        return ((-rz, 0), (span, span + rz))
-    # stack
-    if defense == "asan":
-        span, rz = asan_stack_span(size), ASAN_STACK_REDZONE
-    elif defense in ("rest", "softrest"):
-        span, rz = rest_stack_span(size), TOKEN
-    else:  # rest-heap leaves the stack unprotected
+        else:
+            span, rz = rest_stack_span(size), TOKEN
+    else:
         return ()
     return ((-rz, 0), (span, span + rz))
 
@@ -138,26 +154,19 @@ def _expected_spatial(
     """
     expected = {}
     for defense in DEFENSE_MODES:
-        if defense == "none" or (defense == "asan" and not asan_checked):
-            expected[defense] = CaseOutcome.MISSED.value
-            continue
-        if defense.startswith("mte"):
+        if _tags_heap(defense):
             # Tag checks are hardware (library code included) but
             # heap-only: any byte outside the tagged span is lethal,
             # anything inside it — the sub-granule pad included — is
             # invisible.  Coverage is check-mode-independent.
-            if region != "heap":
-                expected[defense] = CaseOutcome.MISSED.value
-                continue
             span = mte_heap_span(size)
-            hit = any(
+            hit = region == "heap" and any(
                 off < 0 or off + width > span for off, width in accesses
             )
-            expected[defense] = (
-                CaseOutcome.DETECTED.value if hit else CaseOutcome.MISSED.value
-            )
-            continue
-        hit = _hits(accesses, poison_intervals(defense, region, size))
+        elif not asan_checked and "shadow-memory" in _caps(defense):
+            hit = False
+        else:
+            hit = _hits(accesses, poison_intervals(defense, region, size))
         expected[defense] = (
             CaseOutcome.DETECTED.value if hit else CaseOutcome.MISSED.value
         )
@@ -277,7 +286,7 @@ def _gen_targeted_jump(rng: random.Random):
         illegal_end=inner + width,
         illegal_ref="neighbor",
         expected={
-            d: (mte if d.startswith("mte") else CaseOutcome.MISSED.value)
+            d: (mte if _tags_heap(d) else CaseOutcome.MISSED.value)
             for d in DEFENSE_MODES
         },
     )
@@ -388,13 +397,13 @@ def _gen_uaf_window(rng: random.Random):
         replay = TagSequencer.replay_tags(fillers + 2, params["mte_tag_seed"])
         mte = detected if replay[fillers + 1] != replay[0] else missed
         for d in DEFENSE_MODES:
-            if d.startswith("mte"):
+            if _tags_heap(d):
                 expected[d] = mte
     else:
         # Freed-but-unreused: MTE's free-time retag never equals the
         # allocation tag, so immediate/spaced dangling accesses are
         # caught in every check mode (imprecisely under async).
-        expected = {d: (missed if d == "none" else detected) for d in DEFENSE_MODES}
+        expected = {d: (detected if _caps(d) else missed) for d in DEFENSE_MODES}
     oracle = Oracle(
         kind="temporal",
         sound_detects=True,
@@ -425,15 +434,16 @@ def _gen_double_free(rng: random.Random):
     params = {"variant": variant, "fillers": fillers, "size": size}
     params["mte_tag_seed"] = rng.randrange(1 << 30)
     if variant == "quarantined":
-        expected = {d: (missed if d == "none" else detected) for d in DEFENSE_MODES}
+        expected = {d: (detected if _caps(d) else missed) for d in DEFENSE_MODES}
     elif variant == "drained":
-        # MTE's allocator validates the pointer tag on every free (all
-        # check modes): the freed region was retagged, so the stale
-        # free faults long after any quarantine would have drained.
+        # ASan's FREED shadow is sticky, and MTE's allocator validates
+        # the pointer tag on every free (all check modes): the freed
+        # region was retagged, so the stale free faults long after any
+        # quarantine would have drained.
         expected = {
             d: (
                 detected
-                if d == "asan" or d.startswith("mte")
+                if "shadow-memory" in _caps(d) or _tags_heap(d)
                 else missed
             )
             for d in DEFENSE_MODES
@@ -446,7 +456,7 @@ def _gen_double_free(rng: random.Random):
         replay = TagSequencer.replay_tags(fillers + 2, params["mte_tag_seed"])
         mte = detected if replay[fillers + 1] != replay[0] else missed
         for d in DEFENSE_MODES:
-            if d.startswith("mte"):
+            if _tags_heap(d):
                 expected[d] = mte
     oracle = Oracle(
         kind="temporal",
@@ -472,8 +482,11 @@ def _gen_stack_reuse(rng: random.Random):
     clean = CaseOutcome.CLEAN.value
     expected = {d: clean for d in DEFENSE_MODES}
     if not use_registry:
-        expected["rest"] = CaseOutcome.FALSE_POSITIVE.value
-        expected["softrest"] = CaseOutcome.FALSE_POSITIVE.value
+        for d in DEFENSE_MODES:
+            if "rest-tokens" in _caps(d) and (
+                get_plugin(d).requires_recompilation  # stack tokens
+            ):
+                expected[d] = CaseOutcome.FALSE_POSITIVE.value
     params = {
         "depth": rng.choice((2, 3)),
         "use_registry": use_registry,

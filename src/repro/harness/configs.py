@@ -14,6 +14,7 @@ from typing import Optional
 from repro.cache.hierarchy import HierarchyConfig
 from repro.core.modes import Mode
 from repro.cpu.pipeline import CoreConfig
+from repro.defenses.plugin import canonical_mode
 
 
 def config_payload(obj) -> dict:
@@ -50,9 +51,10 @@ class DefenseSpec:
     """One protection configuration to evaluate."""
 
     name: str  # display label, e.g. "Secure Full"
-    #: Defense mode name resolved through the plugin registry
-    #: ("plain" | "asan" | "rest" | "softrest" | "mte" | "mte-async" |
-    #: "mte-asymm" | ...); MTE check modes are encoded in the name.
+    #: Defense mode name: any canonical mode or alias in the plugin
+    #: registry (``repro.defenses.plugin.DEFENSE_MODES``, e.g. "plain",
+    #: "asan", "rest", "rest-heap", "softrest", "mte", "mte-async");
+    #: MTE check modes are encoded in the name.
     defense: str
     protect_stack: bool = True
     mode: Mode = Mode.SECURE
@@ -79,7 +81,7 @@ class DefenseSpec:
     @staticmethod
     def mte(name: str = "MTE Sync", check_mode: str = "sync") -> "DefenseSpec":
         """An MTE spec; the check mode is encoded in the defense name."""
-        defense = "mte" if check_mode == "sync" else f"mte-{check_mode}"
+        defense = canonical_mode(f"mte-{check_mode}")
         return DefenseSpec(name=name, defense=defense, protect_stack=False)
 
     @staticmethod

@@ -19,6 +19,7 @@ from repro.core.token import Token, TokenConfigRegister
 from repro.cpu.pipeline import OutOfOrderCore
 from repro.cpu.stats import CoreStats
 from repro.defenses import Defense
+from repro.defenses.plugin import get_plugin, is_baseline
 from repro.harness.configs import DefenseSpec, SimulationConfig
 from repro.runtime.machine import ExecutionMode, Machine
 from repro.workloads.generator import SyntheticWorkload, WorkloadStats
@@ -86,8 +87,6 @@ def build_defense(machine: Machine, spec: DefenseSpec) -> Defense:
     aliases like ``plain`` — works here, with the plugin's
     ``from_spec`` hook applying the spec's ablation toggles.
     """
-    from repro.defenses.plugin import get_plugin
-
     return get_plugin(spec.defense).build(machine, spec)
 
 
@@ -97,12 +96,14 @@ def make_trace_machine(spec: DefenseSpec) -> Machine:
     Centralises the spec-to-machine knobs (perfect-hardware and
     software-REST limit studies, token width) that every trace-
     generating surface — bench, observed runs, experiments — must
-    agree on.
+    agree on.  Software REST follows the plugin's
+    ``"software-tokens"`` capability, not the mode name.
     """
+    capabilities = get_plugin(spec.defense).capabilities
     machine = Machine(
         mode=ExecutionMode.TRACE,
         perfect_hw=spec.perfect_hw,
-        software_rest=spec.defense == "softrest",
+        software_rest="software-tokens" in capabilities,
     )
     machine.token_width = spec.token_width
     return machine
@@ -225,11 +226,11 @@ def run_suite(
     """Run every (benchmark, spec) pair; returns results[bench][spec].
 
     A Plain baseline run is added automatically (key "Plain") unless
-    already present or disabled.
+    a spec already resolves to the baseline mode, or it is disabled.
     """
     config = config or SimulationConfig()
     all_specs: List[DefenseSpec] = list(specs)
-    if include_plain and not any(s.defense == "plain" for s in all_specs):
+    if include_plain and not any(is_baseline(s.defense) for s in all_specs):
         all_specs.insert(0, DefenseSpec.plain())
     results: Dict[str, Dict[str, RunResult]] = {}
     for profile in profiles:

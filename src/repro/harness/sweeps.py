@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.defenses.plugin import is_baseline
 from repro.harness.configs import DefenseSpec, SimulationConfig
 from repro.harness.experiment import run_benchmark
 from repro.harness.metrics import weighted_mean_overhead
@@ -151,7 +152,7 @@ def sweep_units(
     accurate caches stay valid because the default adds no key).
     """
     all_specs = [DefenseSpec.plain()] + [
-        spec for spec in specs if spec.defense != "plain"
+        spec for spec in specs if not is_baseline(spec.defense)
     ]
     units = []
     for seed in seeds:
@@ -210,7 +211,9 @@ def aggregate_overheads(
     for seed in seeds:  # seed order, not completion order: deterministic
         plains = [runtime(p, "Plain", seed) for p in profiles]
         for spec in specs:
-            runtimes = [runtime(p, spec.name, seed) for p in profiles]
+            # sweep_units runs every baseline spelling as the one Plain cell.
+            cell = "Plain" if is_baseline(spec.defense) else spec.name
+            runtimes = [runtime(p, cell, seed) for p in profiles]
             samples[spec.name].append(
                 weighted_mean_overhead(runtimes, plains)
             )

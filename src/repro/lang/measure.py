@@ -17,6 +17,7 @@ from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.modes import Mode
 from repro.core.token import Token, TokenConfigRegister
 from repro.cpu.pipeline import CoreConfig, OutOfOrderCore
+from repro.defenses.plugin import is_baseline
 from repro.harness.configs import DefenseSpec
 from repro.harness.experiment import build_defense, make_trace_machine
 from repro.lang.ast import Program
@@ -99,7 +100,7 @@ def compare_program(
 ) -> Dict[str, ProgramMeasurement]:
     """Measure one program under several specs (plus a Plain baseline)."""
     all_specs = list(specs)
-    if not any(s.defense == "plain" for s in all_specs):
+    if not any(is_baseline(s.defense) for s in all_specs):
         all_specs.insert(0, DefenseSpec.plain())
     return {
         spec.name: measure_program(program, spec, args=args)

@@ -109,7 +109,8 @@ def test_plugin_functional_trace_parity(mode):
     # softrest lowers arm/disarm to store sequences and insists the
     # trace machine was built for that (same rule as make_trace_machine).
     machine = Machine(
-        mode=ExecutionMode.TRACE, software_rest=(mode == "softrest")
+        mode=ExecutionMode.TRACE,
+        software_rest="software-tokens" in get_plugin(mode).capabilities,
     )
     defense = make_defense(mode, machine=machine)
     ptr = defense.malloc(100)

@@ -33,21 +33,15 @@ from repro.fasttier import (
 from repro.harness.bench import bench_specs
 from repro.harness.configs import SimulationConfig
 from repro.harness.experiment import run_benchmark
-from repro.runtime.machine import ExecutionMode, Machine
 from repro.workloads.generator import SyntheticWorkload
 from repro.workloads.spec import profile_by_name
 
 
 def _make_trace(benchmark: str, spec, scale: float, seed: int):
-    from repro.harness.experiment import build_defense
+    from repro.harness.experiment import build_defense, make_trace_machine
 
     config = SimulationConfig(scale=scale, seed=seed)
-    machine = Machine(
-        mode=ExecutionMode.TRACE,
-        perfect_hw=spec.perfect_hw,
-        software_rest=spec.defense == "softrest",
-    )
-    machine.token_width = spec.token_width
+    machine = make_trace_machine(spec)
     defense = build_defense(machine, spec)
     SyntheticWorkload(
         profile_by_name(benchmark),
