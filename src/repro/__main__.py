@@ -39,9 +39,11 @@ Commands
     modes through the parallel engine, and score a detection-coverage
     matrix; ``--golden``/``--strict`` gate CI on matrix drift and
     oracle mispredictions.
-``bench [--quick] [--out FILE] [--baseline FILE]``
-    Measure simulator trace-replay throughput per defense mode and
-    optionally gate against a committed baseline (CI smoke job).
+``bench [--out FILE] [--baseline FILE]``
+    Simulate one benchmark per bench defense mode on the accurate and
+    the fast tier and record uops, cycles and fast-tier divergence;
+    ``--baseline`` exits 1 on any field that differs from a committed
+    manifest.
 ``run --outdir DIR [--trace-out] [--o3] [--diff A B] [--sample-interval N]``
     Observed run: simulate each defense mode with the interval sampler
     (and optionally the event tracer / O3PipeView export) attached,
@@ -83,6 +85,19 @@ def _positive_int(text: str) -> int:
     if value <= 0:
         raise argparse.ArgumentTypeError(
             f"must be a positive integer, got {value}"
+        )
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type for counts where zero means "none" (``--kills 0``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}"
         )
     return value
 
@@ -683,10 +698,6 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
         out=args.dir,
         seed=args.seed,
         fault_seed=args.fault_seed,
-        submissions=100 if args.quick else args.submissions,
-        unique_cells=12 if args.quick else args.unique_cells,
-        threads=args.threads,
-        workers_curve=tuple(args.workers or (1, 2)),
         slots=args.slots,
         scale=args.scale,
         chaos_workers=args.chaos_workers,
@@ -887,58 +898,34 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.harness.bench import (
-        check_fast_tier,
-        compare_to_baseline,
-        run_bench,
-    )
+    from repro.harness.bench import manifest_drift, run_bench
 
-    scale = 0.25 if args.quick else args.scale
-    repeats = 3 if args.quick else args.repeats
-    manifest = run_bench(
-        benchmark=args.benchmark,
-        scale=scale,
-        seed=args.seed,
-        repeats=repeats,
-        progress=print,
-        tier=args.tier,
-    )
-    if args.out:
-        Path(args.out).write_text(
-            json.dumps(manifest, indent=1, sort_keys=True) + "\n"
-        )
-        print(f"wrote {args.out}")
-    status = 0
-    if args.tier == "fast":
-        # Self-gate: divergence within the declared tolerance and warm
-        # replay at least --min-speedup over the accurate tier.
-        problems = check_fast_tier(manifest, min_speedup=args.min_speedup)
-        if problems:
-            for problem in problems:
-                print(f"FAST TIER: {problem}")
-            status = 1
-        else:
-            tol = manifest["declared_tolerance_pct"]
-            print(f"fast tier within ±{tol:.0f}% of the accurate tier on "
-                  f"every mode (warm speedup ≥ {args.min_speedup:.0f}x)")
+    baseline = None
     if args.baseline:
         try:
             baseline = json.loads(Path(args.baseline).read_text())
         except (OSError, json.JSONDecodeError) as error:
             print(f"cannot read baseline {args.baseline}: {error}")
             return 2
-        problems = compare_to_baseline(
-            baseline, manifest, max_regression=args.max_regression
+    manifest = run_bench(
+        benchmark=args.benchmark,
+        scale=args.scale,
+        seed=args.seed,
+        progress=print,
+    )
+    if args.out:
+        Path(args.out).write_text(
+            json.dumps(manifest, indent=1, sort_keys=True) + "\n"
         )
+        print(f"wrote {args.out}")
+    if baseline is not None:
+        problems = manifest_drift(baseline, manifest)
+        for problem in problems:
+            print(f"BENCH DRIFT: {problem}")
         if problems:
-            for problem in problems:
-                print(f"BENCH REGRESSION: {problem}")
             return 1
-        print(
-            f"all modes within {args.max_regression:.0%} of baseline "
-            f"{args.baseline}"
-        )
-    return status
+        print(f"identical to baseline {args.baseline}")
+    return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -1114,7 +1101,8 @@ def main(argv=None) -> int:
                               "faulted units")
     p_chaos.add_argument("--fraction", type=float, default=0.6,
                          help="fraction of units to fault")
-    p_chaos.add_argument("--permanent", type=int, default=0, metavar="K",
+    p_chaos.add_argument("--permanent", type=_non_negative_int, default=0,
+                         metavar="K",
                          help="make K planned faults unhealable "
                               "(exercises quarantine)")
     p_chaos.add_argument("--hang-seconds", type=float, default=300.0,
@@ -1209,30 +1197,18 @@ def main(argv=None) -> int:
     p_cmp.set_defaults(handler=_cmd_compare)
 
     p_bench = sub.add_parser(
-        "bench", help="measure simulator trace-replay throughput"
+        "bench",
+        help="simulate each bench mode on both tiers; --baseline checks "
+             "the result is identical",
     )
-    p_bench.add_argument("--quick", action="store_true",
-                         help="CI smoke settings (scale 0.25, 3 repeats)")
     p_bench.add_argument("--benchmark", default="xalancbmk")
-    p_bench.add_argument("--scale", type=float, default=0.5)
+    p_bench.add_argument("--scale", type=float, default=0.25)
     p_bench.add_argument("--seed", type=int, default=1234)
-    p_bench.add_argument("--repeats", type=_positive_int, default=5)
     p_bench.add_argument("--out", default=None, metavar="FILE",
                          help="write the manifest JSON here")
     p_bench.add_argument("--baseline", default=None, metavar="FILE",
-                         help="compare against a committed bench manifest")
-    p_bench.add_argument("--max-regression", type=float, default=0.30,
-                         help="allowed throughput drop vs baseline "
-                              "(fraction, default 0.30)")
-    p_bench.add_argument("--tier", choices=("accurate", "fast"),
-                         default="accurate",
-                         help="also time the fast tier and gate its "
-                              "divergence/speedup against the accurate "
-                              "runs")
-    p_bench.add_argument("--min-speedup", type=float, default=10.0,
-                         metavar="X",
-                         help="required warm fast-tier speedup over the "
-                              "accurate tier (default 10)")
+                         help="exit 1 unless the run equals this "
+                              "committed bench manifest")
     p_bench.set_defaults(handler=_cmd_bench)
 
     p_run = sub.add_parser(
@@ -1376,7 +1352,7 @@ def main(argv=None) -> int:
 
     p_load = sub.add_parser(
         "loadgen",
-        help="load + chaos harness for the fabric (writes "
+        help="chaos identity proof for the fabric (writes "
              "BENCH_service.json)",
     )
     p_load.add_argument("dir", help="scratch/output directory")
@@ -1386,23 +1362,15 @@ def main(argv=None) -> int:
     p_load.add_argument("--baseline", default=None, metavar="FILE",
                         help="committed bench to gate deterministic "
                              "fields against (exit 1 on drift)")
-    p_load.add_argument("--quick", action="store_true",
-                        help="CI shape: 100 submissions, 12 cells")
     p_load.add_argument("--seed", type=int, default=11)
     p_load.add_argument("--fault-seed", type=int, default=7)
-    p_load.add_argument("--submissions", type=_positive_int, default=400)
-    p_load.add_argument("--unique-cells", type=_positive_int, default=24)
-    p_load.add_argument("--threads", type=_positive_int, default=8,
-                        help="concurrent client threads")
-    p_load.add_argument("--workers", type=int, nargs="*", metavar="N",
-                        help="worker-count curve (default: 1 2)")
     p_load.add_argument("--slots", type=_positive_int, default=2,
                         help="slots per worker")
     p_load.add_argument("--scale", type=float, default=0.05)
     p_load.add_argument("--chaos-workers", type=_positive_int, default=2)
-    p_load.add_argument("--kills", type=int, default=1,
+    p_load.add_argument("--kills", type=_non_negative_int, default=1,
                         help="seeded mid-flight worker SIGKILLs")
-    p_load.add_argument("--permanent", type=int, default=1,
+    p_load.add_argument("--permanent", type=_non_negative_int, default=1,
                         help="unhealable faults (expected quarantine)")
     p_load.add_argument("--quiet", action="store_true")
     p_load.set_defaults(handler=_cmd_loadgen)

@@ -66,7 +66,8 @@ Q = 1024
 #: Declared divergence tolerance of the fast tier: |fast - accurate| /
 #: accurate on total cycles, per workload x defense cell.  Measured
 #: divergence on the committed bench set is recorded in
-#: ``BENCH_simulator.json`` and gated in CI against this bound.
+#: ``BENCH_simulator.json``; ``tests/test_fast_tier.py`` asserts every
+#: bench mode stays within this bound.
 DECLARED_TOLERANCE = 0.10
 
 #: Default fraction of the trace characterized cycle-accurately.
@@ -121,7 +122,7 @@ class BlockMemo:
     Keyed by a fingerprint of (trace content sample, defense spec,
     simulation config): a bench replaying the same trace hits the memo
     and skips both the cycle-accurate calibration and the lean replay
-    entirely, which is where the steady-state ≥10x lives.  Entries are
+    entirely, so a warm run is a pure lookup.  Entries are
     pure data (ints, tuples and dicts), so a warm replay is
     bit-identical to the cold run that created the entry.
     """

@@ -184,7 +184,7 @@ def _fasttier_section(root: Path, entry: Dict) -> List[str]:
             f"({100.0 * (predicted - measured) / measured:+.2f}%; "
             f"end-to-end divergence is gated at "
             f"±{divergence.get('declared_tolerance_pct', 0):.0f}% "
-            f"by `repro bench --tier fast`)"
+            f"by `tests/test_fast_tier.py`)"
         )
     rows = divergence.get("per_block_class", [])
     if rows:

@@ -22,9 +22,9 @@ fabric) for the architecture.  Quick tour:
   (``submit``, ``status``, ``watch``, ``workers``, ``jobs``,
   ``shutdown``), plus :func:`watch_resilient` for restart-surviving
   watches.
-* :mod:`repro.service.loadgen` — load/chaos harness behind
-  ``repro loadgen`` (throughput-vs-workers curves, p50/p99 latency,
-  chaos-identity proof, ``BENCH_service.json``).
+* :mod:`repro.service.loadgen` — the chaos-identity proof behind
+  ``repro loadgen`` (worker SIGKILLs plus a fault plan against a real
+  fleet, ``BENCH_service.json``).
 """
 
 from repro.service.client import (

@@ -1,23 +1,10 @@
-"""``repro loadgen``: drive the fabric at load and prove it under chaos.
+"""``repro loadgen``: prove the sweep fabric under chaos.
 
-Two phases, both against *real* daemon processes (the coordinator and
-its workers are spawned as subprocesses of this harness, exactly as an
-operator would run them):
-
-**Load** — for each point on the worker-count curve, a fresh fabric is
-stood up cold and a seeded stream of sweep submissions is fired at it
-from concurrent client threads: heavy dedup overlap (many submissions
-share the same content-addressed cells), a priority mix, and bounded
-admission (``queue_full`` rejections are retried with backoff and
-counted, never dropped).  Each submission's accept-to-done latency is
-recorded; the point reports p50/p90/p99 latency, submissions/second,
-and the dedup ledger.  The structural invariant is exact: however many
-submissions race, the fabric executes each unique cell exactly once
-(``executed == unique_units``).
-
-**Chaos** — the headline proof.  A canonical ``run_all`` job is run
-twice: a fault-free single-worker baseline, then a multi-worker run
-with a seeded unit-level fault plan active inside the workers
+Runs against *real* daemon processes: the coordinator and its workers
+are spawned as subprocesses of this harness, exactly as an operator
+would run them.  A canonical ``run_all`` job is run twice: a
+fault-free single-worker baseline, then a multi-worker run with a
+seeded unit-level fault plan active inside the workers
 (``REPRO_FAULT_PLAN``) *and* a seeded :class:`WorkerKillPlan` executed
 against the fleet — workers SIGKILLed mid-flight once the coordinator
 has redeemed N results, replacements rejoining after a delay.  The run
@@ -26,25 +13,22 @@ the baseline for every non-quarantined unit and the quarantine set
 equals the fault plan's permanents exactly — worker death may cost
 reassignments, never results.
 
-Deterministic outcomes (unique/executed counts, identity verdict,
-quarantine set) are committed to ``BENCH_service.json`` and gated in
-CI via ``--baseline``; timing numbers (latency, throughput) are
-recorded for trend-watching but never gated — shared runners are too
-noisy for that to be signal.
+The outcome (identity verdict, quarantine sets, kills landed) is
+written to ``BENCH_service.json`` and checked in CI via ``--baseline``.
+No host time is recorded: ``benchmarks/e2e`` is the one timing record,
+and its ``service`` workload is the fabric under a submission storm.
 """
 
 from __future__ import annotations
 
 import os
-import random
 import shutil
 import signal
 import subprocess
 import sys
 import tempfile
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -52,7 +36,7 @@ from repro.faults.plan import FaultPlan, WorkerKillPlan
 from repro.service.client import ServiceClient, ServiceError, wait_for_daemon
 
 #: Format tag of the committed benchmark artifact.
-FORMAT = "bench-service/v1"
+FORMAT = "bench-service/v2"
 
 #: Experiments of the canonical chaos job: every run_all experiment
 #: without a fixed large-scale override, so the job tracks ``--scale``
@@ -62,22 +46,14 @@ FAST_EXPERIMENTS = (
     "intext", "security", "stalls",
 )
 
-#: Specs used for load-phase sweep cells (one spec keeps cells cheap;
-#: dedup is about cell *identity*, not cell cost).
-LOAD_SPEC = "Secure Heap"
-
 
 @dataclass
 class LoadgenOptions:
-    """Knobs of one loadgen run (defaults are the CI ``--quick`` shape)."""
+    """Knobs of one loadgen run (defaults: the committed bench shape)."""
 
     out: str
     seed: int = 11
     fault_seed: int = 7
-    submissions: int = 400
-    unique_cells: int = 24
-    threads: int = 8
-    workers_curve: tuple = (1, 2)
     slots: int = 2  # per worker
     scale: float = 0.05
     chaos_workers: int = 2
@@ -231,172 +207,6 @@ class Fleet:
             self.socket_dir.rmdir()
         except OSError:
             pass
-
-
-# ----------------------------------------------------------- load phase
-
-
-def generate_submissions(
-    seed: int, count: int, unique_cells: int, scale: float
-) -> List[Dict]:
-    """The seeded submission stream (same seed → same stream).
-
-    The cell pool is ``unique_cells`` distinct (benchmark, seed) pairs;
-    each submission draws one benchmark and a small seed subset from
-    the pool plus a weighted priority, so the stream has heavy overlap
-    (dedup pressure) and a realistic priority mix.
-    """
-    from repro.workloads.spec import ALL_PROFILES
-
-    benches = [profile.name for profile in ALL_PROFILES]
-    benches = benches[: max(1, min(len(benches), unique_cells))]
-    seeds_per_bench = max(1, -(-unique_cells // len(benches)))  # ceil
-    pool: Dict[str, List[int]] = {}
-    remaining = unique_cells
-    for bench in benches:
-        take = min(seeds_per_bench, remaining)
-        if take <= 0:
-            break
-        pool[bench] = list(range(1, take + 1))
-        remaining -= take
-    rng = random.Random(seed)
-    pool_benches = sorted(pool)
-    stream = []
-    for _ in range(count):
-        bench = pool_benches[rng.randrange(len(pool_benches))]
-        available = pool[bench]
-        width = rng.choice((1, 1, 1, 2))
-        seeds = sorted(rng.sample(available, min(width, len(available))))
-        priority = rng.choices(
-            ("high", "normal", "low"), weights=(1, 6, 2)
-        )[0]
-        stream.append(
-            {
-                "params": {
-                    "benchmarks": [bench],
-                    "specs": [LOAD_SPEC],
-                    "seeds": seeds,
-                    "scale": scale,
-                    "live": False,
-                },
-                "priority": priority,
-            }
-        )
-    return stream
-
-
-def unique_cell_count(stream: List[Dict]) -> int:
-    cells = set()
-    for submission in stream:
-        bench = submission["params"]["benchmarks"][0]
-        for seed in submission["params"]["seeds"]:
-            cells.add((bench, seed))
-    return len(cells)
-
-
-def unique_unit_count(stream: List[Dict]) -> int:
-    """Distinct work units the stream decomposes to.
-
-    Every sweep cell expands to two units — the requested spec plus the
-    implicit Plain baseline ``sweep_units`` always includes — and both
-    are content-addressed, so the whole storm must execute exactly this
-    many simulations.
-    """
-    return 2 * unique_cell_count(stream)
-
-
-def _percentile(sorted_values: List[float], fraction: float) -> float:
-    if not sorted_values:
-        return 0.0
-    index = min(
-        len(sorted_values) - 1,
-        max(0, int(round(fraction * (len(sorted_values) - 1)))),
-    )
-    return sorted_values[index]
-
-
-def run_load_point(
-    fleet: Fleet, stream: List[Dict], options: LoadgenOptions
-) -> Dict:
-    """Fire the stream from ``options.threads`` clients; returns stats."""
-    latencies: List[float] = []
-    rejections = [0]
-    errors: List[str] = []
-    lock = threading.Lock()
-
-    def submitter(chunk: List[Dict]) -> None:
-        try:
-            with fleet.client() as client:
-                for submission in chunk:
-                    started = time.perf_counter()
-                    while True:
-                        try:
-                            job = client.submit(
-                                "sweep",
-                                submission["params"],
-                                priority=submission["priority"],
-                            )
-                            break
-                        except ServiceError as error:
-                            if error.code != "queue_full":
-                                raise
-                            with lock:
-                                rejections[0] += 1
-                            time.sleep(0.05)
-                    final = client.wait(job["id"], poll=0.02)
-                    elapsed = time.perf_counter() - started
-                    if final["state"] != "done":
-                        raise RuntimeError(
-                            f"{job['id']} finished {final['state']}: "
-                            f"{final.get('error')}"
-                        )
-                    with lock:
-                        latencies.append(elapsed)
-        except Exception as error:  # noqa: BLE001 — surfaced below
-            with lock:
-                errors.append(f"{type(error).__name__}: {error}")
-
-    chunks = [
-        stream[index :: options.threads] for index in range(options.threads)
-    ]
-    started = time.perf_counter()
-    threads = [
-        threading.Thread(target=submitter, args=(chunk,), daemon=True)
-        for chunk in chunks
-        if chunk
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=options.job_deadline)
-    wall = time.perf_counter() - started
-    if errors:
-        raise RuntimeError(
-            f"load phase failed: {len(errors)} submitter error(s); "
-            f"first: {errors[0]}"
-        )
-
-    with fleet.client() as client:
-        pong = client.ping()
-    stats = pong["stats"]
-    latencies.sort()
-    return {
-        "submissions": len(stream),
-        "unique_units": unique_unit_count(stream),
-        "executed": stats["executions"],
-        "dedup_hits": stats["dedup_hits"],
-        "dedup_exact": stats["executions"] == unique_unit_count(stream),
-        "rejections": rejections[0],
-        "wall_seconds": round(wall, 3),
-        "jobs_per_second": round(len(stream) / wall, 2) if wall else 0.0,
-        "latency_ms": {
-            "p50": round(_percentile(latencies, 0.50) * 1000, 1),
-            "p90": round(_percentile(latencies, 0.90) * 1000, 1),
-            "p99": round(_percentile(latencies, 0.99) * 1000, 1),
-        },
-        "cache": stats.get("cache", {}),
-        "fabric": pong.get("fabric", {}),
-    }
 
 
 # ---------------------------------------------------------- chaos phase
@@ -600,8 +410,8 @@ def run_chaos_phase(options: LoadgenOptions, say) -> Dict:
 def compare_to_baseline(current: Dict, baseline: Dict) -> List[str]:
     """Deterministic-field drift between a run and the committed bench.
 
-    Timing fields are never compared; everything here is exact by
-    construction, so any difference is a real behaviour change.
+    Everything compared here is exact by construction, so any
+    difference is a real behaviour change.
     """
     problems: List[str] = []
     if baseline.get("format") != current.get("format"):
@@ -613,27 +423,6 @@ def compare_to_baseline(current: Dict, baseline: Dict) -> List[str]:
             "config differs from baseline (regenerate BENCH_service.json "
             "when loadgen parameters change)"
         )
-    base_curves = {
-        point["workers"]: point
-        for point in baseline.get("load", {}).get("curves", [])
-    }
-    for point in current.get("load", {}).get("curves", []):
-        base = base_curves.get(point["workers"])
-        if base is None:
-            problems.append(f"workers={point['workers']}: not in baseline")
-            continue
-        for fieldname in ("submissions", "unique_units", "executed"):
-            if point.get(fieldname) != base.get(fieldname):
-                problems.append(
-                    f"workers={point['workers']}: {fieldname} "
-                    f"{point.get(fieldname)} != baseline "
-                    f"{base.get(fieldname)}"
-                )
-        if not point.get("dedup_exact"):
-            problems.append(
-                f"workers={point['workers']}: executed != unique_units "
-                "(single-flight dedup regressed)"
-            )
     chaos = current.get("chaos", {})
     base_chaos = baseline.get("chaos", {})
     if not chaos.get("identity"):
@@ -662,43 +451,10 @@ def compare_to_baseline(current: Dict, baseline: Dict) -> List[str]:
 
 
 def run_loadgen(options: LoadgenOptions) -> Dict:
-    """Run both phases; returns the bench payload (not yet gated)."""
+    """Run the chaos proof; returns the bench payload (not yet gated)."""
     say = (lambda *_: None) if options.quiet else print
     out = Path(options.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    stream = generate_submissions(
-        options.seed, options.submissions, options.unique_cells,
-        options.scale,
-    )
-    say(
-        f"loadgen: {options.submissions} submissions over "
-        f"{unique_cell_count(stream)} unique cell(s), "
-        f"{options.threads} client thread(s)"
-    )
-
-    curves = []
-    for workers in options.workers_curve:
-        say(f"loadgen: load point — {workers} worker(s) cold")
-        fleet = Fleet(out / f"load-{workers}w", options)
-        try:
-            fleet.start_coordinator()
-            for _ in range(workers):
-                fleet.start_worker()
-            fleet.wait_capacity(workers)
-            point = run_load_point(fleet, stream, options)
-        finally:
-            fleet.shutdown()
-        point["workers"] = workers
-        point["slots_per_worker"] = options.slots
-        curves.append(point)
-        say(
-            f"loadgen:   {point['jobs_per_second']:.1f} jobs/s, "
-            f"p50 {point['latency_ms']['p50']:.0f}ms, "
-            f"p99 {point['latency_ms']['p99']:.0f}ms, "
-            f"{point['executed']} executed / "
-            f"{point['unique_units']} unique"
-        )
 
     chaos = run_chaos_phase(options, say)
     say(
@@ -712,15 +468,11 @@ def run_loadgen(options: LoadgenOptions) -> Dict:
         "config": {
             "seed": options.seed,
             "fault_seed": options.fault_seed,
-            "submissions": options.submissions,
-            "unique_cells": options.unique_cells,
             "scale": options.scale,
-            "workers_curve": list(options.workers_curve),
             "slots_per_worker": options.slots,
             "chaos_workers": options.chaos_workers,
             "kills": options.kills,
             "permanent": options.permanent,
         },
-        "load": {"curves": curves},
         "chaos": chaos,
     }

@@ -176,21 +176,46 @@ class TestArgumentValidation:
         with pytest.raises(ValueError, match="file, not a directory"):
             ResultCache(not_a_dir)
 
-    def test_bench_rejects_zero_repeats(self):
-        self._expect_usage_exit(["bench", "--repeats", "0"])
-
     def test_bench_rejects_unreadable_baseline(self, tmp_path):
         code, out = run_cli(
             [
                 "bench",
                 "--benchmark", "xalancbmk",
                 "--scale", "0.02",
-                "--repeats", "1",
                 "--baseline", str(tmp_path / "missing.json"),
             ]
         )
         assert code == 2
         assert "cannot read baseline" in out
+
+    def test_bench_baseline_is_exact(self, tmp_path):
+        """``--baseline`` passes on an identical run and exits 1 naming
+        the field on a one-cycle edit."""
+        import json
+
+        path = tmp_path / "bench.json"
+        argv = ["bench", "--scale", "0.02"]
+        assert run_cli(argv + ["--out", str(path)])[0] == 0
+        assert run_cli(argv + ["--baseline", str(path)])[0] == 0
+        manifest = json.loads(path.read_text())
+        manifest["modes"]["asan"]["cycles"] += 1
+        path.write_text(json.dumps(manifest))
+        code, out = run_cli(argv + ["--baseline", str(path)])
+        assert code == 1
+        assert "BENCH DRIFT: modes.asan.cycles" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["loadgen", "DIR", "--kills", "-1"],
+            ["loadgen", "DIR", "--permanent", "-1"],
+            ["chaos", "--permanent", "-1"],
+        ],
+    )
+    def test_negative_chaos_counts_are_usage_errors(self, argv, tmp_path):
+        self._expect_usage_exit(
+            [str(tmp_path) if arg == "DIR" else arg for arg in argv]
+        )
 
 
 class TestAttackCli:

@@ -88,3 +88,17 @@ class TestIntext:
         text = module.regenerate(scale=0.02)
         assert "ROB blocked-by-store cycles" in text
         assert "Secure Full - Secure Heap" in text
+
+
+class TestTable3:
+    def test_committed_table_matches_regenerate(self):
+        """``results/table3.txt`` is what ``run_all --scale 0.5`` writes,
+        including the MTE row of the added-hardware table."""
+        from pathlib import Path
+
+        from repro.experiments import table3
+
+        committed = Path(__file__).resolve().parent.parent / "results"
+        text = (committed / "table3.txt").read_text()
+        assert text == table3.regenerate(scale=0.5, seed=1234) + "\n"
+        assert "\nMTE  " in text

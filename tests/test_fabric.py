@@ -539,6 +539,63 @@ class TestFabricEndToEnd:
         assert stats["workers_lost"] >= 1
         assert stats["reassignments"] >= 1
 
+    def test_overlapping_storm_executes_each_unit_once(self):
+        """Single-flight dedup through the fabric: four clients racing
+        overlapping sweeps over three seeds run every unit exactly
+        once across two workers — one Secure Heap and one implicit
+        Plain unit per distinct cell."""
+        seed_sets = ([1, 2], [2, 3], [1, 3], [1, 2, 3])
+        distinct_cells = len({seed for seeds in seed_sets for seed in seeds})
+        finals, errors = [], []
+        lock = threading.Lock()
+
+        def storm(socket_path, offset):
+            try:
+                with ServiceClient(socket_path=socket_path) as client:
+                    jobs = [
+                        client.submit(
+                            "sweep",
+                            dict(SWEEP_PARAMS, seeds=seed_sets[
+                                (offset + index) % len(seed_sets)
+                            ]),
+                        )
+                        for index in range(len(seed_sets))
+                    ]
+                    done = [client.wait(job["id"], poll=0.05) for job in jobs]
+                with lock:
+                    finals.extend(done)
+            except Exception as error:  # noqa: BLE001 — asserted below
+                with lock:
+                    errors.append(error)
+
+        with running_coordinator(max_jobs=16) as (
+            daemon, socket_path, state,
+        ):
+            workers = [spawn_worker(socket_path, f"w{i}") for i in range(2)]
+            try:
+                wait_workers(socket_path, 2)
+                threads = [
+                    threading.Thread(
+                        target=storm, args=(socket_path, i), daemon=True
+                    )
+                    for i in range(4)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+                    assert not thread.is_alive(), "client storm hung"
+                with ServiceClient(socket_path=socket_path) as client:
+                    pong = client.ping()
+            finally:
+                for worker in workers:
+                    worker.terminate()
+                    worker.wait(timeout=10)
+        assert not errors, errors
+        assert [final["state"] for final in finals] == ["done"] * 16
+        assert pong["stats"]["executions"] == 2 * distinct_cells
+        assert pong["fabric"]["lost_units"] == 0
+
     def test_worker_register_rejected_by_local_daemon(self):
         from tests.test_service import running_daemon
 
