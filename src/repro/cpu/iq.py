@@ -5,22 +5,14 @@ up to the issue width per cycle.  The paper's in-text results call out
 issue-queue pressure: in debug mode, delayed store commit backs the ROB
 up into the IQ, and for xalanc the number of IQ-full cycles differed by
 more than 100x between the secure and debug modes.
+
+The waiting ops themselves are ROB entries scheduled by the core's
+wakeup logic (:mod:`repro.cpu.pipeline`); this object carries the
+queue's capacity, its statistics, and its occupancy, which the core
+publishes after every cycle.
 """
 
 from __future__ import annotations
-
-from typing import List, Optional
-
-from repro.cpu.rob import RobEntry
-
-
-class IqSlot:
-    __slots__ = ("entry", "ready_cycle")
-
-    def __init__(self, entry: RobEntry, ready_cycle: int) -> None:
-        self.entry = entry
-        #: Earliest cycle all source operands are available.
-        self.ready_cycle = ready_cycle
 
 
 class IssueQueue:
@@ -30,42 +22,10 @@ class IssueQueue:
         if capacity <= 0:
             raise ValueError("IQ capacity must be positive")
         self.capacity = capacity
-        self._slots: List[IqSlot] = []
+        #: Dispatched ops that have not issued yet.
+        self.occupancy = 0
         self.full_cycles = 0
         self.max_occupancy = 0
 
     def __len__(self) -> int:
-        return len(self._slots)
-
-    @property
-    def full(self) -> bool:
-        return len(self._slots) >= self.capacity
-
-    def push(self, entry: RobEntry, ready_cycle: int) -> None:
-        if self.full:
-            raise RuntimeError("IQ overflow: caller must check full first")
-        self._slots.append(IqSlot(entry, ready_cycle))
-        if len(self._slots) > self.max_occupancy:
-            self.max_occupancy = len(self._slots)
-
-    def issue_ready(self, cycle: int, width: int) -> List[RobEntry]:
-        """Remove and return up to ``width`` ops ready at ``cycle``.
-
-        Oldest-first selection, matching common select logic.
-        """
-        issued: List[RobEntry] = []
-        remaining: List[IqSlot] = []
-        for slot in self._slots:
-            if len(issued) < width and slot.ready_cycle <= cycle:
-                issued.append(slot.entry)
-            else:
-                remaining.append(slot)
-        self._slots = remaining
-        return issued
-
-    def flush(self) -> None:
-        self._slots.clear()
-
-    def reset_stats(self) -> None:
-        self.full_cycles = 0
-        self.max_occupancy = 0
+        return self.occupancy

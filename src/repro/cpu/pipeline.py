@@ -24,12 +24,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import MemoryHierarchy
 from repro.core.modes import Mode
 from repro.cpu.bpred import BranchPredictor
-from repro.cpu.iq import IqSlot, IssueQueue
+from repro.cpu.iq import IssueQueue
 from repro.cpu.isa import MicroOp, OpType
 from repro.cpu.lsq import LoadStoreQueue, SqEntryKind
 from repro.cpu.rob import ReorderBuffer, RobEntry
@@ -181,6 +182,7 @@ class OutOfOrderCore:
         token_width = hierarchy.detector.token.width
         execute = self._execute
         retire_load = lsq.retire_load
+        lq_popleft = lq.popleft
         retire_store_like = lsq.retire_store_like
         dispatch_store_like = lsq.dispatch_store_like
         ot_load = OpType.LOAD
@@ -218,12 +220,27 @@ class OutOfOrderCore:
         #: dispatch), replacing the dict of the original implementation.
         completion: List[int] = []
         completion_append = completion.append
+        #: seq -> entries waiting for that op to execute (None when
+        #: nothing waits); dense like ``completion``.
+        waiters: List[Optional[List[RobEntry]]] = []
+        waiters_append = waiters.append
+        #: Non-memory entries whose producers have all executed, as a
+        #: heap of (ready cycle, seq, entry); they move to ``ready``
+        #: when their cycle comes.
+        wakeups: List[Tuple[int, int, RobEntry]] = []
+        #: Entries free to issue this cycle, a heap of (seq, entry).
+        ready: List[Tuple[int, RobEntry]] = []
         #: program-order queue of unexecuted memory ops.
-        mem_order: Deque[int] = deque()
+        mem_order: Deque[RobEntry] = deque()
         mem_append = mem_order.append
         mem_popleft = mem_order.popleft
         #: serialize_rest_ops ablation: arm/disarm ops still in flight.
         rest_in_flight = 0
+        #: IQ occupancy, published to ``iq`` at every yield, and the
+        #: structure maxima, written back when the run ends.
+        iq_len = 0
+        iq_max = iq.max_occupancy
+        rob_max = rob.max_occupancy
         #: instruction-fetch line tracking for the L1-I.
         last_fetch_line = -1
         line_mask = ~(hierarchy.line_size - 1)
@@ -248,7 +265,7 @@ class OutOfOrderCore:
                 while committed_now < commit_width and rob_entries:
                     head = rob_entries[0]
                     head_uop = head.uop
-                    head_seq = head_uop.seq
+                    head_seq = head.seq
                     op_type = head_uop.op
                     store_like = op_type.is_store_like
                     done_cycle = completion[head_seq]
@@ -274,7 +291,11 @@ class OutOfOrderCore:
                         break
                     rob_entries.popleft()
                     if op_type is ot_load:
-                        retire_load(head_seq)
+                        # Loads retire in order, so the LQ head is it.
+                        if lq[0] == head_seq:
+                            lq_popleft()
+                        else:
+                            retire_load(head_seq)
                     elif store_like:
                         retire_store_like(head_seq)
                         if serialize_rest and op_type is not ot_store:
@@ -303,68 +324,69 @@ class OutOfOrderCore:
                     stats.commit_active_cycles += 1
 
                 # ---- issue (up to issue width, oldest-first select) ----
-                iq_slots = iq._slots
+                # Woken entries whose ready cycle has come join the
+                # ready list; the memory queue offers only its head.
+                # Every completion written below is later than
+                # ``cycle``, so nothing woken now can issue this cycle.
+                while wakeups and wakeups[0][0] <= cycle:
+                    _, ready_seq, entry = heappop(wakeups)
+                    heappush(ready, (ready_seq, entry))
                 issued = 0
-                if iq_slots:
-                    mem_head = mem_order[0] if mem_order else -1
-                    # ``remaining`` is built lazily: on cycles where
-                    # nothing issues (the common case under a long-latency
-                    # miss) the slot list is left untouched instead of
-                    # being rebuilt element by element.
-                    remaining = None
-                    n = len(iq_slots)
-                    i = 0
-                    while i < n:
-                        if issued >= issue_width:
-                            break
-                        slot = iq_slots[i]
-                        uop = slot.entry.uop
-                        ready = True
-                        for distance in uop.deps:
-                            producer_seq = uop.seq - distance
-                            if producer_seq >= 0:
-                                done = completion[producer_seq]
-                                if done < 0 or done > cycle:
-                                    ready = False
-                                    break
-                        if ready and not uop.op.is_memory:
-                            # Non-memory fast path: _execute would only
-                            # write the base-latency completion.
-                            if remaining is None:
-                                remaining = iq_slots[:i]
-                            completion[uop.seq] = (
-                                cycle + uop.op.base_latency
-                            )
-                            issued += 1
-                            if trace_on:
-                                emit(
-                                    "issue", cycle, seq=uop.seq, pc=uop.pc
-                                )
-                                emit(
-                                    "complete",
-                                    completion[uop.seq],
-                                    seq=uop.seq,
-                                    pc=uop.pc,
-                                )
-                        elif ready and uop.seq == mem_head:
-                            if remaining is None:
-                                remaining = iq_slots[:i]
+                if ready or mem_order:
+                    mem_seq = -1  # seq of the memory head if it is ready
+                    if mem_order:
+                        entry = mem_order[0]
+                        if not entry.pending and entry.ready_at <= cycle:
+                            mem_seq = entry.seq
+                    while issued < issue_width:
+                        if ready and (mem_seq < 0 or ready[0][0] < mem_seq):
+                            issue_seq, entry = heappop(ready)
+                            uop = entry.uop
+                            done = cycle + uop.op.base_latency
+                        elif mem_seq >= 0:
+                            issue_seq = mem_seq
+                            entry = mem_order[0]
+                            uop = entry.uop
                             if trace_on:
                                 dram_before = stats.dram_stall_cycles
-                            execute(uop, slot.entry, cycle, completion, lsq)
+                            done = execute(uop, entry, cycle, lsq)
                             mem_popleft()
-                            mem_head = mem_order[0] if mem_order else -1
-                            issued += 1
+                        else:
+                            break
+                        completion[issue_seq] = done
+                        issued += 1
+                        consumers = waiters[issue_seq]
+                        if consumers is not None:
+                            waiters[issue_seq] = None
+                            for consumer in consumers:
+                                consumer.pending -= 1
+                                if done > consumer.ready_at:
+                                    consumer.ready_at = done
+                                if not (
+                                    consumer.pending or consumer.is_memory
+                                ):
+                                    heappush(
+                                        wakeups,
+                                        (
+                                            consumer.ready_at,
+                                            consumer.seq,
+                                            consumer,
+                                        ),
+                                    )
+                        if trace_on:
+                            emit("issue", cycle, seq=issue_seq, pc=uop.pc)
+                            emit("complete", done, seq=issue_seq, pc=uop.pc)
+                        if issue_seq == mem_seq:
+                            # The new head sees the wakeups just made.
+                            mem_seq = -1
+                            if mem_order:
+                                entry = mem_order[0]
+                                if (
+                                    not entry.pending
+                                    and entry.ready_at <= cycle
+                                ):
+                                    mem_seq = entry.seq
                             if trace_on:
-                                emit(
-                                    "issue", cycle, seq=uop.seq, pc=uop.pc
-                                )
-                                emit(
-                                    "complete",
-                                    completion[uop.seq],
-                                    seq=uop.seq,
-                                    pc=uop.pc,
-                                )
                                 dram_added = (
                                     stats.dram_stall_cycles - dram_before
                                 )
@@ -373,14 +395,9 @@ class OutOfOrderCore:
                                     pc_stalls[key] = (
                                         pc_stalls_get(key, 0) + dram_added
                                     )
-                        elif remaining is not None:
-                            remaining.append(slot)
-                        i += 1
-                    if remaining is not None:
-                        if i < n:
-                            remaining.extend(iq_slots[i:])
-                        iq._slots = remaining
-                        iq_slots = remaining
+                    # After the loop, so a fault in execute leaves the
+                    # occupancy where the cycle began.
+                    iq_len -= issued
 
                 # ---- dispatch (fetch buffer -> ROB/IQ/LSQ) ----
                 dispatched = 0
@@ -392,42 +409,18 @@ class OutOfOrderCore:
                     if len(rob_entries) >= rob_capacity:
                         blocked_reason = "rob"
                         break
-                    if len(iq_slots) >= iq_capacity:
+                    if iq_len >= iq_capacity:
                         blocked_reason = "iq"
                         break
                     op_type = uop.op
-                    if serialize_rest and (
+                    # Rejected design (paper §III-B): under the
+                    # serialize ablation an arm/disarm must be the only
+                    # in-flight instruction.
+                    rest_op = serialize_rest and (
                         op_type is ot_arm or op_type is ot_disarm
-                    ):
-                        # Rejected design (paper §III-B): an arm/disarm
-                        # must be the only in-flight instruction.
-                        if rob_entries:
-                            break
-                        fb_popleft()
-                        uop.seq = seq
-                        completion_append(-1)
-                        seq += 1
-                        entry = rob.push(uop)
-                        iq.push(entry, cycle)
-                        dispatch_store_like(
-                            uop.seq,
-                            _SQ_KIND[op_type],
-                            uop.address,
-                            token_width,
-                        )
-                        mem_append(uop.seq)
-                        rest_in_flight += 1
-                        dispatched += 1
-                        if trace_on:
-                            emit(
-                                "dispatch",
-                                cycle,
-                                seq=uop.seq,
-                                pc=uop.pc,
-                                sid=uop.sid,
-                                op=op_type._value_,
-                            )
-                        break  # nothing may follow it this cycle
+                    )
+                    if rest_op and rob_entries:
+                        break
                     if op_type is ot_load:
                         if len(lq) >= lq_cap:
                             blocked_reason = "lq"
@@ -440,29 +433,42 @@ class OutOfOrderCore:
                             break
                     fb_popleft()
                     uop.seq = seq
+                    entry = RobEntry(uop, seq, op_type.is_memory)
                     completion_append(-1)
-                    seq += 1
-                    # Inlined rob.push / iq.push (capacity pre-checked
-                    # above); max-occupancy bookkeeping preserved.
-                    entry = RobEntry(uop)
+                    waiters_append(None)
                     rob_entries.append(entry)
-                    if len(rob_entries) > rob.max_occupancy:
-                        rob.max_occupancy = len(rob_entries)
-                    iq_slots.append(IqSlot(entry, cycle))
-                    if len(iq_slots) > iq.max_occupancy:
-                        iq.max_occupancy = len(iq_slots)
+                    iq_len += 1
+                    # Count the producers still to execute and wait on
+                    # each; the executed ones bound the ready cycle.
+                    pending = 0
+                    ready_at = 0
+                    for distance in uop.deps:
+                        producer_seq = seq - distance
+                        if producer_seq >= 0:
+                            done = completion[producer_seq]
+                            if done < 0:
+                                pending += 1
+                                consumers = waiters[producer_seq]
+                                if consumers is None:
+                                    waiters[producer_seq] = [entry]
+                                else:
+                                    consumers.append(entry)
+                            elif done > ready_at:
+                                ready_at = done
+                    entry.pending = pending
+                    entry.ready_at = ready_at
                     if trace_on:
                         emit(
                             "dispatch",
                             cycle,
-                            seq=uop.seq,
+                            seq=seq,
                             pc=uop.pc,
                             sid=uop.sid,
                             op=op_type._value_,
                         )
                     if op_type is ot_load:
-                        lq.append(uop.seq)
-                        mem_append(uop.seq)
+                        lq.append(seq)
+                        mem_append(entry)
                     elif store_like:
                         if op_type is ot_store:
                             entry_size = uop.size or 8
@@ -470,13 +476,24 @@ class OutOfOrderCore:
                             # Arm/disarm cover a whole token slot.
                             entry_size = token_width
                         dispatch_store_like(
-                            uop.seq,
+                            seq,
                             _SQ_KIND[op_type],
                             uop.address,
                             entry_size,
                         )
-                        mem_append(uop.seq)
+                        mem_append(entry)
+                    elif not pending:
+                        heappush(wakeups, (ready_at, seq, entry))
+                    seq += 1
                     dispatched += 1
+                    if rest_op:
+                        rest_in_flight += 1
+                        break  # nothing may follow it this cycle
+                if dispatched:
+                    if len(rob_entries) > rob_max:
+                        rob_max = len(rob_entries)
+                    if iq_len > iq_max:
+                        iq_max = iq_len
                 if blocked_reason is not None:
                     if blocked_reason == "rob":
                         rob.full_cycles += 1
@@ -598,7 +615,7 @@ class OutOfOrderCore:
                     target = None
                     if rob_entries:
                         head = rob_entries[0]
-                        done_cycle = completion[head.uop.seq]
+                        done_cycle = completion[head.seq]
                         if done_cycle > cycle:
                             target = done_cycle
                         elif done_cycle >= 0:
@@ -606,26 +623,18 @@ class OutOfOrderCore:
                             # gate (the only other way commit blocks).
                             if head.write_done_cycle > cycle:
                                 target = head.write_done_cycle
-                    if iq_slots:
-                        mem_head = mem_order[0] if mem_order else -1
-                        for slot in iq_slots:
-                            uop = slot.entry.uop
-                            if uop.op.is_memory and uop.seq != mem_head:
-                                continue  # gate is static while frozen
-                            ready_at = 0
-                            for distance in uop.deps:
-                                producer_seq = uop.seq - distance
-                                if producer_seq >= 0:
-                                    done = completion[producer_seq]
-                                    if done < 0:
-                                        ready_at = -1
-                                        break
-                                    if done > ready_at:
-                                        ready_at = done
-                            if ready_at > cycle and (
-                                target is None or ready_at < target
-                            ):
-                                target = ready_at
+                    # Nothing issued or dispatched, so the wakeup heap
+                    # holds only ops maturing after this cycle.
+                    if wakeups and (target is None or wakeups[0][0] < target):
+                        target = wakeups[0][0]
+                    if mem_order:
+                        entry = mem_order[0]
+                        if (
+                            not entry.pending
+                            and entry.ready_at > cycle
+                            and (target is None or entry.ready_at < target)
+                        ):
+                            target = entry.ready_at
                     if (
                         not trace_done
                         and fetch_stall_until > cycle
@@ -682,8 +691,14 @@ class OutOfOrderCore:
                                     )
                             cycle = target - 1
 
+                iq.occupancy = iq_len
                 yield cycle
         finally:
+            iq.occupancy = iq_len
+            # A fault mid-dispatch leaves its entry counted, as a
+            # per-dispatch maximum would have.
+            iq.max_occupancy = max(iq_max, iq_len)
+            rob.max_occupancy = max(rob_max, len(rob_entries))
             stats.cycles = cycle
             stats.lsq_forwards = lsq.forwards
             if trace_on and pc_stalls:
@@ -747,12 +762,12 @@ class OutOfOrderCore:
     def _execute(
         self,
         uop: MicroOp,
-        entry,
+        entry: RobEntry,
         cycle: int,
-        completion: List[int],
         lsq: LoadStoreQueue,
-    ) -> None:
-        """Execute one op; memory ops touch the hierarchy here."""
+    ) -> int:
+        """Execute one memory op against the hierarchy; returns the
+        cycle its result is available (always later than ``cycle``)."""
         op_type = uop.op
         hierarchy = self.hierarchy
         stats = self.stats
@@ -770,25 +785,24 @@ class OutOfOrderCore:
                     latency = result.latency
                     if result.went_to_memory:
                         stats.dram_stall_cycles += latency
-                completion[uop.seq] = cycle + max(1, latency)
-            elif op_type is OpType.STORE:
+                return cycle + max(1, latency)
+            if op_type is OpType.STORE:
                 lsq.check_store(uop.seq, uop.address, uop.size or 8)
                 result = hierarchy.write(
                     uop.address, _ZEROS[: uop.size or 8], cycle=cycle
                 )
                 if result.went_to_memory:
                     stats.dram_stall_cycles += result.latency
-                completion[uop.seq] = cycle + 1
                 # The execute-time access brought the line into L1
                 # (write-allocate), so the retirement-time write that
                 # debug mode waits on is an L1 hit: the request/ack
                 # round trip costs two traversals of the hit path.
                 entry.write_latency = 2 * hierarchy.config.l1d.hit_latency
-            elif op_type is OpType.ARM:
+                return cycle + 1
+            if op_type is OpType.ARM:
                 result = hierarchy.arm(uop.address, cycle=cycle)
                 if result.went_to_memory:
                     stats.dram_stall_cycles += result.latency
-                completion[uop.seq] = cycle + 1
                 if hierarchy.config.token_staging_entries:
                     # §VIII extension: the dedicated REST-line staging
                     # structure acks token writes immediately.
@@ -799,21 +813,19 @@ class OutOfOrderCore:
                     entry.write_latency = (
                         1 + hierarchy.config.l1d.hit_latency
                     )
-            elif op_type is OpType.DISARM:
-                result = hierarchy.disarm(uop.address, cycle=cycle)
-                if result.went_to_memory:
-                    stats.dram_stall_cycles += result.latency
-                completion[uop.seq] = cycle + 1
-                if hierarchy.config.token_staging_entries:
-                    entry.write_latency = 1
-                else:
-                    entry.write_latency = (
-                        1
-                        + hierarchy.config.disarm_extra_cycles
-                        + hierarchy.config.l1d.hit_latency
-                    )
+                return cycle + 1
+            result = hierarchy.disarm(uop.address, cycle=cycle)
+            if result.went_to_memory:
+                stats.dram_stall_cycles += result.latency
+            if hierarchy.config.token_staging_entries:
+                entry.write_latency = 1
             else:
-                completion[uop.seq] = cycle + op_type.base_latency
+                entry.write_latency = (
+                    1
+                    + hierarchy.config.disarm_extra_cycles
+                    + hierarchy.config.l1d.hit_latency
+                )
+            return cycle + 1
         except Exception as error:
             if getattr(error, "cycle", False) is None:
                 error.cycle = cycle

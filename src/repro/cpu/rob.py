@@ -11,25 +11,37 @@ an order of magnitude higher in debug mode).
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.cpu.isa import MicroOp
 
 
 class RobEntry:
+    """One in-flight micro-op: its ROB slot and, until it issues, its
+    issue-queue scheduling state (see the wakeup scheduler in
+    :mod:`repro.cpu.pipeline`)."""
+
     __slots__ = (
         "uop",
-        "completed",
-        "complete_cycle",
+        "seq",
+        "is_memory",
+        "pending",
+        "ready_at",
         "write_done_cycle",
         "write_latency",
     )
 
-    def __init__(self, uop: MicroOp) -> None:
+    def __init__(self, uop: MicroOp, seq: int, is_memory: bool) -> None:
         self.uop = uop
-        self.completed = False
-        #: Cycle at which the op's result is available.
-        self.complete_cycle = -1
+        self.seq = seq
+        #: Memory ops issue from the program-order memory queue, never
+        #: from the ready list.
+        self.is_memory = is_memory
+        #: Producers that have not executed yet.
+        self.pending = 0
+        #: Latest completion cycle among the executed producers: the op
+        #: can issue once ``pending`` is 0 and this cycle has come.
+        self.ready_at = 0
         #: For store-like ops: cycle the cache write finishes.  Stores
         #: perform their cache write when they retire; debug mode gates
         #: commit on completion of that write (secure mode commits
@@ -53,34 +65,3 @@ class ReorderBuffer:
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    @property
-    def full(self) -> bool:
-        return len(self._entries) >= self.capacity
-
-    @property
-    def empty(self) -> bool:
-        return not self._entries
-
-    def push(self, uop: MicroOp) -> RobEntry:
-        if self.full:
-            raise RuntimeError("ROB overflow: caller must check full first")
-        entry = RobEntry(uop)
-        self._entries.append(entry)
-        if len(self._entries) > self.max_occupancy:
-            self.max_occupancy = len(self._entries)
-        return entry
-
-    def head(self) -> Optional[RobEntry]:
-        return self._entries[0] if self._entries else None
-
-    def pop_head(self) -> RobEntry:
-        return self._entries.popleft()
-
-    def flush(self) -> None:
-        self._entries.clear()
-
-    def reset_stats(self) -> None:
-        self.full_cycles = 0
-        self.blocked_by_store_cycles = 0
-        self.max_occupancy = 0

@@ -54,10 +54,9 @@ def run_sampled(
     l2 = hierarchy.l2.stats
     detector = hierarchy.detector
     hier_stats = hierarchy.stats
-    rob_entries = core.rob._entries
-    iq_slots_of = lambda: core.iq._slots  # noqa: E731 - reassigned inside run
-    lq = core.lsq._lq
-    sq = core.lsq._sq
+    rob = core.rob
+    iq = core.iq
+    lsq = core.lsq
 
     def snapshot():
         return (
@@ -89,10 +88,10 @@ def run_sampled(
                 "window_cycles": window,
                 "committed": current[0],
                 "ipc": round(committed_delta / window, 4) if window else 0.0,
-                "rob": len(rob_entries),
-                "iq": len(iq_slots_of()),
-                "lq": len(lq),
-                "sq": len(sq),
+                "rob": len(rob),
+                "iq": len(iq),
+                "lq": lsq.lq_occupancy,
+                "sq": lsq.sq_occupancy,
                 "l1d_misses": current[2] - last[2],
                 "l1d_miss_rate": (
                     round((current[2] - last[2]) / accesses, 4)

@@ -1,9 +1,22 @@
-"""Tests for the micro-op ISA, reorder buffer and issue queue."""
+"""Tests for the micro-op ISA, reorder buffer and issue queue.
+
+The ROB and IQ have no behaviour of their own outside the core's
+pipeline, so their tests drive a core and watch its events.
+"""
 
 import pytest
 
-from repro.cpu import IssueQueue, MicroOp, OpType, ReorderBuffer
+from repro.cache import MemoryHierarchy
+from repro.cpu import (
+    CoreConfig,
+    IssueQueue,
+    MicroOp,
+    OpType,
+    OutOfOrderCore,
+    ReorderBuffer,
+)
 from repro.cpu.isa import alu, arm_op, branch, disarm_op, load, store
+from repro.obs.tracer import RingTracer, attach_tracer
 
 
 class TestOpTypes:
@@ -47,35 +60,47 @@ class TestOpTypes:
         assert "alu" in repr(alu())
 
 
+def _run(trace, **config):
+    """Run ``trace`` on a default-hierarchy core; returns the core and
+    its per-kind event lists.
+
+    A leading NOP takes the cold I-cache miss, so the ops under test
+    are fetched together; event seqs are renumbered to skip it.
+    """
+    core = OutOfOrderCore(MemoryHierarchy(), config=CoreConfig(**config))
+    tracer = attach_tracer(core, RingTracer())
+    core.run([MicroOp(OpType.NOP)] + trace)
+    events = {}
+    for event in tracer.events():
+        if event.get("seq", 1) > 0:
+            if "seq" in event:
+                event["seq"] -= 1
+            events.setdefault(event["kind"], []).append(event)
+    return core, events
+
+
+def _behind_a_miss(count):
+    """A DRAM-missing load and ``count`` ALU ops that depend on it."""
+    return [load(0x10000)] + [alu(deps=(1 + i,)) for i in range(count)]
+
+
 class TestReorderBuffer:
     def test_fifo_order(self):
-        rob = ReorderBuffer(4)
-        a = rob.push(alu())
-        b = rob.push(alu())
-        assert rob.head() is a
-        assert rob.pop_head() is a
-        assert rob.head() is b
+        """Younger ops finish first but commit in program order."""
+        _, events = _run([MicroOp(OpType.DIV), alu(), alu()])
+        done = {e["seq"]: e["cycle"] for e in events["complete"]}
+        assert done[1] < done[0] and done[2] < done[0]
+        assert [e["seq"] for e in events["commit"]] == [0, 1, 2]
 
     def test_capacity(self):
-        rob = ReorderBuffer(2)
-        rob.push(alu())
-        rob.push(alu())
-        assert rob.full
-        with pytest.raises(RuntimeError):
-            rob.push(alu())
-
-    def test_flush(self):
-        rob = ReorderBuffer(8)
-        rob.push(alu())
-        rob.flush()
-        assert rob.empty
+        core, _ = _run(_behind_a_miss(5), rob_entries=2)
+        assert core.rob.max_occupancy == 2
+        assert core.stats.rob_full_cycles > 0
+        assert len(core.rob) == 0
 
     def test_max_occupancy(self):
-        rob = ReorderBuffer(8)
-        for _ in range(5):
-            rob.push(alu())
-        rob.pop_head()
-        assert rob.max_occupancy == 5
+        core, _ = _run(_behind_a_miss(5))
+        assert core.rob.max_occupancy == 6
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
@@ -83,40 +108,33 @@ class TestReorderBuffer:
 
 
 class TestIssueQueue:
-    def _entry(self):
-        rob = ReorderBuffer(8)
-        return rob.push(alu())
-
     def test_ready_selection(self):
-        iq = IssueQueue(4)
-        early = self._entry()
-        late = self._entry()
-        iq.push(early, ready_cycle=5)
-        iq.push(late, ready_cycle=10)
-        assert iq.issue_ready(cycle=7, width=4) == [early]
-        assert iq.issue_ready(cycle=12, width=4) == [late]
+        """An op waits for its producer; an independent younger op
+        issues around it, and the waiter issues once the result is
+        available."""
+        _, events = _run([MicroOp(OpType.DIV), alu(deps=(1,)), alu()])
+        issued = {e["seq"]: e["cycle"] for e in events["issue"]}
+        done = {e["seq"]: e["cycle"] for e in events["complete"]}
+        assert issued[2] < issued[1]
+        assert issued[1] == done[0]
 
     def test_width_limit_oldest_first(self):
-        iq = IssueQueue(8)
-        entries = [self._entry() for _ in range(5)]
-        for entry in entries:
-            iq.push(entry, ready_cycle=0)
-        issued = iq.issue_ready(cycle=1, width=2)
-        assert issued == entries[:2]
-        assert len(iq) == 3
+        _, events = _run([alu() for _ in range(5)], issue_width=2)
+        order = [(e["cycle"], e["seq"]) for e in events["issue"]]
+        first = order[0][0]
+        assert order == [
+            (first, 0),
+            (first, 1),
+            (first + 1, 2),
+            (first + 1, 3),
+            (first + 2, 4),
+        ]
 
     def test_capacity(self):
-        iq = IssueQueue(1)
-        iq.push(self._entry(), 0)
-        assert iq.full
-        with pytest.raises(RuntimeError):
-            iq.push(self._entry(), 0)
-
-    def test_flush(self):
-        iq = IssueQueue(4)
-        iq.push(self._entry(), 0)
-        iq.flush()
-        assert len(iq) == 0
+        core, _ = _run(_behind_a_miss(3), iq_entries=1)
+        assert core.iq.max_occupancy == 1
+        assert core.stats.iq_full_cycles > 0
+        assert len(core.iq) == 0
 
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
