@@ -104,7 +104,7 @@ def test_ablation_serialized_rest_ops(benchmark, bench_scale):
         profile = profile_by_name(PROFILE)
         lsq_design = run_benchmark(profile, spec, config)
         serialized = run_benchmark(
-            profile, spec, config, core_config=serialized_core
+            profile, spec, replace(config, core=serialized_core)
         )
         return lsq_design.cycles, serialized.cycles
 

@@ -102,6 +102,31 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+def _benchmark_name(text: str) -> str:
+    """argparse type for benchmark names: reject unknown ones up front
+    with the known-names message instead of a traceback mid-run."""
+    from repro.workloads.spec import profile_by_name
+
+    try:
+        profile_by_name(text)
+    except KeyError as error:
+        raise argparse.ArgumentTypeError(error.args[0])
+    return text
+
+
+def _bench_mode(text: str) -> str:
+    """argparse type for the bench defense-mode names (``run --modes``,
+    ``diff --mode``)."""
+    from repro.harness.bench import bench_specs
+
+    specs = bench_specs()
+    if text not in specs:
+        raise argparse.ArgumentTypeError(
+            f"unknown mode {text!r}; known: {', '.join(specs)}"
+        )
+    return text
+
+
 def _cache_dir(text: str) -> str:
     """argparse type for cache-directory flags: reject plain files."""
     from pathlib import Path
@@ -375,31 +400,42 @@ def _cmd_foundry(args: argparse.Namespace) -> int:
     return status
 
 
+def _replay_recorded(trace, debug: bool):
+    """Replay a recorded trace on the default hardware of a REST cell
+    (secure, or debug mode); returns the core."""
+    from repro.core.modes import Mode
+    from repro.cpu.pipeline import OutOfOrderCore
+    from repro.harness.configs import DefenseSpec, SimulationConfig
+    from repro.harness.experiment import _make_hierarchy
+
+    spec = DefenseSpec.rest(
+        "trace replay", mode=Mode.DEBUG if debug else Mode.SECURE
+    )
+    config = SimulationConfig()
+    core = OutOfOrderCore(_make_hierarchy(spec, config), config=config.core)
+    core.run(trace)
+    return core
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.cpu.encoding import decode_trace, encode_trace
 
     if args.action == "record":
+        from repro.defenses.plugin import canonical_mode
         from repro.harness.configs import DefenseSpec, SimulationConfig
-        from repro.harness.experiment import build_defense, make_trace_machine
-        from repro.workloads.generator import SyntheticWorkload
+        from repro.harness.experiment import build_trace
         from repro.workloads.spec import profile_by_name
 
-        spec = DefenseSpec(name=args.defense, defense=args.defense)
         try:
-            machine = make_trace_machine(spec)
+            canonical_mode(args.defense)
         except ValueError as error:  # unknown mode, with suggestions
             print(str(error))
             return 2
-        defense = build_defense(machine, spec)
-        config = SimulationConfig(scale=args.scale)
-        SyntheticWorkload(
+        trace, _ = build_trace(
             profile_by_name(args.benchmark),
-            defense,
-            seed=config.seed,
-            scale=config.scale,
-            alloc_intensity=config.alloc_intensity,
-        ).run()
-        trace = machine.take_trace()
+            DefenseSpec(name=args.defense, defense=args.defense),
+            SimulationConfig(scale=args.scale),
+        )
         data = encode_trace(trace)
         with open(args.file, "wb") as handle:
             handle.write(data)
@@ -425,37 +461,21 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         print(f"  distinct code lines: {len(code_lines):,}")
         if not args.no_replay:
             # A static trace has no cycles; replay it (secure mode, the
-            # same fixed token as the replay action) to attribute them.
-            from repro.cache.hierarchy import MemoryHierarchy
-            from repro.core.modes import Mode
-            from repro.core.token import Token, TokenConfigRegister
-            from repro.cpu.pipeline import OutOfOrderCore
+            # same default hardware and token as the replay action) to
+            # attribute them.
             from repro.obs.stalls import format_stall_line
 
-            register = TokenConfigRegister(
-                Token.random(64, seed=7), mode=Mode.SECURE
-            )
-            core = OutOfOrderCore(MemoryHierarchy(token_config=register))
-            stats = core.run(trace)
+            stats = _replay_recorded(trace, debug=False).stats
             print(f"  replay (secure): {stats.cycles:,} cycles, "
                   f"IPC {stats.ipc:.2f}")
             print(f"  {format_stall_line(stats)}")
         return 0
 
     # replay
-    from repro.cache.hierarchy import MemoryHierarchy
-    from repro.core.modes import Mode
-    from repro.core.token import Token, TokenConfigRegister
-    from repro.cpu.pipeline import OutOfOrderCore
-
     with open(args.file, "rb") as handle:
         trace = decode_trace(handle.read())
-    register = TokenConfigRegister(
-        Token.random(64, seed=7),
-        mode=Mode.DEBUG if args.debug else Mode.SECURE,
-    )
-    core = OutOfOrderCore(MemoryHierarchy(token_config=register))
-    stats = core.run(trace)
+    core = _replay_recorded(trace, debug=args.debug)
+    stats = core.stats
     print(f"replayed {stats.committed} micro-ops in {stats.cycles} "
           f"cycles (IPC {stats.ipc:.2f}); "
           f"arms={core.hierarchy.stats.arms} "
@@ -932,37 +952,28 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.runner import run_observed
     from repro.obs.sampler import DEFAULT_INTERVAL
 
-    modes = args.modes if args.modes else None
-    if args.tier == "fast" and (args.trace_out or args.o3
-                                or args.sample_interval):
-        print("--tier fast replays analytically: no sampler, event "
-              "trace, or O3 pipeline view is produced "
-              "(drop --sample-interval/--trace-out/--o3)")
+    if args.tier == "fast" and args.sample_interval:
+        print("--tier fast replays analytically: no sampler runs "
+              "(drop --sample-interval)")
         return 2
-    if args.diff:
-        if args.tier != "accurate" or not args.trace_out:
-            print("--diff needs the per-uop event streams: add "
-                  "--trace-out and use the accurate tier")
-            return 2
-        if modes is not None:
-            for name in args.diff:
-                if name not in modes:
-                    print(f"--diff mode {name!r} is not in --modes")
-                    return 2
-    summary = run_observed(
-        args.outdir,
-        benchmark=args.benchmark,
-        modes=modes,
-        scale=args.scale,
-        seed=args.seed,
-        interval=args.sample_interval or DEFAULT_INTERVAL,
-        ring_capacity=args.ring,
-        events=args.trace_out,
-        o3=args.o3,
-        progress=print,
-        tier=args.tier,
-        diff=tuple(args.diff) if args.diff else None,
-    )
+    try:
+        summary = run_observed(
+            args.outdir,
+            benchmark=args.benchmark,
+            modes=args.modes or None,
+            scale=args.scale,
+            seed=args.seed,
+            interval=args.sample_interval or DEFAULT_INTERVAL,
+            ring_capacity=args.ring,
+            events=args.trace_out,
+            o3=args.o3,
+            progress=print,
+            tier=args.tier,
+            diff=tuple(args.diff) if args.diff else None,
+        )
+    except ValueError as error:
+        print(f"run failed: {error}")
+        return 2
     print(f"wrote {len(summary['modes'])} mode(s) to {args.outdir}")
     return 0
 
@@ -1064,6 +1075,7 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--cache", type=_cache_dir, default=None,
                          metavar="DIR")
     p_sweep.add_argument("--benchmarks", nargs="*", metavar="name",
+                         type=_benchmark_name,
                          help="subset of benchmarks (default: all)")
     p_sweep.add_argument("--timeout", type=float, default=None,
                          metavar="SECONDS",
@@ -1161,7 +1173,8 @@ def main(argv=None) -> int:
     )
     p_trace.add_argument("action", choices=("record", "replay", "stats"))
     p_trace.add_argument("file")
-    p_trace.add_argument("--benchmark", default="xalancbmk")
+    p_trace.add_argument("--benchmark", default="xalancbmk",
+                         type=_benchmark_name)
     p_trace.add_argument("--defense", default="rest", metavar="MODE",
                          help="any plugin-registered defense mode")
     p_trace.add_argument("--scale", type=float, default=0.1)
@@ -1201,7 +1214,8 @@ def main(argv=None) -> int:
         help="simulate each bench mode on both tiers; --baseline checks "
              "the result is identical",
     )
-    p_bench.add_argument("--benchmark", default="xalancbmk")
+    p_bench.add_argument("--benchmark", default="xalancbmk",
+                         type=_benchmark_name)
     p_bench.add_argument("--scale", type=float, default=0.25)
     p_bench.add_argument("--seed", type=int, default=1234)
     p_bench.add_argument("--out", default=None, metavar="FILE",
@@ -1215,10 +1229,12 @@ def main(argv=None) -> int:
         "run", help="observed run: sampler/tracer attached per mode"
     )
     p_run.add_argument("--outdir", required=True, metavar="DIR")
-    p_run.add_argument("--benchmark", default="xalancbmk")
+    p_run.add_argument("--benchmark", default="xalancbmk",
+                       type=_benchmark_name)
     p_run.add_argument("--scale", type=float, default=0.2)
     p_run.add_argument("--seed", type=int, default=1234)
     p_run.add_argument("--modes", nargs="*", metavar="mode",
+                       type=_bench_mode,
                        help="defense modes (default: plain asan "
                             "rest-secure rest-debug)")
     p_run.add_argument("--sample-interval", type=_positive_int,
@@ -1259,8 +1275,9 @@ def main(argv=None) -> int:
                              "table against cycle-accurate attribution "
                              "instead of diffing two modes")
     p_diff.add_argument("--benchmark", default="xalancbmk",
+                        type=_benchmark_name,
                         help="fast-tier mode: benchmark to score")
-    p_diff.add_argument("--mode", default="rest-debug",
+    p_diff.add_argument("--mode", default="rest-debug", type=_bench_mode,
                         help="fast-tier mode: defense mode to score")
     p_diff.add_argument("--scale", type=float, default=0.5,
                         help="fast-tier mode: workload scale (needs to "

@@ -309,27 +309,29 @@ class FastTierEngine:
 
     # -- public API ------------------------------------------------------
 
-    def run(self, trace, spec, config, core_config=None) -> FastTierResult:
-        """Fast-tier simulation of one (trace, spec, config) run."""
+    def run(self, trace, spec, config) -> FastTierResult:
+        """Fast-tier simulation of one (trace, spec, config) run.
+
+        ``config.core`` is the core the calibration slice runs on.
+        """
         trace = trace if isinstance(trace, list) else list(trace)
-        key = self._memo_key(trace, spec, config, core_config)
+        key = self._memo_key(trace, spec, config)
         entry = self.memo.get(key)
         memo_hit = entry is not None
         if entry is None:
-            entry = self._characterize(trace, spec, config, core_config)
+            entry = self._characterize(trace, spec, config)
             self.memo.put(key, entry)
         return self._assemble(entry, memo_hit)
 
     # -- memo key --------------------------------------------------------
 
-    def _memo_key(self, trace, spec, config, core_config) -> int:
+    def _memo_key(self, trace, spec, config) -> int:
         payload = repr(
             (
                 spec.key_payload() if hasattr(spec, "key_payload")
                 else spec.name,
                 config.key_payload() if hasattr(config, "key_payload")
                 else (config.scale, config.seed),
-                core_config,
                 self.calib_fraction,
                 self.block_cap,
             )
@@ -352,7 +354,7 @@ class FastTierEngine:
         return len(blocks)
 
     def _build_tables(
-        self, trace, blocks, n_slice, sigs, spec, config, core_config
+        self, trace, blocks, n_slice, sigs, spec, config
     ) -> Dict:
         """Characterize the calibration slice cycle-accurately.
 
@@ -370,7 +372,7 @@ class FastTierEngine:
 
         # Cycle-accurate characterization of the slice.
         hierarchy = _make_hierarchy(spec, config)
-        core = OutOfOrderCore(hierarchy, config=core_config or config.core)
+        core = OutOfOrderCore(hierarchy, config=config.core)
         boundaries = block_boundaries(slice_blocks)
         stats, costs = core.run_attributed(trace[:slice_uops], boundaries)
 
@@ -416,7 +418,7 @@ class FastTierEngine:
             "divergence_rows": rows,
         }
 
-    def _characterize(self, trace, spec, config, core_config) -> Dict:
+    def _characterize(self, trace, spec, config) -> Dict:
         total = len(trace)
         blocks = split_blocks(trace, cap=self.block_cap)
         n_slice = self._slice_block_count(blocks, total)
@@ -427,7 +429,7 @@ class FastTierEngine:
         sigs, lean = self._scan_signatures(trace, blocks, config)
 
         tables = self._build_tables(
-            trace, blocks, n_slice, sigs, spec, config, core_config
+            trace, blocks, n_slice, sigs, spec, config
         )
         stats = tables["stats"]
         key_means = tables["key_means"]
@@ -438,14 +440,13 @@ class FastTierEngine:
         acc = self._accumulate_remainder(
             blocks, sigs, n_slice, key_means, weights, config
         )
-        effective_core = core_config or config.core
         return {
             "slice_uops": tables["slice_uops"],
             "total_uops": total,
             "n_blocks": len(blocks),
             "n_slice_blocks": n_slice,
             "mispredict_penalty": (
-                effective_core.mispredict_penalty if effective_core else 12
+                config.core.mispredict_penalty if config.core else 12
             ),
             "slice_cycles": stats.cycles,
             "slice_stats": asdict(stats),
@@ -462,7 +463,7 @@ class FastTierEngine:
             "l2_miss_rate": lean.l2.miss_rate,
         }
 
-    def score_blocks(self, trace, spec, config, core_config=None) -> Dict:
+    def score_blocks(self, trace, spec, config) -> Dict:
         """Score the fast tier's cost tables against full measurement.
 
         Validation entry point for ``repro diff --fast-tier``: builds
@@ -482,7 +483,7 @@ class FastTierEngine:
         n_slice = self._slice_block_count(blocks, len(trace))
         sigs, _lean = self._scan_signatures(trace, blocks, config)
         tables = self._build_tables(
-            trace, blocks, n_slice, sigs, spec, config, core_config
+            trace, blocks, n_slice, sigs, spec, config
         )
         key_means = tables["key_means"]
         weights = tables["weights"]
@@ -490,7 +491,7 @@ class FastTierEngine:
         corr_model = tables["corr_model"]
 
         hierarchy = _make_hierarchy(spec, config)
-        core = OutOfOrderCore(hierarchy, config=core_config or config.core)
+        core = OutOfOrderCore(hierarchy, config=config.core)
         stats, costs = core.run_attributed(
             trace, block_boundaries(blocks)
         )

@@ -57,13 +57,8 @@ def run_bench(
     from repro.cpu.pipeline import OutOfOrderCore
     from repro.fasttier import DECLARED_TOLERANCE, BlockMemo, FastTierEngine
     from repro.harness.configs import SimulationConfig
-    from repro.harness.experiment import (
-        _make_hierarchy,
-        build_defense,
-        make_trace_machine,
-    )
+    from repro.harness.experiment import _make_hierarchy, build_trace
     from repro.obs.stalls import format_stall_line
-    from repro.workloads.generator import SyntheticWorkload
     from repro.workloads.spec import profile_by_name
 
     specs = bench_specs()
@@ -79,21 +74,11 @@ def run_bench(
     }
     for name in BENCH_MODES:
         spec = specs[name]
-        trace_machine = make_trace_machine(spec)
-        defense = build_defense(trace_machine, spec)
-        SyntheticWorkload(
-            profile,
-            defense,
-            seed=config.seed,
-            scale=config.scale,
-            alloc_intensity=config.alloc_intensity,
-        ).run()
-        trace = trace_machine.take_trace()
-
+        trace, _ = build_trace(profile, spec, config)
         core = OutOfOrderCore(
             _make_hierarchy(spec, config), config=config.core
         )
-        stats = core.run(list(trace))
+        stats = core.run(trace)
         fast = FastTierEngine(BlockMemo()).run(trace, spec, config)
         divergence = 100.0 * (fast.stats.cycles - stats.cycles) / (
             stats.cycles or 1

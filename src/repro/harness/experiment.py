@@ -1,21 +1,23 @@
 """Run (benchmark × defense) pairs through the full stack.
 
-One run = generate the workload trace against the defense (trace-mode
-machine, Python-side allocator bookkeeping), then replay the trace on
-the cycle-level out-of-order core against a fresh REST-extended memory
-hierarchy with the right token width and operating mode.  Runtime is
-the cycle count; overheads are runtimes normalised to the Plain run of
-the same benchmark and seed.
+One run = :func:`build_trace` (generate the workload trace against the
+defense: trace-mode machine, Python-side allocator bookkeeping), then
+:func:`run_benchmark` replays the trace on the cycle-level out-of-order
+core against a fresh REST-extended memory hierarchy with the right
+token width and operating mode.  Every surface that simulates a cell
+goes through these two functions.  Runtime is the cycle count;
+overheads are runtimes normalised to the Plain run of the same
+benchmark and seed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import MemoryHierarchy
-from repro.core.modes import Mode
 from repro.core.token import Token, TokenConfigRegister
+from repro.cpu.isa import MicroOp
 from repro.cpu.pipeline import OutOfOrderCore
 from repro.cpu.stats import CoreStats
 from repro.defenses import Defense
@@ -41,8 +43,10 @@ class RunResult:
     l1d_miss_rate: float
     l2_miss_rate: float
     #: Which simulation tier produced the replay ("accurate" or
-    #: "fast"); fast runs also carry the engine's meta/divergence
-    #: payloads for the observability surfaces.
+    #: "fast").  Fast runs also carry the engine's meta and divergence
+    #: payloads; :func:`repro.obs.runner.run_observed` reads both
+    #: (``memo_hit`` and the block count from ``fast_meta``) for its
+    #: ``fasttier-<mode>.json`` artifact and progress line.
     tier: str = "accurate"
     fast_meta: Optional[Dict] = None
     fast_divergence: Optional[Dict] = None
@@ -117,60 +121,82 @@ def _make_hierarchy(spec: DefenseSpec, config: SimulationConfig) -> MemoryHierar
     )
 
 
-def run_benchmark(
+def build_trace(
     profile: BenchmarkProfile,
     spec: DefenseSpec,
-    config: Optional[SimulationConfig] = None,
-    core_config=None,
-    on_sample: Optional[Callable] = None,
-    sample_interval: Optional[int] = None,
-    tier: str = "accurate",
-) -> RunResult:
-    """Simulate one benchmark under one defense spec.
+    config: SimulationConfig,
+    tracer=None,
+) -> Tuple[List[MicroOp], WorkloadStats]:
+    """Phase 1 of a cell: generate its trace through the defense.
 
-    ``on_sample`` routes the replay through the interval sampler
-    (:func:`repro.obs.sampler.run_sampled`) and forwards each snapshot
-    as it is taken — the live-telemetry path used by ``repro sweep
-    --live`` and the job service.  The sampled replay is
-    stats-identical to the plain one, so results (and cache entries)
-    do not depend on whether a run was observed.
-
-    ``tier="fast"`` replays the generated trace through the analytical
-    fast tier (:mod:`repro.fasttier`) instead of the cycle-accurate
-    core, sharing the process-wide block memo so repeated runs of the
-    same cell replay from the characterization.  The sampler needs the
-    real pipeline, so ``on_sample`` requires the accurate tier.
+    The one place under ``repro`` that turns a (benchmark, defense,
+    seed, scale) cell into a trace, so every surface replays the same
+    micro-ops for the same cell.  ``tracer``, when given, is attached
+    to the trace machine before the defense is built, so it sees the
+    allocator's arm/disarm and malloc/free events stamped with the
+    trace position.
     """
-    from repro.fasttier import TIERS
-
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {', '.join(TIERS)}")
-    if tier == "fast" and on_sample is not None:
-        raise ValueError(
-            "the interval sampler steps the cycle-accurate pipeline; "
-            "on_sample requires tier='accurate'"
-        )
-    config = config or SimulationConfig()
-
-    # Phase 1: generate the trace through the defense's software stack.
-    trace_machine = make_trace_machine(spec)
-    defense = build_defense(trace_machine, spec)
-    workload = SyntheticWorkload(
+    machine = make_trace_machine(spec)
+    if tracer is not None:
+        machine.tracer = tracer
+    defense = build_defense(machine, spec)
+    workload_stats = SyntheticWorkload(
         profile,
         defense,
         seed=config.seed,
         scale=config.scale,
         alloc_intensity=config.alloc_intensity,
-    )
-    workload_stats = workload.run()
-    trace = trace_machine.take_trace()
+    ).run()
+    return machine.take_trace(), workload_stats
 
-    # Phase 2: replay — cycle-accurately, or through the fast tier.
+
+def run_benchmark(
+    profile: BenchmarkProfile,
+    spec: DefenseSpec,
+    config: Optional[SimulationConfig] = None,
+    on_sample: Optional[Callable] = None,
+    sample_interval: Optional[int] = None,
+    tier: str = "accurate",
+    tracer=None,
+) -> RunResult:
+    """Simulate one benchmark under one defense spec.
+
+    Phase 1 is :func:`build_trace`; phase 2 replays the trace on a
+    fresh hierarchy and core built from ``config`` (``config.core`` is
+    the core configuration).
+
+    ``on_sample`` routes the replay through the interval sampler
+    (:func:`repro.obs.sampler.run_sampled`) and forwards each snapshot
+    as it is taken — the live-telemetry path used by ``repro sweep
+    --live``, the job service and ``repro run``.  The sampled replay
+    is stats-identical to the plain one, so results (and cache
+    entries) do not depend on whether a run was observed.  ``tracer``
+    observes both phases: trace generation, then every hook point of
+    the replaying core.
+
+    ``tier="fast"`` replays the generated trace through the analytical
+    fast tier (:mod:`repro.fasttier`) instead of the cycle-accurate
+    core, sharing the process-wide block memo so repeated runs of the
+    same cell replay from the characterization.  The sampler and the
+    tracer need the real pipeline, so they require the accurate tier.
+    """
+    from repro.fasttier import TIERS
+
+    if tier not in TIERS:
+        raise ValueError(f"unknown tier {tier!r}; known: {', '.join(TIERS)}")
+    if tier == "fast" and (on_sample is not None or tracer is not None):
+        raise ValueError(
+            "the fast tier replays analytically: the interval sampler, "
+            "per-uop events and O3 pipeline view need the cycle-accurate "
+            "pipeline; use tier='accurate'"
+        )
+    config = config or SimulationConfig()
+    trace, workload_stats = build_trace(profile, spec, config, tracer)
+
     if tier == "fast":
         from repro.fasttier import DEFAULT_MEMO, FastTierEngine
 
-        engine = FastTierEngine(DEFAULT_MEMO)
-        fast = engine.run(trace, spec, config, core_config=core_config)
+        fast = FastTierEngine(DEFAULT_MEMO).run(trace, spec, config)
         return RunResult(
             benchmark=profile.name,
             spec=spec,
@@ -188,7 +214,11 @@ def run_benchmark(
         )
 
     hierarchy = _make_hierarchy(spec, config)
-    core = OutOfOrderCore(hierarchy, config=core_config or config.core)
+    core = OutOfOrderCore(hierarchy, config=config.core)
+    if tracer is not None:
+        from repro.obs.tracer import attach_tracer
+
+        attach_tracer(core, tracer)
     if on_sample is None:
         core_stats = core.run(trace)
     else:

@@ -13,13 +13,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.cache.hierarchy import MemoryHierarchy
-from repro.core.modes import Mode
-from repro.core.token import Token, TokenConfigRegister
-from repro.cpu.pipeline import CoreConfig, OutOfOrderCore
+from repro.cpu.pipeline import OutOfOrderCore
 from repro.defenses.plugin import is_baseline
-from repro.harness.configs import DefenseSpec
-from repro.harness.experiment import build_defense, make_trace_machine
+from repro.harness.configs import DefenseSpec, SimulationConfig
+from repro.harness.experiment import (
+    _make_hierarchy,
+    build_defense,
+    make_trace_machine,
+)
 from repro.lang.ast import Program
 from repro.lang.interp import Interpreter
 
@@ -59,20 +60,17 @@ def measure_program(
     program: Program,
     spec: DefenseSpec,
     args: Sequence[int] = (),
-    core_config: Optional[CoreConfig] = None,
-    token_seed: int = 7,
 ) -> ProgramMeasurement:
-    """Trace one program under one defense spec and time the replay."""
+    """Trace one program under one defense spec and time the replay
+    on the default hardware (:class:`SimulationConfig`)."""
     machine = make_trace_machine(spec)
     defense = build_defense(machine, spec)
     Interpreter(program, defense).run(*args)
     trace = machine.take_trace()
 
-    register = TokenConfigRegister(
-        Token.random(spec.token_width, seed=token_seed), mode=spec.mode
-    )
-    hierarchy = MemoryHierarchy(token_config=register)
-    core = OutOfOrderCore(hierarchy, config=core_config)
+    config = SimulationConfig()
+    hierarchy = _make_hierarchy(spec, config)
+    core = OutOfOrderCore(hierarchy, config=config.core)
     faulted: Optional[str] = None
     try:
         stats = core.run(trace)

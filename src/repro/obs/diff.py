@@ -548,8 +548,7 @@ def build_fast_tier_diff(
     from repro.fasttier.engine import Q, DECLARED_TOLERANCE, FastTierEngine
     from repro.harness.bench import bench_specs
     from repro.harness.configs import SimulationConfig
-    from repro.harness.experiment import build_defense, make_trace_machine
-    from repro.workloads.generator import SyntheticWorkload
+    from repro.harness.experiment import build_trace
     from repro.workloads.spec import profile_by_name
 
     specs = bench_specs()
@@ -560,16 +559,7 @@ def build_fast_tier_diff(
     spec = specs[mode]
     profile = profile_by_name(benchmark)
     config = SimulationConfig(scale=scale, seed=seed)
-    machine = make_trace_machine(spec)
-    defense = build_defense(machine, spec)
-    SyntheticWorkload(
-        profile,
-        defense,
-        seed=config.seed,
-        scale=config.scale,
-        alloc_intensity=config.alloc_intensity,
-    ).run()
-    trace = machine.take_trace()
+    trace, _ = build_trace(profile, spec, config)
 
     engine = FastTierEngine()  # private memo; scoring is a pure pass
     score = engine.score_blocks(trace, spec, config)

@@ -25,9 +25,9 @@ import json
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.obs.sampler import DEFAULT_INTERVAL, run_sampled
+from repro.obs.sampler import DEFAULT_INTERVAL
 from repro.obs.stalls import format_stall_line, verify_buckets
-from repro.obs.tracer import RingTracer, attach_tracer, write_jsonl
+from repro.obs.tracer import RingTracer, write_jsonl
 
 
 def run_observed(
@@ -62,37 +62,13 @@ def run_observed(
     two modes' event streams before ``run.json`` is written; requires
     ``events=True`` and the accurate tier.
     """
-    from repro.cpu.pipeline import OutOfOrderCore
     from repro.harness.bench import BENCH_MODES, bench_specs
     from repro.harness.configs import SimulationConfig
-    from repro.harness.experiment import (
-        RunResult,
-        _make_hierarchy,
-        build_defense,
-        make_trace_machine,
-    )
+    from repro.harness.experiment import run_benchmark
     from repro.harness.statsdump import format_stats
     from repro.obs.o3 import export_o3_pipeview
-    from repro.workloads.generator import SyntheticWorkload
     from repro.workloads.spec import profile_by_name
 
-    from repro.fasttier import TIERS
-
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {', '.join(TIERS)}")
-    if tier == "fast" and (events or o3):
-        raise ValueError(
-            "the fast tier replays analytically — no per-uop events or "
-            "O3 pipeline view exist; use tier='accurate'"
-        )
-    if diff is not None and (tier != "accurate" or not events):
-        raise ValueError(
-            "diff needs the per-uop event streams: use the accurate "
-            "tier with events=True (`repro run --trace-out`)"
-        )
-
-    out = Path(outdir)
-    out.mkdir(parents=True, exist_ok=True)
     specs = bench_specs()
     mode_names = list(modes) if modes else list(BENCH_MODES)
     for name in mode_names:
@@ -100,8 +76,19 @@ def run_observed(
             raise ValueError(
                 f"unknown mode {name!r}; known: {', '.join(specs)}"
             )
+    if diff is not None:
+        if not events:
+            raise ValueError(
+                "diff needs the per-uop event streams: use the accurate "
+                "tier with events=True (`repro run --trace-out`)"
+            )
+        for name in diff:
+            if name not in mode_names:
+                raise ValueError(f"diff mode {name!r} is not in modes")
     profile = profile_by_name(benchmark)
     config = SimulationConfig(scale=scale, seed=seed)
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
 
     payload: Dict = {
         "benchmark": benchmark,
@@ -114,122 +101,67 @@ def run_observed(
     for name in mode_names:
         spec = specs[name]
         tracer = RingTracer(ring_capacity) if (events or o3) else None
-
-        # Phase 1: generate the trace (tracer sees alloc.arm/disarm &
-        # malloc/free events stamped with the trace position).
-        machine = make_trace_machine(spec)
-        if tracer is not None:
-            machine.tracer = tracer
-        defense = build_defense(machine, spec)
-        workload_stats = SyntheticWorkload(
+        samples: List[Dict] = []
+        result = run_benchmark(
             profile,
-            defense,
-            seed=config.seed,
-            scale=config.scale,
-            alloc_intensity=config.alloc_intensity,
-        ).run()
-        trace = machine.take_trace()
-
-        # Phase 2: replay — sampled cycle-accurately, or analytically.
-        if tier == "fast":
-            from repro.fasttier import DEFAULT_MEMO, FastTierEngine
-
-            engine = FastTierEngine(DEFAULT_MEMO)
-            fast = engine.run(trace, spec, config)
-            stats = fast.stats
-            buckets = verify_buckets(stats)
-            result = RunResult(
-                benchmark=profile.name,
-                spec=spec,
-                cycles=stats.cycles,
-                instructions=stats.committed,
-                app_instructions=workload_stats.app_instructions,
-                core_stats=stats,
-                workload_stats=workload_stats,
-                hierarchy_stats=fast.hierarchy_stats,
-                l1d_miss_rate=fast.l1d_miss_rate,
-                l2_miss_rate=fast.l2_miss_rate,
-                tier="fast",
-                fast_meta=fast.meta,
-                fast_divergence=fast.divergence,
-            )
-            entry = {
-                "defense": spec.name,
-                "tier": "fast",
-                "cycles": stats.cycles,
-                "committed": stats.committed,
-                "cpi": round(stats.cpi, 4),
-                "buckets": buckets,
-                "stats_file": f"stats-{name}.txt",
-                "fasttier_file": f"fasttier-{name}.json",
-                "memo_hit": fast.memo_hit,
-            }
-            (out / entry["stats_file"]).write_text(
-                format_stats(result) + "\n"
-            )
-            (out / entry["fasttier_file"]).write_text(
-                json.dumps(
-                    {"meta": fast.meta, "divergence": fast.divergence},
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            payload["modes"][name] = entry
-            if progress is not None:
-                progress(
-                    f"{name:12s} {stats.cycles:>10,} cycles  "
-                    f"CPI {stats.cpi:.2f}  fast tier "
-                    f"({fast.meta['extrapolated_blocks']} blocks "
-                    f"extrapolated)"
-                )
-            continue
-
-        hierarchy = _make_hierarchy(spec, config)
-        core = OutOfOrderCore(hierarchy, config=config.core)
-        if tracer is not None:
-            attach_tracer(core, tracer)
-        stats, samples = run_sampled(core, trace, interval=interval)
-        buckets = verify_buckets(stats)
-
-        result = RunResult(
-            benchmark=profile.name,
-            spec=spec,
-            cycles=stats.cycles,
-            instructions=stats.committed,
-            app_instructions=workload_stats.app_instructions,
-            core_stats=stats,
-            workload_stats=workload_stats,
-            hierarchy_stats=hierarchy.stats,
-            l1d_miss_rate=hierarchy.l1d.stats.miss_rate,
-            l2_miss_rate=hierarchy.l2.stats.miss_rate,
+            spec,
+            config,
+            on_sample=samples.append if tier == "accurate" else None,
+            sample_interval=interval,
+            tier=tier,
+            tracer=tracer,
         )
-
+        stats = result.core_stats
         entry: Dict = {
             "defense": spec.name,
             "cycles": stats.cycles,
             "committed": stats.committed,
             "cpi": round(stats.cpi, 4),
-            "buckets": buckets,
-            "samples_file": f"samples-{name}.jsonl",
+            "buckets": verify_buckets(stats),
             "stats_file": f"stats-{name}.txt",
-            "sample_count": len(samples),
         }
-        write_jsonl(samples, out / entry["samples_file"])
         (out / entry["stats_file"]).write_text(format_stats(result) + "\n")
+        payload["modes"][name] = entry
+
+        if result.tier == "fast":
+            entry["tier"] = "fast"
+            entry["fasttier_file"] = f"fasttier-{name}.json"
+            entry["memo_hit"] = result.fast_meta["memo_hit"]
+            (out / entry["fasttier_file"]).write_text(
+                json.dumps(
+                    {
+                        "meta": result.fast_meta,
+                        "divergence": result.fast_divergence,
+                    },
+                    indent=2,
+                    sort_keys=True,
+                )
+                + "\n"
+            )
+            if progress is not None:
+                progress(
+                    f"{name:12s} {stats.cycles:>10,} cycles  "
+                    f"CPI {stats.cpi:.2f}  fast tier "
+                    f"({result.fast_meta['extrapolated_blocks']} blocks "
+                    f"extrapolated)"
+                )
+            continue
+
+        entry["samples_file"] = f"samples-{name}.jsonl"
+        entry["sample_count"] = len(samples)
+        write_jsonl(samples, out / entry["samples_file"])
         if tracer is not None:
             entry["event_counts"] = tracer.counts()
             entry["events_emitted"] = tracer.emitted
             entry["events_dropped"] = tracer.dropped
-        if events and tracer is not None:
+        if events:
             entry["events_file"] = f"events-{name}.jsonl"
             write_jsonl(tracer.events(), out / entry["events_file"])
-        if o3 and tracer is not None:
+        if o3:
             entry["o3_file"] = f"o3-{name}.trace"
             entry["o3_records"] = export_o3_pipeview(
                 tracer.events(), out / entry["o3_file"]
             )
-        payload["modes"][name] = entry
         if progress is not None:
             progress(
                 f"{name:12s} {stats.cycles:>10,} cycles  "

@@ -60,6 +60,31 @@ class TestCliRobustness:
         assert "detection coverage" in output
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--outdir", "{tmp}", "--benchmark", "bogus"],
+        ["bench", "--benchmark", "bogus"],
+        ["trace", "record", "{tmp}/f", "--benchmark", "bogus"],
+        ["diff", "--fast-tier", "--benchmark", "bogus"],
+        ["sweep", "--benchmarks", "bogus"],
+        ["run", "--outdir", "{tmp}", "--modes", "bogus"],
+        ["diff", "--fast-tier", "--mode", "bogus"],
+    ],
+    ids=" ".join,
+)
+def test_unknown_cell_name_exits_2(argv, tmp_path, capsys):
+    """A bad benchmark or mode name is a usage error naming the known
+    names, raised before any cell is simulated."""
+    argv = [arg.replace("{tmp}", str(tmp_path / "out")) for arg in argv]
+    with pytest.raises(SystemExit) as err:
+        run_cli(argv)
+    assert err.value.code == 2
+    errors = capsys.readouterr().err
+    assert "unknown" in errors and "'bogus'; known: " in errors
+    assert not (tmp_path / "out").exists()
+
+
 class TestParserCorners:
     def _run(self, source, *args):
         return Interpreter(parse(source), PlainDefense(Machine())).run(*args)

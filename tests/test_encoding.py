@@ -83,15 +83,15 @@ class TestTraceRoundtrip:
             decode_trace(data[:-4])
 
     def test_generated_workload_trace_roundtrips(self):
-        from repro.defenses import RestDefense
-        from repro.runtime.machine import ExecutionMode, Machine
-        from repro.workloads import SyntheticWorkload, profile_by_name
+        from repro.harness.configs import DefenseSpec, SimulationConfig
+        from repro.harness.experiment import build_trace
+        from repro.workloads import profile_by_name
 
-        machine = Machine(mode=ExecutionMode.TRACE)
-        SyntheticWorkload(
-            profile_by_name("xalancbmk"), RestDefense(machine), scale=0.05
-        ).run()
-        trace = machine.take_trace()
+        trace, _ = build_trace(
+            profile_by_name("xalancbmk"),
+            DefenseSpec.rest("Secure Full"),
+            SimulationConfig(scale=0.05),
+        )
         out = decode_trace(encode_trace(trace))
         assert len(out) == len(trace)
         for original, decoded in zip(trace, out):

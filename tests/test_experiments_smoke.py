@@ -90,6 +90,67 @@ class TestIntext:
         assert "Secure Full - Secure Heap" in text
 
 
+class TestIntextMechanisms:
+    """What stands behind two Section VI-B rows of ``results/intext.txt``."""
+
+    def test_back_pressure_binds_at_the_lsq_not_the_rob(self):
+        """The debug backup fills the SQ and LQ; the ROB never fills,
+        which is why the IQ+ROB row is near zero in both modes."""
+        from repro.core.modes import Mode
+        from repro.experiments.common import make_config
+        from repro.harness.configs import DefenseSpec
+        from repro.harness.experiment import run_benchmark
+
+        config = make_config(scale=0.35, seed=1234)
+        profile = profile_by_name("xalancbmk")
+        secure, debug = (
+            run_benchmark(profile, spec, config).core_stats
+            for spec in (
+                DefenseSpec.rest("Secure Full"),
+                DefenseSpec.rest("Debug Full", mode=Mode.DEBUG),
+            )
+        )
+        assert secure.rob_full_cycles == 0
+        assert debug.rob_full_cycles == 0
+        assert debug.sq_full_cycles > secure.sq_full_cycles
+        assert secure.lq_full_cycles > 0
+        assert debug.lq_full_cycles > 0
+
+    @pytest.mark.parametrize("protect_stack", [True, False], ids=["Full", "Heap"])
+    def test_perfect_hw_costs_exactly_secure(self, protect_stack):
+        """Secure - PerfectHW = 0.00 pp by construction: PerfectHW's
+        trace is Secure's with each ARM/DISARM emitted as a STORE of the
+        same pc, address, size and deps, and secure mode times the two
+        alike."""
+        from repro.cpu.isa import OpType
+        from repro.harness.configs import DefenseSpec, SimulationConfig
+        from repro.harness.experiment import build_trace, run_benchmark
+        from repro.workloads.spec import ALL_PROFILES
+
+        config = SimulationConfig(scale=0.1)
+        secure_spec = DefenseSpec.rest("Secure", protect_stack=protect_stack)
+        perfect_spec = DefenseSpec.rest(
+            "PerfectHW", protect_stack=protect_stack, perfect_hw=True
+        )
+        token_ops = (OpType.ARM, OpType.DISARM)
+
+        def fields(uop):
+            return (uop.pc, uop.address, uop.size, uop.deps, uop.taken, uop.sid)
+
+        for profile in ALL_PROFILES:
+            secure, _ = build_trace(profile, secure_spec, config)
+            perfect, _ = build_trace(profile, perfect_spec, config)
+            assert len(perfect) == len(secure), profile.name
+            for ours, theirs in zip(secure, perfect):
+                expected = OpType.STORE if ours.op in token_ops else ours.op
+                assert theirs.op is expected, profile.name
+                assert fields(theirs) == fields(ours), profile.name
+            assert (
+                run_benchmark(profile, perfect_spec, config).cycles
+                == run_benchmark(profile, secure_spec, config).cycles
+            ), profile.name
+
+
 class TestTable3:
     def test_committed_table_matches_regenerate(self):
         """``results/table3.txt`` is what ``run_all --scale 0.5`` writes,

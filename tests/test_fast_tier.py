@@ -32,25 +32,14 @@ from repro.fasttier import (
 )
 from repro.harness.bench import bench_specs
 from repro.harness.configs import SimulationConfig
-from repro.harness.experiment import run_benchmark
-from repro.workloads.generator import SyntheticWorkload
+from repro.harness.experiment import build_trace, run_benchmark
 from repro.workloads.spec import profile_by_name
 
 
 def _make_trace(benchmark: str, spec, scale: float, seed: int):
-    from repro.harness.experiment import build_defense, make_trace_machine
-
     config = SimulationConfig(scale=scale, seed=seed)
-    machine = make_trace_machine(spec)
-    defense = build_defense(machine, spec)
-    SyntheticWorkload(
-        profile_by_name(benchmark),
-        defense,
-        seed=config.seed,
-        scale=config.scale,
-        alloc_intensity=config.alloc_intensity,
-    ).run()
-    return machine.take_trace(), config
+    trace, _ = build_trace(profile_by_name(benchmark), spec, config)
+    return trace, config
 
 
 def run_cli(argv):

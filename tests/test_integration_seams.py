@@ -150,3 +150,116 @@ class TestTokenRotationEndToEnd:
         new_buffer = defense.malloc(64)
         with pytest.raises(RestException):
             machine.load(new_buffer + 64, 8)
+
+
+class TestOneCellPath:
+    """Every surface simulates a cell through ``build_trace`` and
+    ``run_benchmark``, so a (benchmark, defense, seed, scale) cell has
+    one trace and one cycle count wherever it is run."""
+
+    SCALE = 0.1
+    SEED = 1234
+    #: (accurate, fast) cycles of xalancbmk at scale 0.1, seed 1234.
+    CYCLES = {
+        "plain": (10116, 10116),
+        "asan": (27441, 28070),
+        "rest-secure": (10467, 10467),
+        "rest-debug": (11715, 11715),
+    }
+
+    @pytest.fixture(scope="class")
+    def surfaces(self, tmp_path_factory):
+        from repro.harness.bench import BENCH_MODES, bench_specs, run_bench
+        from repro.harness.configs import SimulationConfig
+        from repro.harness.experiment import run_benchmark
+        from repro.obs.runner import run_observed
+
+        profile = profile_by_name("xalancbmk")
+        config = SimulationConfig(scale=self.SCALE, seed=self.SEED)
+        specs = bench_specs()
+        observed = {
+            tier: run_observed(
+                tmp_path_factory.mktemp(tier),
+                scale=self.SCALE,
+                seed=self.SEED,
+                tier=tier,
+            )["modes"]
+            for tier in ("accurate", "fast")
+        }
+        bench = run_bench(scale=self.SCALE, seed=self.SEED)["modes"]
+        cycles = {}
+        for mode in BENCH_MODES:
+            cycles[mode] = {
+                "run_benchmark": tuple(
+                    run_benchmark(profile, specs[mode], config, tier=tier).cycles
+                    for tier in ("accurate", "fast")
+                ),
+                "run_observed": tuple(
+                    observed[tier][mode]["cycles"]
+                    for tier in ("accurate", "fast")
+                ),
+                "run_bench": (
+                    bench[mode]["cycles"],
+                    bench[mode]["fast_cycles"],
+                ),
+            }
+        return cycles
+
+    @pytest.mark.parametrize(
+        "mode", ["plain", "asan", "rest-secure", "rest-debug"]
+    )
+    def test_every_surface_agrees(self, surfaces, mode):
+        for surface, cycles in surfaces[mode].items():
+            assert cycles == self.CYCLES[mode], surface
+
+    @pytest.mark.parametrize("defense", ["rest", "asan"])
+    def test_trace_record_writes_the_cell_trace(self, tmp_path, defense):
+        import io
+        from contextlib import redirect_stdout
+
+        from repro.__main__ import main
+        from repro.cpu.encoding import encode_trace
+        from repro.harness.configs import SimulationConfig
+        from repro.harness.experiment import build_trace
+
+        path = tmp_path / "cell.rtrace"
+        with redirect_stdout(io.StringIO()):
+            code = main(
+                ["trace", "record", str(path), "--benchmark", "xalancbmk",
+                 "--defense", defense, "--scale", str(self.SCALE)]
+            )
+        assert code == 0
+        trace, _ = build_trace(
+            profile_by_name("xalancbmk"),
+            DefenseSpec(name=defense, defense=defense),
+            SimulationConfig(scale=self.SCALE),
+        )
+        assert path.read_bytes() == encode_trace(trace)
+
+    def test_only_build_trace_constructs_workloads(self):
+        """Tripwire: no module grows its own generate block again.
+
+        ``workloads/validation.py`` needs the bare ``Machine`` and
+        ``experiments/memoverhead.py`` the ``Defense`` object itself,
+        not a cell, so they may construct a workload directly.
+        """
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        allowed = {"workloads/validation.py", "experiments/memoverhead.py"}
+        counts = {
+            path.relative_to(root).as_posix(): path.read_text().count(
+                "SyntheticWorkload("
+            )
+            for path in root.rglob("*.py")
+        }
+        offenders = sorted(
+            name
+            for name, count in counts.items()
+            if count and name not in allowed
+            and name != "harness/experiment.py"
+        )
+        assert offenders == []
+        assert counts["harness/experiment.py"] == 1
