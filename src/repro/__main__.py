@@ -40,10 +40,9 @@ Commands
     matrix; ``--golden``/``--strict`` gate CI on matrix drift and
     oracle mispredictions.
 ``bench [--out FILE] [--baseline FILE]``
-    Simulate one benchmark per bench defense mode on the accurate and
-    the fast tier and record uops, cycles and fast-tier divergence;
-    ``--baseline`` exits 1 on any field that differs from a committed
-    manifest.
+    Simulate one benchmark per bench defense mode and record uops and
+    cycles; ``--baseline`` exits 1 on any field that differs from a
+    committed manifest.
 ``run --outdir DIR [--trace-out] [--o3] [--diff A B] [--sample-interval N]``
     Observed run: simulate each defense mode with the interval sampler
     (and optionally the event tracer / O3PipeView export) attached,
@@ -53,9 +52,7 @@ Commands
     Differential trace profile of two observed modes: align their
     committed instruction streams, attribute each mode's stall buckets
     to per-PC rows (sums match stalls exactly), and write the
-    ``trace-diff/v1`` artifact.  ``--fast-tier`` instead scores the
-    analytical tier's per-block cost table against cycle-accurate
-    attribution (per-block prediction-error distribution).
+    ``trace-diff/v1`` artifact.
 ``report DIR [--out FILE] [--html]``
     Render the observability dashboard (stall waterfalls, sparklines,
     event summaries, trace diffs) for a ``repro run`` directory or a
@@ -160,37 +157,15 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         if name not in EXPERIMENTS:
             print(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
             return 2
-    if args.tier == "fast":
-        import importlib
-        import inspect
-
-        # Attack-driven experiments report detection outcomes, not
-        # replay cycles, so their regenerate() takes no tier.
-        unsupported = [
-            n for n in names if "tier" not in inspect.signature(
-                importlib.import_module(f"repro.experiments.{n}").regenerate
-            ).parameters
-        ]
-        if unsupported:
-            print(
-                f"--tier fast is not supported for attack-driven "
-                f"experiment(s) {', '.join(unsupported)}: their results "
-                f"are detection outcomes, not replay cycles"
-            )
-            return 2
     names = list(dict.fromkeys(names))  # work-unit ids must be unique
     unit_kwargs = {"scale": args.scale, "seed": args.seed}
-    unit_payload = {"scale": args.scale, "seed": args.seed}
-    if args.tier != "accurate":
-        unit_kwargs["tier"] = args.tier
-        unit_payload["tier"] = args.tier
     units = [
         WorkUnit(
             uid=name,
             module=f"repro.experiments.{name}",
             func="regenerate",
             kwargs=dict(unit_kwargs),
-            key_payload={"experiment": name, **unit_payload},
+            key_payload={"experiment": name, **unit_kwargs},
         )
         for name in names
     ]
@@ -274,7 +249,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             retries=args.retries,
             live=args.live,
             progress_queue=progress_queue,
-            tier=args.tier,
         )
     except SweepError as error:
         # Structured failure: name the cell and the worker's error type
@@ -952,10 +926,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
     from repro.obs.runner import run_observed
     from repro.obs.sampler import DEFAULT_INTERVAL
 
-    if args.tier == "fast" and args.sample_interval:
-        print("--tier fast replays analytically: no sampler runs "
-              "(drop --sample-interval)")
-        return 2
     try:
         summary = run_observed(
             args.outdir,
@@ -968,7 +938,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             events=args.trace_out,
             o3=args.o3,
             progress=print,
-            tier=args.tier,
             diff=tuple(args.diff) if args.diff else None,
         )
     except ValueError as error:
@@ -981,45 +950,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_diff(args: argparse.Namespace) -> int:
     from pathlib import Path
 
-    from repro.obs.diff import (
-        build_fast_tier_diff,
-        build_trace_diff,
-        render_diff_text,
-        render_fast_tier_text,
-        write_trace_diff,
-    )
+    from repro.obs.diff import build_trace_diff, render_diff_text, write_trace_diff
 
-    if args.fast_tier:
-        artifact = build_fast_tier_diff(
-            benchmark=args.benchmark,
-            mode=args.mode,
-            scale=args.scale,
-            seed=args.seed,
-            top=args.top,
-        )
-        lines = render_fast_tier_text(artifact)
-    else:
-        if not args.dir:
-            print("diff needs a `repro run` directory (or --fast-tier)")
-            return 2
-        try:
-            artifact = build_trace_diff(
-                args.dir, args.a, args.b, top=args.top
-            )
-        except FileNotFoundError as error:
-            print(f"diff failed: {error}")
-            return 2
-        except ValueError as error:
-            print(f"diff failed: {error}")
-            return 2
-        lines = render_diff_text(artifact)
-    out = args.out
-    if out is None and args.dir and not args.fast_tier:
-        out = str(Path(args.dir) / "trace-diff.json")
-    if out is not None:
-        write_trace_diff(artifact, out)
-        print(f"wrote {out}")
-    print("\n".join(lines))
+    try:
+        artifact = build_trace_diff(args.dir, args.a, args.b, top=args.top)
+    except (FileNotFoundError, ValueError) as error:
+        print(f"diff failed: {error}")
+        return 2
+    out = args.out or str(Path(args.dir) / "trace-diff.json")
+    write_trace_diff(artifact, out)
+    print(f"wrote {out}")
+    print("\n".join(render_diff_text(artifact)))
     return 0
 
 
@@ -1059,10 +1000,6 @@ def main(argv=None) -> int:
     p_exp.add_argument("--retries", type=int, default=0, metavar="N",
                        help="extra attempts per failed unit before "
                             "quarantine")
-    p_exp.add_argument("--tier", choices=("accurate", "fast"),
-                       default="accurate",
-                       help="simulation tier (fast = analytical block "
-                            "replay; attack-driven experiments reject it)")
     p_exp.set_defaults(handler=_cmd_experiments)
 
     p_sweep = sub.add_parser(
@@ -1085,10 +1022,6 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--live", action="store_true",
                          help="stream per-cell sampler snapshots while "
                               "cells run (results are unaffected)")
-    p_sweep.add_argument("--tier", choices=("accurate", "fast"),
-                         default="accurate",
-                         help="simulation tier (fast = analytical block "
-                              "replay; incompatible with --live)")
     p_sweep.set_defaults(handler=_cmd_sweep)
 
     p_chaos = sub.add_parser(
@@ -1211,8 +1144,8 @@ def main(argv=None) -> int:
 
     p_bench = sub.add_parser(
         "bench",
-        help="simulate each bench mode on both tiers; --baseline checks "
-             "the result is identical",
+        help="simulate each bench mode; --baseline checks the result is "
+             "identical",
     )
     p_bench.add_argument("--benchmark", default="xalancbmk",
                          type=_benchmark_name)
@@ -1246,11 +1179,6 @@ def main(argv=None) -> int:
                        help="export structured events as JSONL")
     p_run.add_argument("--o3", action="store_true",
                        help="export a gem5 O3PipeView trace per mode")
-    p_run.add_argument("--tier", choices=("accurate", "fast"),
-                       default="accurate",
-                       help="simulation tier (fast = analytical block "
-                            "replay with a predicted-vs-measured "
-                            "divergence artifact per mode)")
     p_run.add_argument("--diff", nargs=2, metavar=("A", "B"),
                        help="also build the trace-diff artifact for "
                             "these two modes (requires --trace-out)")
@@ -1259,31 +1187,17 @@ def main(argv=None) -> int:
     p_diff = sub.add_parser(
         "diff", help="differential trace profile of two defense modes"
     )
-    p_diff.add_argument("dir", nargs="?", default=None,
+    p_diff.add_argument("dir",
                         help="repro run outdir (with --trace-out events)")
     p_diff.add_argument("--a", default="plain", metavar="MODE",
                         help="baseline mode (default plain)")
     p_diff.add_argument("--b", default="rest-debug", metavar="MODE",
                         help="compared mode (default rest-debug)")
     p_diff.add_argument("--top", type=_positive_int, default=20,
-                        help="top delta PCs / worst blocks to keep")
+                        help="top delta PCs to keep")
     p_diff.add_argument("--out", default=None, metavar="FILE",
                         help="artifact path (default: "
                              "<dir>/trace-diff.json)")
-    p_diff.add_argument("--fast-tier", action="store_true",
-                        help="score the fast tier's per-block cost "
-                             "table against cycle-accurate attribution "
-                             "instead of diffing two modes")
-    p_diff.add_argument("--benchmark", default="xalancbmk",
-                        type=_benchmark_name,
-                        help="fast-tier mode: benchmark to score")
-    p_diff.add_argument("--mode", default="rest-debug", type=_bench_mode,
-                        help="fast-tier mode: defense mode to score")
-    p_diff.add_argument("--scale", type=float, default=0.5,
-                        help="fast-tier mode: workload scale (needs to "
-                             "be big enough to leave post-slice blocks)")
-    p_diff.add_argument("--seed", type=int, default=1234,
-                        help="fast-tier mode: workload seed")
     p_diff.set_defaults(handler=_cmd_diff)
 
     p_rep = sub.add_parser(

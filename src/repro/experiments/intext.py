@@ -26,19 +26,15 @@ from repro.harness.reporting import format_table
 from repro.workloads.spec import ALL_PROFILES, profile_by_name
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234,
-               tier: str = "accurate") -> str:
+def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
     config = make_config(scale=scale, seed=seed)
     lines = []
 
     # -- per-mode microarchitectural effects on xalancbmk -------------------
     profile = profile_by_name("xalancbmk")
-    secure = run_benchmark(
-        profile, DefenseSpec.rest("Secure Full"), config, tier=tier
-    )
+    secure = run_benchmark(profile, DefenseSpec.rest("Secure Full"), config)
     debug = run_benchmark(
-        profile, DefenseSpec.rest("Debug Full", mode=Mode.DEBUG), config,
-        tier=tier,
+        profile, DefenseSpec.rest("Debug Full", mode=Mode.DEBUG), config
     )
     blocked_ratio = debug.core_stats.rob_blocked_by_store_cycles / max(
         1, secure.core_stats.rob_blocked_by_store_cycles
@@ -93,7 +89,7 @@ def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234,
             "PerfectHW Heap", protect_stack=False, perfect_hw=True
         ),
     ]
-    results = run_suite(ALL_PROFILES, specs, config, tier=tier)
+    results = run_suite(ALL_PROFILES, specs, config)
     plains = [results[b]["Plain"].runtime for b in results]
 
     def wtd(name: str) -> float:

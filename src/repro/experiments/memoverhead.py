@@ -40,11 +40,9 @@ def _measure(profile, defense_factory, scale: float, seed: int) -> Dict[str, flo
     }
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234,
-               tier: str = "accurate") -> str:
+def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
     # Memory overhead is measured in the trace phase (allocator and
-    # shadow bookkeeping); there is no replay, so ``tier`` is accepted
-    # for CLI uniformity but has no effect.
+    # shadow bookkeeping); there is no replay.
     factories = {
         label: get_plugin(label).factory for label in ("plain", "asan", "rest")
     }

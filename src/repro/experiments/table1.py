@@ -176,11 +176,7 @@ CHECKS: List[Tuple[str, str, Callable[[], bool]]] = [
 ]
 
 
-def regenerate(scale: float = 1.0, seed: int = 1234,
-               tier: str = "accurate") -> str:
-    # ``tier`` is accepted for CLI uniformity but has no effect: the
-    # conformance checks drive the hierarchy directly, with no trace
-    # replay for the fast tier to replace.
+def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
     rows = []
     for cell, specified, check in CHECKS:
         try:

@@ -1,29 +1,22 @@
-"""Opt-in analytical fast-tier simulator (``--tier fast``).
+"""Analytical fast-tier simulator, kept only as a measured library.
 
-Decomposes executed traces into basic blocks, characterizes a
-calibration slice against the cycle-accurate pipeline, memoizes block
-costs per ``(block shape, defense mode, cache-state class)`` and
-replays the steady state analytically — see
-:mod:`repro.fasttier.engine` for the full strategy writeup and
-INTERNALS §12 for the design rationale and divergence bounds.
+No ``repro`` surface replays through it: every cell is simulated
+cycle-accurately.  It survives because the ``cells-fast`` workload of
+``benchmarks/e2e`` measures :class:`FastTierEngine` against a cold
+:class:`BlockMemo`, and it is deleted together with that workload.
+See :mod:`repro.fasttier.engine` for the strategy and INTERNALS §12.
 """
 
 from repro.fasttier.engine import (
     DECLARED_TOLERANCE,
-    DEFAULT_MEMO,
     BlockMemo,
     FastTierEngine,
     FastTierResult,
 )
 
-#: CLI names of the simulation tiers.
-TIERS = ("accurate", "fast")
-
 __all__ = [
     "BlockMemo",
     "DECLARED_TOLERANCE",
-    "DEFAULT_MEMO",
     "FastTierEngine",
     "FastTierResult",
-    "TIERS",
 ]

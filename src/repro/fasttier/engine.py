@@ -1,4 +1,4 @@
-"""The analytical fast-tier engine (``--tier fast``).
+"""The analytical fast-tier engine.
 
 Strategy (SMARTS-flavoured characterize-then-extrapolate):
 
@@ -38,10 +38,6 @@ All replay arithmetic is integer fixed-point (``Q`` units) and the
 characterization solves its least squares in exact rationals, so
 results are bit-deterministic: a warm memo replay reproduces the cold
 run's stats byte-for-byte, which ``tests/test_fast_tier.py`` locks.
-
-The engine refuses nothing by itself — CLI surfaces that cannot be
-approximated (attack workloads needing cycle-exact detection latency,
-the foundry) reject ``--tier fast`` at argument-parsing time instead.
 """
 
 from __future__ import annotations
@@ -64,10 +60,9 @@ from repro.mem.dram import DramConfig
 Q = 1024
 
 #: Declared divergence tolerance of the fast tier: |fast - accurate| /
-#: accurate on total cycles, per workload x defense cell.  Measured
-#: divergence on the committed bench set is recorded in
-#: ``BENCH_simulator.json``; ``tests/test_fast_tier.py`` asserts every
-#: bench mode stays within this bound.
+#: accurate on total cycles, per workload x defense cell.
+#: ``tests/test_fast_tier.py`` asserts every bench mode at the bench
+#: scale stays within this bound.
 DECLARED_TOLERANCE = 0.10
 
 #: Default fraction of the trace characterized cycle-accurately.
@@ -147,10 +142,6 @@ class BlockMemo:
         self.entries.clear()
         self.hits = 0
         self.misses = 0
-
-
-#: Process-wide default memo (shared by ``run_benchmark`` calls).
-DEFAULT_MEMO = BlockMemo()
 
 
 def trace_fingerprint(trace: Sequence[MicroOp]) -> int:
@@ -353,24 +344,22 @@ class FastTierEngine:
                 return index + 1
         return len(blocks)
 
-    def _build_tables(
-        self, trace, blocks, n_slice, sigs, spec, config
-    ) -> Dict:
-        """Characterize the calibration slice cycle-accurately.
-
-        Shared by :meth:`_characterize` (the memoized fast-tier cold
-        path) and :meth:`score_blocks` (the trace-diff validation
-        pass).  The compute order is load-bearing: memo-warm replays
-        must be bit-identical to the cold run, so this helper performs
-        exactly the sequence the cold path always did.
-        """
+    def _characterize(self, trace, spec, config) -> Dict:
         from repro.cpu.pipeline import OutOfOrderCore
         from repro.harness.experiment import _make_hierarchy
 
+        total = len(trace)
+        blocks = split_blocks(trace, cap=self.block_cap)
+        n_slice = self._slice_block_count(blocks, total)
+
+        # One lean functional pass over the whole trace: every block's
+        # cache-state class, plus the lean miss rates the result
+        # reports.
+        sigs, lean = self._scan_signatures(trace, blocks, config)
+
+        # Cycle-accurate characterization of the calibration slice.
         slice_blocks = blocks[:n_slice]
         slice_uops = slice_blocks[-1].end if slice_blocks else 0
-
-        # Cycle-accurate characterization of the slice.
         hierarchy = _make_hierarchy(spec, config)
         core = OutOfOrderCore(hierarchy, config=config.core)
         boundaries = block_boundaries(slice_blocks)
@@ -405,35 +394,6 @@ class FastTierEngine:
             self._to_means(key_train),
             _fit_weights(fit_train),
         )
-        return {
-            "slice_uops": slice_uops,
-            "stats": stats,
-            "costs": costs,
-            "hierarchy": hierarchy,
-            "key_means": key_means,
-            "weights": weights,
-            "corr_exact": corr_exact,
-            "corr_model": corr_model,
-            "check": check,
-            "divergence_rows": rows,
-        }
-
-    def _characterize(self, trace, spec, config) -> Dict:
-        total = len(trace)
-        blocks = split_blocks(trace, cap=self.block_cap)
-        n_slice = self._slice_block_count(blocks, total)
-
-        # One lean functional pass over the whole trace: every block's
-        # cache-state class, plus the lean miss rates the result
-        # reports.
-        sigs, lean = self._scan_signatures(trace, blocks, config)
-
-        tables = self._build_tables(
-            trace, blocks, n_slice, sigs, spec, config
-        )
-        stats = tables["stats"]
-        key_means = tables["key_means"]
-        weights = tables["weights"]
 
         # Extrapolate the remainder now, so memo-warm replays are pure
         # result assembly with no per-block work.
@@ -441,7 +401,7 @@ class FastTierEngine:
             blocks, sigs, n_slice, key_means, weights, config
         )
         return {
-            "slice_uops": tables["slice_uops"],
+            "slice_uops": slice_uops,
             "total_uops": total,
             "n_blocks": len(blocks),
             "n_slice_blocks": n_slice,
@@ -450,85 +410,15 @@ class FastTierEngine:
             ),
             "slice_cycles": stats.cycles,
             "slice_stats": asdict(stats),
-            "hier_stats": asdict(tables["hierarchy"].stats),
-            "corr_exact_q": tables["corr_exact"],
-            "corr_model_q": tables["corr_model"],
-            "check": tables["check"],
-            "divergence_rows": tables["divergence_rows"],
-            "remainder": acc,
-            "remainder_op_counts": self._count_ops(
-                trace, tables["slice_uops"]
-            ),
-            "l1d_miss_rate": lean.l1d.miss_rate,
-            "l2_miss_rate": lean.l2.miss_rate,
-        }
-
-    def score_blocks(self, trace, spec, config) -> Dict:
-        """Score the fast tier's cost tables against full measurement.
-
-        Validation entry point for ``repro diff --fast-tier``: builds
-        the same calibration tables a fast-tier run would, then
-        measures EVERY block with ``run_attributed`` over the whole
-        trace and returns per-block rows pairing the measured cost
-        with the corrected prediction the extrapolation would have
-        charged (``predicted_q``, Q fixed point; ``path`` says whether
-        the block priced from the exact (shape, signature) table or
-        the fitted linear model).  Pure — never touches the memo.
-        """
-        trace = trace if isinstance(trace, list) else list(trace)
-        from repro.cpu.pipeline import OutOfOrderCore
-        from repro.harness.experiment import _make_hierarchy
-
-        blocks = split_blocks(trace, cap=self.block_cap)
-        n_slice = self._slice_block_count(blocks, len(trace))
-        sigs, _lean = self._scan_signatures(trace, blocks, config)
-        tables = self._build_tables(
-            trace, blocks, n_slice, sigs, spec, config
-        )
-        key_means = tables["key_means"]
-        weights = tables["weights"]
-        corr_exact = tables["corr_exact"]
-        corr_model = tables["corr_model"]
-
-        hierarchy = _make_hierarchy(spec, config)
-        core = OutOfOrderCore(hierarchy, config=config.core)
-        stats, costs = core.run_attributed(
-            trace, block_boundaries(blocks)
-        )
-
-        rows: List[Dict] = []
-        for index, block in enumerate(blocks):
-            sig = sigs[index]
-            shape = block.shape
-            mean = key_means.get((shape, sig))
-            if mean is not None:
-                path = "exact"
-                predicted_q = mean * corr_exact // Q
-            else:
-                path = "model"
-                predicted_q = (
-                    _model_cost(weights, shape, sig) * corr_model // Q
-                )
-            rows.append(
-                {
-                    "index": index,
-                    "start": block.start,
-                    "end": block.end,
-                    "shape": list(shape),
-                    "path": path,
-                    "in_slice": index < n_slice,
-                    "measured": costs[index],
-                    "predicted_q": predicted_q,
-                }
-            )
-        return {
-            "rows": rows,
-            "n_blocks": len(blocks),
-            "n_slice_blocks": n_slice,
-            "slice_uops": tables["slice_uops"],
-            "measured_cycles": stats.cycles,
+            "hier_stats": asdict(hierarchy.stats),
             "corr_exact_q": corr_exact,
             "corr_model_q": corr_model,
+            "check": check,
+            "divergence_rows": rows,
+            "remainder": acc,
+            "remainder_op_counts": self._count_ops(trace, slice_uops),
+            "l1d_miss_rate": lean.l1d.miss_rate,
+            "l2_miss_rate": lean.l2.miss_rate,
         }
 
     @staticmethod

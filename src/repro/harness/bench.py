@@ -1,13 +1,10 @@
 """Simulator identity check (``python -m repro bench``).
 
-Simulates one benchmark in each :data:`BENCH_MODES` defense mode, once
-on the cycle-accurate tier and once through the fast tier against a
-fresh block memo, and records what the simulated machine did: committed
-micro-ops and cycles, the fast tier's cycles, its divergence from the
-accurate tier, and the fast tier's calibration check.  Every field is a
-pure function of (benchmark, scale, seed), so the committed
-``BENCH_simulator.json`` equals a fresh run byte for byte; any
-difference means the simulator now computes something else.
+Simulates one benchmark in each :data:`BENCH_MODES` defense mode and
+records what the simulated machine did: committed micro-ops and
+cycles.  Every field is a pure function of (benchmark, scale, seed),
+so the committed ``BENCH_simulator.json`` equals a fresh run byte for
+byte; any difference means the simulator now computes something else.
 
 Host time is not measured here.  ``benchmarks/e2e`` is the one timing
 record of this repository.
@@ -48,16 +45,9 @@ def run_bench(
     seed: int = 1234,
     progress: Optional[Callable[[str], None]] = None,
 ) -> Dict:
-    """Simulate every bench mode on both tiers; returns the manifest.
-
-    Each mode's trace is generated once and replayed on a fresh
-    hierarchy and core, then through a :class:`FastTierEngine` with an
-    empty memo, so the fast tier characterizes cold.
-    """
-    from repro.cpu.pipeline import OutOfOrderCore
-    from repro.fasttier import DECLARED_TOLERANCE, BlockMemo, FastTierEngine
+    """Simulate every bench mode; returns the manifest."""
     from repro.harness.configs import SimulationConfig
-    from repro.harness.experiment import _make_hierarchy, build_trace
+    from repro.harness.experiment import run_benchmark
     from repro.obs.stalls import format_stall_line
     from repro.workloads.spec import profile_by_name
 
@@ -69,27 +59,11 @@ def run_bench(
         "benchmark": benchmark,
         "scale": scale,
         "seed": seed,
-        "declared_tolerance_pct": DECLARED_TOLERANCE * 100.0,
         "modes": {},
     }
     for name in BENCH_MODES:
-        spec = specs[name]
-        trace, _ = build_trace(profile, spec, config)
-        core = OutOfOrderCore(
-            _make_hierarchy(spec, config), config=config.core
-        )
-        stats = core.run(trace)
-        fast = FastTierEngine(BlockMemo()).run(trace, spec, config)
-        divergence = 100.0 * (fast.stats.cycles - stats.cycles) / (
-            stats.cycles or 1
-        )
-        entry = {
-            "uops": stats.committed,
-            "cycles": stats.cycles,
-            "fast_cycles": fast.stats.cycles,
-            "divergence_pct": round(divergence, 2),
-            "fast_check": dict(fast.divergence.get("check", {})),
-        }
+        stats = run_benchmark(profile, specs[name], config).core_stats
+        entry = {"uops": stats.committed, "cycles": stats.cycles}
         manifest["modes"][name] = entry
         if progress is not None:
             progress(
@@ -97,10 +71,6 @@ def run_bench(
                 f"{entry['cycles']:>8,} cycles"
             )
             progress(f"{'':12s} {format_stall_line(stats)}")
-            progress(
-                f"{'':12s} fast tier: {entry['fast_cycles']:,} cycles "
-                f"({entry['divergence_pct']:+.2f}% vs accurate)"
-            )
     return manifest
 
 

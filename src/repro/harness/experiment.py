@@ -42,14 +42,6 @@ class RunResult:
     hierarchy_stats: object
     l1d_miss_rate: float
     l2_miss_rate: float
-    #: Which simulation tier produced the replay ("accurate" or
-    #: "fast").  Fast runs also carry the engine's meta and divergence
-    #: payloads; :func:`repro.obs.runner.run_observed` reads both
-    #: (``memo_hit`` and the block count from ``fast_meta``) for its
-    #: ``fasttier-<mode>.json`` artifact and progress line.
-    tier: str = "accurate"
-    fast_meta: Optional[Dict] = None
-    fast_divergence: Optional[Dict] = None
 
     @property
     def runtime(self) -> float:
@@ -156,7 +148,6 @@ def run_benchmark(
     config: Optional[SimulationConfig] = None,
     on_sample: Optional[Callable] = None,
     sample_interval: Optional[int] = None,
-    tier: str = "accurate",
     tracer=None,
 ) -> RunResult:
     """Simulate one benchmark under one defense spec.
@@ -173,45 +164,9 @@ def run_benchmark(
     entries) do not depend on whether a run was observed.  ``tracer``
     observes both phases: trace generation, then every hook point of
     the replaying core.
-
-    ``tier="fast"`` replays the generated trace through the analytical
-    fast tier (:mod:`repro.fasttier`) instead of the cycle-accurate
-    core, sharing the process-wide block memo so repeated runs of the
-    same cell replay from the characterization.  The sampler and the
-    tracer need the real pipeline, so they require the accurate tier.
     """
-    from repro.fasttier import TIERS
-
-    if tier not in TIERS:
-        raise ValueError(f"unknown tier {tier!r}; known: {', '.join(TIERS)}")
-    if tier == "fast" and (on_sample is not None or tracer is not None):
-        raise ValueError(
-            "the fast tier replays analytically: the interval sampler, "
-            "per-uop events and O3 pipeline view need the cycle-accurate "
-            "pipeline; use tier='accurate'"
-        )
     config = config or SimulationConfig()
     trace, workload_stats = build_trace(profile, spec, config, tracer)
-
-    if tier == "fast":
-        from repro.fasttier import DEFAULT_MEMO, FastTierEngine
-
-        fast = FastTierEngine(DEFAULT_MEMO).run(trace, spec, config)
-        return RunResult(
-            benchmark=profile.name,
-            spec=spec,
-            cycles=fast.stats.cycles,
-            instructions=fast.stats.committed,
-            app_instructions=workload_stats.app_instructions,
-            core_stats=fast.stats,
-            workload_stats=workload_stats,
-            hierarchy_stats=fast.hierarchy_stats,
-            l1d_miss_rate=fast.l1d_miss_rate,
-            l2_miss_rate=fast.l2_miss_rate,
-            tier="fast",
-            fast_meta=fast.meta,
-            fast_divergence=fast.divergence,
-        )
 
     hierarchy = _make_hierarchy(spec, config)
     core = OutOfOrderCore(hierarchy, config=config.core)
@@ -251,7 +206,6 @@ def run_suite(
     config: Optional[SimulationConfig] = None,
     include_plain: bool = True,
     progress: Optional[Callable[[str], None]] = None,
-    tier: str = "accurate",
 ) -> Dict[str, Dict[str, RunResult]]:
     """Run every (benchmark, spec) pair; returns results[bench][spec].
 
@@ -268,8 +222,6 @@ def run_suite(
         for spec in all_specs:
             if progress is not None:
                 progress(f"{profile.name} / {spec.name}")
-            per_bench[spec.name] = run_benchmark(
-                profile, spec, config, tier=tier
-            )
+            per_bench[spec.name] = run_benchmark(profile, spec, config)
         results[profile.name] = per_bench
     return results

@@ -98,7 +98,6 @@ def run_cell(
     seed: int,
     live: bool = False,
     sample_interval: Optional[int] = None,
-    tier: str = "accurate",
 ) -> Dict[str, float]:
     """Picklable work unit: one (benchmark, spec, seed) simulation.
 
@@ -124,7 +123,6 @@ def run_cell(
         config,
         on_sample=on_sample,
         sample_interval=sample_interval,
-        tier=tier,
     )
     return {
         "runtime": result.runtime,
@@ -140,16 +138,12 @@ def sweep_units(
     scale: float,
     live: bool = False,
     sample_interval: Optional[int] = None,
-    tier: str = "accurate",
 ) -> List[WorkUnit]:
     """One work unit per (benchmark, spec, seed) cell, Plain included.
 
     ``live``/``sample_interval`` only change *how* a cell runs (sampled
     replay with streaming snapshots), never what it computes, so they
-    go into ``kwargs`` but not ``key_payload``.  ``tier`` changes the
-    computed numbers, so a non-default tier goes into *both* — fast
-    and accurate sweeps must never share cache entries (and existing
-    accurate caches stay valid because the default adds no key).
+    go into ``kwargs`` but not ``key_payload``.
     """
     all_specs = [DefenseSpec.plain()] + [
         spec for spec in specs if not is_baseline(spec.defense)
@@ -170,9 +164,6 @@ def sweep_units(
                     "spec": spec.key_payload(),
                     "config": config.key_payload(),
                 }
-                if tier != "accurate":
-                    kwargs["tier"] = tier
-                    key_payload["tier"] = tier
                 if live:
                     kwargs["live"] = True
                     if sample_interval is not None:
@@ -238,7 +229,6 @@ def seed_sweep(
     live: bool = False,
     sample_interval: Optional[int] = None,
     progress_queue=None,
-    tier: str = "accurate",
 ) -> Dict[str, SweepResult]:
     """Run the suite once per seed; returns overhead stats per spec.
 
@@ -261,13 +251,9 @@ def seed_sweep(
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be unique (duplicate cells would "
                          "collapse to one cached work unit)")
-    if live and tier == "fast":
-        raise ValueError("--live streams interval-sampler snapshots from "
-                         "the cycle-accurate pipeline; it cannot be "
-                         "combined with tier='fast'")
     units = sweep_units(
         profiles, specs, seeds, scale, live=live,
-        sample_interval=sample_interval, tier=tier,
+        sample_interval=sample_interval,
     )
     results = execute_units(
         units,

@@ -29,10 +29,9 @@ match again, and classify the skipped entries as one-sided
 insertions.  Greedy and deterministic; squash-tolerant because only
 committed instructions are aligned.
 
-Both the mode diff and the fast-tier validation diff are emitted as a
-canonical ``trace-diff/v1`` JSON artifact: pure-integer content,
-sorted keys, deterministic tie-breaks — byte-identical across
-repeated runs of the same configuration.
+The mode diff is emitted as a canonical ``trace-diff/v1`` JSON
+artifact: pure-integer content, sorted keys, deterministic tie-breaks
+— byte-identical across repeated runs of the same configuration.
 """
 
 from __future__ import annotations
@@ -331,7 +330,7 @@ def _mode_section(root: Path, name: str, entry: Dict) -> Dict:
     if not events_file:
         raise ValueError(
             f"mode {name!r} has no events_file in run.json — rerun "
-            "`repro run` with --trace-out (accurate tier)"
+            "`repro run` with --trace-out"
         )
     path = root / events_file
     if not path.exists():
@@ -388,9 +387,10 @@ def build_trace_diff(
             raise FileNotFoundError(f"{run_path} not found")
         run = json.loads(run_path.read_text())
     if run.get("tier", "accurate") != "accurate":
+        # Run directories written by the retired fast tier say so.
         raise ValueError(
-            "trace diff needs per-uop events; the fast tier records "
-            "none — rerun with --tier accurate"
+            "trace diff needs per-uop events; a fast tier run records "
+            "none — rerun with `repro run --trace-out`"
         )
     modes = run.get("modes", {})
     for name in (mode_a, mode_b):
@@ -481,155 +481,6 @@ def build_trace_diff(
     return artifact
 
 
-# -- fast-tier validation diff ---------------------------------------------
-
-#: Signed-error histogram band edges (percent).
-_ERROR_BANDS = (-50, -20, -10, -5, 5, 10, 20, 50)
-
-
-def _band_label(lo, hi) -> str:
-    if lo is None:
-        return f"< {hi}%"
-    if hi is None:
-        return f">= {lo}%"
-    return f"[{lo}%, {hi}%)"
-
-
-def _error_distribution(errors_bp: List[int]) -> Dict:
-    """Distribution summary of signed errors in basis points."""
-    if not errors_bp:
-        return {"blocks": 0}
-    ordered = sorted(errors_bp)
-    n = len(ordered)
-    pct = lambda bp: bp / 100.0  # noqa: E731
-    percentiles = {
-        f"p{q}": pct(ordered[q * (n - 1) // 100])
-        for q in (5, 25, 50, 75, 95)
-    }
-    edges = (None,) + _ERROR_BANDS + (None,)
-    histogram = {}
-    for i in range(len(edges) - 1):
-        lo, hi = edges[i], edges[i + 1]
-        count = sum(
-            1
-            for bp in ordered
-            if (lo is None or bp >= lo * 100)
-            and (hi is None or bp < hi * 100)
-        )
-        histogram[_band_label(lo, hi)] = count
-    return {
-        "blocks": n,
-        "mean_abs_pct": round(
-            sum(abs(bp) for bp in ordered) / (100.0 * n), 2
-        ),
-        **{k: round(v, 2) for k, v in percentiles.items()},
-        "histogram": histogram,
-    }
-
-
-def build_fast_tier_diff(
-    benchmark: str = "xalancbmk",
-    mode: str = "rest-debug",
-    scale: float = 0.5,
-    seed: int = 1234,
-    top: int = 12,
-) -> Dict:
-    """Score the fast tier's per-block cost table cycle-accurately.
-
-    Regenerates the (deterministic) trace for one benchmark/mode cell,
-    asks :meth:`repro.fasttier.engine.FastTierEngine.score_blocks` for
-    the corrected per-block predictions, measures every block with
-    ``run_attributed`` over the *whole* trace, and reports the
-    per-block prediction-error distribution plus the worst-predicted
-    blocks — turning the fast tier's ±10% end-to-end bound into a
-    distribution over blocks.  Only post-slice blocks are scored: the
-    slice is measured, not predicted.
-    """
-    from repro.fasttier.engine import Q, DECLARED_TOLERANCE, FastTierEngine
-    from repro.harness.bench import bench_specs
-    from repro.harness.configs import SimulationConfig
-    from repro.harness.experiment import build_trace
-    from repro.workloads.spec import profile_by_name
-
-    specs = bench_specs()
-    if mode not in specs:
-        raise ValueError(
-            f"unknown mode {mode!r}; known: {', '.join(specs)}"
-        )
-    spec = specs[mode]
-    profile = profile_by_name(benchmark)
-    config = SimulationConfig(scale=scale, seed=seed)
-    trace, _ = build_trace(profile, spec, config)
-
-    engine = FastTierEngine()  # private memo; scoring is a pure pass
-    score = engine.score_blocks(trace, spec, config)
-
-    scored = [r for r in score["rows"] if not r["in_slice"]]
-    errors_bp: List[int] = []
-    worst: List[Dict] = []
-    measured_post = predicted_post_q = 0
-    for row in scored:
-        measured = row["measured"]
-        predicted_q = row["predicted_q"]
-        measured_post += measured
-        predicted_post_q += predicted_q
-        if measured <= 0:
-            continue
-        bp = (predicted_q - measured * Q) * 10000 // (measured * Q)
-        errors_bp.append(bp)
-        worst.append(
-            {
-                "index": row["index"],
-                "start": row["start"],
-                "end": row["end"],
-                "shape": row["shape"],
-                "path": row["path"],
-                "measured_cycles": measured,
-                "predicted_cycles": round(predicted_q / Q, 2),
-                "error_pct": round(bp / 100.0, 2),
-            }
-        )
-    worst.sort(
-        key=lambda r: (
-            -abs(r["predicted_cycles"] - r["measured_cycles"]),
-            r["index"],
-        )
-    )
-    predicted_post = predicted_post_q // Q
-    divergence_pct = (
-        round(
-            100.0 * (predicted_post - measured_post) / measured_post, 2
-        )
-        if measured_post
-        else 0.0
-    )
-    return {
-        "format": TRACE_DIFF_FORMAT,
-        "kind": "fast-tier",
-        "benchmark": benchmark,
-        "mode": mode,
-        "scale": scale,
-        "seed": seed,
-        "blocks": {
-            "total": score["n_blocks"],
-            "slice": score["n_slice_blocks"],
-            "scored": len(scored),
-            "model_path": sum(
-                1 for r in scored if r["path"] == "model"
-            ),
-        },
-        "end_to_end": {
-            "measured_post_slice_cycles": measured_post,
-            "predicted_post_slice_cycles": predicted_post,
-            "divergence_pct": divergence_pct,
-            "measured_total_cycles": score["measured_cycles"],
-            "declared_tolerance_pct": DECLARED_TOLERANCE * 100.0,
-        },
-        "error_pct": _error_distribution(errors_bp),
-        "worst_blocks": worst[:top],
-    }
-
-
 # -- artifact IO and rendering ---------------------------------------------
 
 
@@ -716,60 +567,4 @@ def render_diff_text(artifact: Dict) -> List[str]:
             f"({artifact['timeline']['pairs']:,} aligned commits):"
         )
         lines.append(f"    {sparkline(points)}")
-    return lines
-
-
-def render_fast_tier_text(artifact: Dict) -> List[str]:
-    """Render a ``kind == "fast-tier"`` artifact as report/CLI lines."""
-    blocks = artifact["blocks"]
-    e2e = artifact["end_to_end"]
-    dist = artifact["error_pct"]
-    lines = [
-        f"fast-tier validation — {artifact['mode']} @ "
-        f"{artifact['benchmark']} scale {artifact['scale']} "
-        f"({artifact['format']})",
-        f"  blocks: {blocks['total']:,} total, {blocks['slice']:,} "
-        f"calibration slice, {blocks['scored']:,} scored "
-        f"({blocks['model_path']:,} via fitted model)",
-    ]
-    if not dist.get("blocks"):
-        lines.append(
-            "  nothing to score: the whole trace fit in the "
-            "calibration slice (increase --scale)"
-        )
-        return lines
-    lines.append(
-        f"  post-slice cycles: measured "
-        f"{e2e['measured_post_slice_cycles']:,}, predicted "
-        f"{e2e['predicted_post_slice_cycles']:,} "
-        f"({_signed(e2e['divergence_pct'])}%, declared tolerance "
-        f"±{e2e['declared_tolerance_pct']:.0f}%)"
-    )
-    lines.append(
-        f"  per-block error: mean |e| {dist['mean_abs_pct']}%  "
-        f"p5 {dist['p5']}%  p25 {dist['p25']}%  p50 {dist['p50']}%  "
-        f"p75 {dist['p75']}%  p95 {dist['p95']}%"
-    )
-    lines.append("  error histogram:")
-    peak = max(dist["histogram"].values(), default=0)
-    for band, count in dist["histogram"].items():
-        if not count:
-            continue
-        bar = "#" * max(1, count * 30 // peak) if peak else ""
-        lines.append(f"    {band:<12} {count:>6,}  {bar}")
-    worst = artifact["worst_blocks"]
-    if worst:
-        lines.append("  worst-predicted blocks (by absolute cycles):")
-        lines.append(
-            f"    {'block':>6} {'uops':>11} {'path':<6} "
-            f"{'measured':>10} {'predicted':>11} {'error':>8}"
-        )
-        for row in worst:
-            span = f"{row['start']}..{row['end']}"
-            lines.append(
-                f"    {row['index']:>6} {span:>11} {row['path']:<6} "
-                f"{row['measured_cycles']:>10,} "
-                f"{row['predicted_cycles']:>11,.1f} "
-                f"{_signed(row['error_pct']):>7}%"
-            )
     return lines

@@ -148,62 +148,6 @@ def _sample_section(root: Path, entry: Dict) -> List[str]:
     return lines
 
 
-def _fasttier_section(root: Path, entry: Dict) -> List[str]:
-    """Predicted-vs-measured divergence of an analytical fast-tier run.
-
-    Renders the calibration check (the out-of-sample half of the
-    characterized slice) and the heaviest per-block-class rows from
-    ``fasttier-<mode>.json``; absent for accurate-tier runs.
-    """
-    fast_file = entry.get("fasttier_file")
-    if not fast_file:
-        return []
-    if not (root / fast_file).is_file():
-        return [f"  fast tier: {fast_file} missing — section skipped"]
-    try:
-        payload = json.loads((root / fast_file).read_text())
-    except (OSError, json.JSONDecodeError):
-        return [f"  fast tier: {fast_file} unreadable — section skipped"]
-    meta = payload.get("meta", {})
-    divergence = payload.get("divergence", {})
-    check = divergence.get("check", {})
-    lines = [
-        "  fast tier: "
-        f"{meta.get('slice_uops', 0):,} uops characterized, "
-        f"{meta.get('remainder_uops', 0):,} extrapolated "
-        f"(corrections exact {meta.get('correction_exact', 1.0)}, "
-        f"model {meta.get('correction_model', 1.0)})"
-    ]
-    measured = check.get("measured_cycles", 0)
-    predicted = check.get("predicted_cycles", 0)
-    if measured:
-        lines.append(
-            f"  calibration check (out-of-sample slice half): "
-            f"{check.get('blocks', 0):,} blocks, "
-            f"predicted {predicted:,} vs measured {measured:,} cycles "
-            f"({100.0 * (predicted - measured) / measured:+.2f}%; "
-            f"end-to-end divergence is gated at "
-            f"±{divergence.get('declared_tolerance_pct', 0):.0f}% "
-            f"by `tests/test_fast_tier.py`)"
-        )
-    rows = divergence.get("per_block_class", [])
-    if rows:
-        lines.append(
-            f"  {'block class':>22s} {'blocks':>7s} {'measured':>10s} "
-            f"{'predicted':>10s} {'div%':>7s}"
-        )
-        for row in rows[:8]:
-            shape = row.get("shape", [])
-            label = "/".join(str(v) for v in shape[:4]) or "?"
-            lines.append(
-                f"  {label:>22s} {row.get('blocks', 0):>7,} "
-                f"{row.get('measured_cycles', 0.0):>10,.0f} "
-                f"{row.get('predicted_cycles', 0.0):>10,.0f} "
-                f"{row.get('divergence_pct', 0.0):>+7.2f}"
-            )
-    return lines
-
-
 def _event_section(root: Path, entry: Dict) -> List[str]:
     lines: List[str] = []
     events_file = entry.get("events_file")
@@ -232,20 +176,16 @@ def _diff_section(root: Path) -> List[str]:
         except (OSError, json.JSONDecodeError):
             lines.extend(["", f"{path.name}: unreadable — skipped"])
             continue
-        if artifact.get("format") != "trace-diff/v1":
+        # Earlier versions also wrote a "fast-tier" kind; skip it.
+        if (
+            artifact.get("format") != "trace-diff/v1"
+            or artifact.get("kind") != "modes"
+        ):
             continue
-        from repro.obs.diff import (
-            render_diff_text,
-            render_fast_tier_text,
-        )
+        from repro.obs.diff import render_diff_text
 
-        render = (
-            render_fast_tier_text
-            if artifact.get("kind") == "fast-tier"
-            else render_diff_text
-        )
         lines.append("")
-        lines.extend(render(artifact))
+        lines.extend(render_diff_text(artifact))
     return lines
 
 
@@ -356,7 +296,6 @@ def render_text(path: Union[str, Path]) -> str:
             out.append("")
             out.extend(_waterfall_lines(mode_name, entry))
             out.extend(_sample_section(root, entry))
-            out.extend(_fasttier_section(root, entry))
             out.extend(_event_section(root, entry))
         out.extend(_diff_section(root))
     else:
@@ -539,8 +478,7 @@ def _html_diff(root: Path) -> List[str]:
     """HTML rendering of ``trace-diff/v1`` artifacts in a run dir.
 
     The mode diff gets a side-by-side bucket table and a top-delta-PC
-    table; fast-tier validation artifacts reuse their text rendering
-    (tabular monospace) inside a styled block.
+    table.
     """
     parts: List[str] = []
     for path in sorted(root.glob("trace-diff*.json")):
@@ -552,23 +490,13 @@ def _html_diff(root: Path) -> List[str]:
                 "unreadable — skipped</p>"
             )
             continue
-        if artifact.get("format") != "trace-diff/v1":
+        if (
+            artifact.get("format") != "trace-diff/v1"
+            or artifact.get("kind") != "modes"
+        ):
             continue
-        from repro.obs.diff import (
-            UNATTRIBUTED_PC,
-            render_fast_tier_text,
-        )
+        from repro.obs.diff import UNATTRIBUTED_PC
 
-        if artifact.get("kind") == "fast-tier":
-            parts.append(
-                f"<h2>fast-tier validation — "
-                f"{_html.escape(str(artifact.get('mode')))}</h2>"
-            )
-            for line in render_fast_tier_text(artifact):
-                parts.append(
-                    f'<div class="spark">{_html.escape(line)}</div>'
-                )
-            continue
         a, b = artifact["a"], artifact["b"]
         ea, eb = artifact["modes"][a], artifact["modes"][b]
         parts.append(
@@ -678,10 +606,6 @@ def render_html(path: Union[str, Path]) -> str:
             for line in _sample_section(root, entry):
                 parts.append(
                     f'<div class="spark">{_html.escape(line)}</div>'
-                )
-            for line in _fasttier_section(root, entry):
-                parts.append(
-                    f'<div class="muted">{_html.escape(line)}</div>'
                 )
             for line in _event_section(root, entry):
                 parts.append(

@@ -9,11 +9,9 @@ directory::
       run.json              summary: config, per-mode cycles/CPI and
                             verified stall buckets, artifact paths
       stats-<mode>.txt      full gem5-style stats dump (incl. stalls)
-      samples-<mode>.jsonl  interval time series (accurate tier)
+      samples-<mode>.jsonl  interval time series
       events-<mode>.jsonl   structured event trace (--trace-out)
       o3-<mode>.trace       gem5 O3PipeView pipeline trace (--o3)
-      fasttier-<mode>.json  predicted-vs-measured divergence of the
-                            analytical replay (--tier fast)
 
 ``repro report <outdir>`` renders the directory as a text or HTML
 dashboard (see :mod:`repro.obs.report`).
@@ -41,7 +39,6 @@ def run_observed(
     events: bool = False,
     o3: bool = False,
     progress: Optional[Callable[[str], None]] = None,
-    tier: str = "accurate",
     diff: Optional[Tuple[str, str]] = None,
 ) -> Dict:
     """Run ``benchmark`` under each mode with observability attached.
@@ -50,17 +47,10 @@ def run_observed(
     and O3PipeView export are opt-in because they record per-uop data;
     sampling and stall accounting are always on — they are cheap.
 
-    ``tier="fast"`` replays each mode through the analytical fast tier
-    instead of the cycle-accurate core.  There is no pipeline to
-    observe, so the sampler, event tracer, and O3 export are
-    unavailable; each mode instead gets a ``fasttier-<mode>.json``
-    artifact with the calibration check and the per-block-class
-    predicted-vs-measured divergence that ``repro report`` renders.
-
     ``diff=(mode_a, mode_b)`` additionally builds the trace-diff/v1
     artifact (``trace-diff.json``, see :mod:`repro.obs.diff`) from the
     two modes' event streams before ``run.json`` is written; requires
-    ``events=True`` and the accurate tier.
+    ``events=True``.
     """
     from repro.harness.bench import BENCH_MODES, bench_specs
     from repro.harness.configs import SimulationConfig
@@ -79,8 +69,8 @@ def run_observed(
     if diff is not None:
         if not events:
             raise ValueError(
-                "diff needs the per-uop event streams: use the accurate "
-                "tier with events=True (`repro run --trace-out`)"
+                "diff needs the per-uop event streams: use "
+                "events=True (`repro run --trace-out`)"
             )
         for name in diff:
             if name not in mode_names:
@@ -95,7 +85,6 @@ def run_observed(
         "scale": scale,
         "seed": seed,
         "interval": interval,
-        "tier": tier,
         "modes": {},
     }
     for name in mode_names:
@@ -106,9 +95,8 @@ def run_observed(
             profile,
             spec,
             config,
-            on_sample=samples.append if tier == "accurate" else None,
+            on_sample=samples.append,
             sample_interval=interval,
-            tier=tier,
             tracer=tracer,
         )
         stats = result.core_stats
@@ -122,30 +110,6 @@ def run_observed(
         }
         (out / entry["stats_file"]).write_text(format_stats(result) + "\n")
         payload["modes"][name] = entry
-
-        if result.tier == "fast":
-            entry["tier"] = "fast"
-            entry["fasttier_file"] = f"fasttier-{name}.json"
-            entry["memo_hit"] = result.fast_meta["memo_hit"]
-            (out / entry["fasttier_file"]).write_text(
-                json.dumps(
-                    {
-                        "meta": result.fast_meta,
-                        "divergence": result.fast_divergence,
-                    },
-                    indent=2,
-                    sort_keys=True,
-                )
-                + "\n"
-            )
-            if progress is not None:
-                progress(
-                    f"{name:12s} {stats.cycles:>10,} cycles  "
-                    f"CPI {stats.cpi:.2f}  fast tier "
-                    f"({result.fast_meta['extrapolated_blocks']} blocks "
-                    f"extrapolated)"
-                )
-            continue
 
         entry["samples_file"] = f"samples-{name}.jsonl"
         entry["sample_count"] = len(samples)

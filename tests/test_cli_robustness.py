@@ -66,22 +66,30 @@ class TestCliRobustness:
         ["run", "--outdir", "{tmp}", "--benchmark", "bogus"],
         ["bench", "--benchmark", "bogus"],
         ["trace", "record", "{tmp}/f", "--benchmark", "bogus"],
-        ["diff", "--fast-tier", "--benchmark", "bogus"],
         ["sweep", "--benchmarks", "bogus"],
         ["run", "--outdir", "{tmp}", "--modes", "bogus"],
-        ["diff", "--fast-tier", "--mode", "bogus"],
+        # Spellings of the retired fast tier: plain usage errors now.
+        ["run", "--outdir", "{tmp}", "--tier", "fast"],
+        ["sweep", "--tier", "fast"],
+        ["experiments", "fig7", "--tier", "fast"],
+        ["diff", "{tmp}", "--fast-tier"],
     ],
     ids=" ".join,
 )
 def test_unknown_cell_name_exits_2(argv, tmp_path, capsys):
-    """A bad benchmark or mode name is a usage error naming the known
-    names, raised before any cell is simulated."""
+    """A bad benchmark or mode name, or a removed flag, is a usage
+    error (naming the known names), raised before any cell is
+    simulated."""
     argv = [arg.replace("{tmp}", str(tmp_path / "out")) for arg in argv]
     with pytest.raises(SystemExit) as err:
         run_cli(argv)
     assert err.value.code == 2
     errors = capsys.readouterr().err
-    assert "unknown" in errors and "'bogus'; known: " in errors
+    if "bogus" in argv:
+        assert "unknown" in errors and "'bogus'; known: " in errors
+    else:
+        assert "unrecognized arguments: --" in errors
+    assert "Traceback" not in errors
     assert not (tmp_path / "out").exists()
 
 

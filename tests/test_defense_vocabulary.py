@@ -73,7 +73,7 @@ class TestBaseline:
 
         ran = []
 
-        def fake_run(profile, spec, config, tier):
+        def fake_run(profile, spec, config):
             ran.append(spec.name)
             return spec.name
 
@@ -204,13 +204,6 @@ class TestCliVocabulary:
         with pytest.raises(SystemExit) as err:
             run_cli(["foundry", "--cases", "9", "--defenses", "plain"])
         assert err.value.code == 2
-
-    def test_defensezoo_rejects_fast_tier(self):
-        code, output = run_cli(
-            ["experiments", "defensezoo", "--tier", "fast"]
-        )
-        assert code == 2
-        assert "not supported" in output
 
 
 class TestScaleCaps:

@@ -4,8 +4,7 @@ Covers the anchor-and-resync aligner, the per-PC apportionment
 invariant (column sums equal the aggregate buckets exactly, under
 hypothesis-generated carriers and clamped buckets), the committed
 stream identity checks, the canonical trace-diff/v1 artifact
-(determinism, token-site attribution), the fast-tier per-block
-validation mode, and the CLI surface.
+(determinism, token-site attribution), and the CLI surface.
 """
 
 import json
@@ -18,13 +17,11 @@ from repro.obs.diff import (
     CAUSE_BUCKET,
     UNATTRIBUTED_PC,
     align_streams,
-    build_fast_tier_diff,
     build_trace_diff,
     check_commit_invariants,
     committed_stream,
     per_pc_attribution,
     render_diff_text,
-    render_fast_tier_text,
     write_trace_diff,
 )
 from repro.obs.stalls import STALL_BUCKETS, largest_remainder
@@ -327,63 +324,6 @@ class TestTraceDiffArtifact:
             build_trace_diff(tmp_path, "plain", "rest-debug")
 
 
-class TestFastTierDiff:
-    @pytest.fixture(scope="class")
-    def artifact(self):
-        # Big enough to leave post-slice blocks to score (the fast
-        # tier degenerates to all-slice below ~12k uops).
-        return build_fast_tier_diff(scale=0.4, seed=1234)
-
-    def test_scores_post_slice_blocks(self, artifact):
-        blocks = artifact["blocks"]
-        assert blocks["scored"] > 0
-        assert blocks["scored"] == blocks["total"] - blocks["slice"]
-        assert artifact["error_pct"]["blocks"] > 0
-
-    def test_distribution_shape(self, artifact):
-        dist = artifact["error_pct"]
-        for key in ("p5", "p25", "p50", "p75", "p95", "mean_abs_pct"):
-            assert key in dist
-        assert dist["p5"] <= dist["p50"] <= dist["p95"]
-        assert sum(dist["histogram"].values()) == dist["blocks"]
-
-    def test_end_to_end_consistent_with_declared_tolerance(self, artifact):
-        """Per-block errors are wide but must cancel: the post-slice
-        aggregate has to stay in the neighbourhood of the committed
-        BENCH_simulator.json divergence (gated at ±10% end to end)."""
-        e2e = artifact["end_to_end"]
-        assert e2e["measured_post_slice_cycles"] > 0
-        assert abs(e2e["divergence_pct"]) <= 15.0
-        assert e2e["declared_tolerance_pct"] == 10.0
-
-    def test_worst_blocks_sorted_by_absolute_miss(self, artifact):
-        worst = artifact["worst_blocks"]
-        assert worst
-        misses = [
-            abs(row["predicted_cycles"] - row["measured_cycles"])
-            for row in worst
-        ]
-        assert misses == sorted(misses, reverse=True)
-
-    def test_deterministic(self, artifact):
-        again = build_fast_tier_diff(scale=0.4, seed=1234)
-        assert json.dumps(artifact, sort_keys=True) == json.dumps(
-            again, sort_keys=True
-        )
-
-    def test_render(self, artifact):
-        text = "\n".join(render_fast_tier_text(artifact))
-        assert "fast-tier validation" in text
-        assert "per-block error" in text
-        assert "worst-predicted blocks" in text
-
-    def test_degenerate_scale_reports_nothing_to_score(self):
-        artifact = build_fast_tier_diff(scale=0.05, seed=1234)
-        assert artifact["blocks"]["scored"] == 0
-        text = "\n".join(render_fast_tier_text(artifact))
-        assert "nothing to score" in text
-
-
 class TestDiffCli:
     def test_diff_cli_writes_artifact(self, diff_run, tmp_path, capsys):
         from repro.__main__ import main
@@ -402,11 +342,13 @@ class TestDiffCli:
         assert main(["diff", str(tmp_path / "nope")]) == 2
         assert "diff failed" in capsys.readouterr().out
 
-    def test_diff_cli_requires_dir_or_fast_tier(self, capsys):
+    def test_diff_cli_requires_dir(self, capsys):
         from repro.__main__ import main
 
-        assert main(["diff"]) == 2
-        assert "fast-tier" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as err:
+            main(["diff"])
+        assert err.value.code == 2
+        assert "dir" in capsys.readouterr().err
 
     def test_run_cli_rejects_diff_without_trace_out(self, tmp_path, capsys):
         from repro.__main__ import main

@@ -151,6 +151,36 @@ class TestIntextMechanisms:
             ), profile.name
 
 
+    def test_token_lines_reach_memory_only_past_l2_capacity(self):
+        """Tokens/kilo-instruction at L2/memory is 0.000 against the
+        paper's 0.04 because no committed scale evicts a token line
+        from the 2 MiB L2.  The counter is live: a 256 KiB L2 writes
+        token lines back.  Token lines are never filled from memory."""
+        from dataclasses import replace
+
+        from repro.harness.configs import DefenseSpec, SimulationConfig
+        from repro.harness.experiment import run_benchmark
+
+        profile = profile_by_name("xalancbmk")
+        spec = DefenseSpec.rest("Secure Full")
+        default = SimulationConfig(scale=1.0, seed=1234)
+        small_l2 = replace(
+            default,
+            hierarchy=replace(
+                default.hierarchy,
+                l2=replace(default.hierarchy.l2, size=256 * 1024),
+            ),
+        )
+        full, small = (
+            run_benchmark(profile, spec, config).hierarchy_stats
+            for config in (default, small_l2)
+        )
+        assert full.tokens_at_memory_interface == 0
+        assert small.tokens_written_to_memory > 0
+        assert full.tokens_filled_from_memory == 0
+        assert small.tokens_filled_from_memory == 0
+
+
 class TestTable3:
     def test_committed_table_matches_regenerate(self):
         """``results/table3.txt`` is what ``run_all --scale 0.5`` writes,
@@ -163,3 +193,17 @@ class TestTable3:
         text = (committed / "table3.txt").read_text()
         assert text == table3.regenerate(scale=0.5, seed=1234) + "\n"
         assert "\nMTE  " in text
+
+
+class TestStallsGolden:
+    def test_committed_stalls_matches_regenerate(self):
+        """``results/stalls.json`` is what ``run_all --scale 0.5`` writes.
+        (``defensezoo.json`` takes too long here; CI's golden-identity
+        job compares it.)"""
+        from pathlib import Path
+
+        from repro.obs import stalls
+
+        committed = Path(__file__).resolve().parent.parent / "results"
+        text = (committed / "stalls.json").read_text()
+        assert text == stalls.regenerate(scale=0.5, seed=1234) + "\n"

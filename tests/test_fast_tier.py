@@ -1,7 +1,9 @@
-"""Fast-tier analytical replay: determinism, accuracy, CLI gating.
+"""Fast-tier analytical engine: determinism and accuracy.
 
-Three contracts, matching the tier's documented guarantees
-(INTERNALS §12):
+No ``repro`` surface replays through :mod:`repro.fasttier` any more;
+``benchmarks/e2e``'s ``cells-fast`` workload measures it as a library.
+These tests call the engine directly and pin its two documented
+guarantees (INTERNALS §12):
 
 * **Memo determinism** — a warm replay (memo hit) must be
   byte-identical to the cold characterization that populated the memo,
@@ -9,18 +11,11 @@ Three contracts, matching the tier's documented guarantees
   fixed-point arithmetic, so equality is exact, not approximate.
 * **Declared accuracy** — on the benchmark set ``BENCH_simulator.json``
   records, end-to-end fast-tier cycles stay within the declared
-  tolerance of the cycle-accurate tier, per (workload × defense) cell.
-  The divergence is a pure function of the trace, so these assertions
-  cannot flake.
-* **Surface gating** — ``--tier fast`` is rejected with a usage error
-  (exit 2) everywhere the fast tier cannot honour the request: attack
-  workloads (their result is a detection outcome, not a cycle count),
-  attack-driven experiments, and observability exports that need the
-  real pipeline.
+  tolerance of the cycle-accurate replay, per (workload × defense)
+  cell.  The divergence is a pure function of the trace, so these
+  assertions cannot flake.
 """
 
-import io
-from contextlib import redirect_stdout
 from dataclasses import asdict
 
 import pytest
@@ -40,15 +35,6 @@ def _make_trace(benchmark: str, spec, scale: float, seed: int):
     config = SimulationConfig(scale=scale, seed=seed)
     trace, _ = build_trace(profile_by_name(benchmark), spec, config)
     return trace, config
-
-
-def run_cli(argv):
-    from repro.__main__ import main
-
-    captured = io.StringIO()
-    with redirect_stdout(captured):
-        code = main(argv)
-    return code, captured.getvalue()
 
 
 class TestMemoDeterminism:
@@ -107,7 +93,8 @@ class TestDeclaredAccuracy:
         profile = profile_by_name("xalancbmk")
         config = SimulationConfig(scale=self.SCALE, seed=self.SEED)
         accurate = run_benchmark(profile, spec, config)
-        fast = run_benchmark(profile, spec, config, tier="fast")
+        trace, _ = build_trace(profile, spec, config)
+        fast = FastTierEngine(BlockMemo()).run(trace, spec, config).stats
         divergence = (
             fast.cycles - accurate.cycles
         ) / accurate.cycles
@@ -117,76 +104,17 @@ class TestDeclaredAccuracy:
         )
         # Same trace in, same uop count out: the fast tier replays the
         # identical instruction stream, only the pricing is analytical.
-        assert fast.instructions == accurate.instructions
+        assert fast.committed == accurate.instructions
 
     def test_fast_result_carries_divergence_payload(self):
         spec = bench_specs()["asan"]
-        profile = profile_by_name("xalancbmk")
-        config = SimulationConfig(scale=self.SCALE, seed=self.SEED)
-        fast = run_benchmark(profile, spec, config, tier="fast")
-        assert fast.tier == "fast"
-        assert fast.fast_meta["tier"] == "fast"
+        trace, config = _make_trace("xalancbmk", spec, self.SCALE, self.SEED)
+        fast = FastTierEngine(BlockMemo()).run(trace, spec, config)
+        assert fast.meta["tier"] == "fast"
         assert (
-            fast.fast_divergence["declared_tolerance_pct"]
+            fast.divergence["declared_tolerance_pct"]
             == DECLARED_TOLERANCE * 100.0
         )
-        assert fast.fast_divergence["per_block_class"], (
+        assert fast.divergence["per_block_class"], (
             "per-block-class divergence rows must be populated"
         )
-
-
-class TestSurfaceGating:
-    def test_foundry_rejects_tier_flag(self):
-        # ``repro foundry`` executes attack corpora; it has no --tier
-        # flag at all, so argparse exits with the usage code.
-        with pytest.raises(SystemExit) as err:
-            run_cli(["foundry", "--tier", "fast"])
-        assert err.value.code == 2
-
-    def test_attack_rejects_tier_flag(self):
-        with pytest.raises(SystemExit) as err:
-            run_cli(["attack", "all", "--tier", "fast"])
-        assert err.value.code == 2
-
-    @pytest.mark.parametrize(
-        "experiment", ["table3", "security", "attackmatrix"]
-    )
-    def test_attack_experiments_reject_fast(self, experiment):
-        code, output = run_cli(["experiments", experiment, "--tier", "fast"])
-        assert code == 2
-        assert "not supported" in output
-
-    def test_sweep_live_rejects_fast(self):
-        code, output = run_cli(
-            ["sweep", "--tier", "fast", "--live", "--seeds", "1",
-             "--scale", "0.05", "--benchmarks", "sjeng"]
-        )
-        assert code == 2
-        assert "sampler" in output or "live" in output
-
-    def test_run_per_uop_exports_reject_fast(self, tmp_path):
-        code, output = run_cli(
-            ["run", "--outdir", str(tmp_path), "--tier", "fast", "--o3"]
-        )
-        assert code == 2
-        assert "fast" in output
-
-    def test_run_benchmark_rejects_sampler_under_fast(self):
-        profile = profile_by_name("sjeng")
-        spec = bench_specs()["plain"]
-        with pytest.raises(ValueError, match="sampler"):
-            run_benchmark(
-                profile,
-                spec,
-                SimulationConfig(scale=0.05),
-                on_sample=lambda sample: None,
-                tier="fast",
-            )
-
-    def test_unknown_tier_rejected(self):
-        profile = profile_by_name("sjeng")
-        spec = bench_specs()["plain"]
-        with pytest.raises(ValueError, match="unknown tier"):
-            run_benchmark(
-                profile, spec, SimulationConfig(scale=0.05), tier="warp"
-            )

@@ -159,12 +159,19 @@ class TestOneCellPath:
 
     SCALE = 0.1
     SEED = 1234
-    #: (accurate, fast) cycles of xalancbmk at scale 0.1, seed 1234.
+    #: Cycles of xalancbmk at scale 0.1, seed 1234.
     CYCLES = {
-        "plain": (10116, 10116),
-        "asan": (27441, 28070),
-        "rest-secure": (10467, 10467),
-        "rest-debug": (11715, 11715),
+        "plain": 10116,
+        "asan": 27441,
+        "rest-secure": 10467,
+        "rest-debug": 11715,
+    }
+    #: Fast-tier cycles of the same cells, against a cold block memo.
+    FAST_CYCLES = {
+        "plain": 10116,
+        "asan": 28070,
+        "rest-secure": 10467,
+        "rest-debug": 11715,
     }
 
     @pytest.fixture(scope="class")
@@ -177,33 +184,22 @@ class TestOneCellPath:
         profile = profile_by_name("xalancbmk")
         config = SimulationConfig(scale=self.SCALE, seed=self.SEED)
         specs = bench_specs()
-        observed = {
-            tier: run_observed(
-                tmp_path_factory.mktemp(tier),
-                scale=self.SCALE,
-                seed=self.SEED,
-                tier=tier,
-            )["modes"]
-            for tier in ("accurate", "fast")
-        }
+        observed = run_observed(
+            tmp_path_factory.mktemp("observed"),
+            scale=self.SCALE,
+            seed=self.SEED,
+        )["modes"]
         bench = run_bench(scale=self.SCALE, seed=self.SEED)["modes"]
-        cycles = {}
-        for mode in BENCH_MODES:
-            cycles[mode] = {
-                "run_benchmark": tuple(
-                    run_benchmark(profile, specs[mode], config, tier=tier).cycles
-                    for tier in ("accurate", "fast")
-                ),
-                "run_observed": tuple(
-                    observed[tier][mode]["cycles"]
-                    for tier in ("accurate", "fast")
-                ),
-                "run_bench": (
-                    bench[mode]["cycles"],
-                    bench[mode]["fast_cycles"],
-                ),
+        return {
+            mode: {
+                "run_benchmark": run_benchmark(
+                    profile, specs[mode], config
+                ).cycles,
+                "run_observed": observed[mode]["cycles"],
+                "run_bench": bench[mode]["cycles"],
             }
-        return cycles
+            for mode in BENCH_MODES
+        }
 
     @pytest.mark.parametrize(
         "mode", ["plain", "asan", "rest-secure", "rest-debug"]
@@ -211,6 +207,23 @@ class TestOneCellPath:
     def test_every_surface_agrees(self, surfaces, mode):
         for surface, cycles in surfaces[mode].items():
             assert cycles == self.CYCLES[mode], surface
+
+    @pytest.mark.parametrize(
+        "mode", ["plain", "asan", "rest-secure", "rest-debug"]
+    )
+    def test_fast_tier_engine_is_unchanged(self, mode):
+        """``benchmarks/e2e``'s ``cells-fast`` workload measures the
+        engine as a library; its results must not move."""
+        from repro.fasttier import BlockMemo, FastTierEngine
+        from repro.harness.bench import bench_specs
+        from repro.harness.configs import SimulationConfig
+        from repro.harness.experiment import build_trace
+
+        spec = bench_specs()[mode]
+        config = SimulationConfig(scale=self.SCALE, seed=self.SEED)
+        trace = build_trace(profile_by_name("xalancbmk"), spec, config)[0]
+        fast = FastTierEngine(BlockMemo()).run(trace, spec, config)
+        assert fast.stats.cycles == self.FAST_CYCLES[mode]
 
     @pytest.mark.parametrize("defense", ["rest", "asan"])
     def test_trace_record_writes_the_cell_trace(self, tmp_path, defense):
@@ -263,3 +276,36 @@ class TestOneCellPath:
         )
         assert offenders == []
         assert counts["harness/experiment.py"] == 1
+
+    def test_only_fasttier_imports_fasttier(self):
+        """Tripwire: no surface reaches the analytical fast tier again.
+
+        Every cell replays cycle-accurately; ``repro.fasttier`` is a
+        library only ``benchmarks/e2e`` measures.
+        """
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            name = path.relative_to(root).as_posix()
+            if name.startswith("fasttier/"):
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    modules = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    modules = [node.module or ""]
+                    if node.module == "repro":
+                        modules += [f"repro.{a.name}" for a in node.names]
+                else:
+                    continue
+                if any(
+                    m == "repro.fasttier" or m.startswith("repro.fasttier.")
+                    for m in modules
+                ):
+                    offenders.append(name)
+        assert offenders == []

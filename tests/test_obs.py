@@ -455,16 +455,17 @@ class TestObservedRunAndReport:
         shutil.copytree(run_dir, clone)
         (clone / "samples-plain.jsonl").unlink()
         (clone / "events-plain.jsonl").unlink()
-        payload = json.loads((clone / "run.json").read_text())
-        # A listed-but-absent fast-tier artifact must degrade too.
-        payload["modes"]["plain"]["fasttier_file"] = "fasttier-plain.json"
-        (clone / "run.json").write_text(json.dumps(payload))
+        # Earlier versions' fast-tier diff artifact is skipped.
+        (clone / "trace-diff-fast.json").write_text(
+            json.dumps({"format": "trace-diff/v1", "kind": "fast-tier"})
+        )
 
+        html = tmp_path / "report.html"
+        assert main(["report", str(clone), "--out", str(html), "--html"]) == 0
         assert main(["report", str(clone)]) == 0
         out = capsys.readouterr().out
         assert "samples-plain.jsonl missing" in out
         assert "events-plain.jsonl missing" in out
-        assert "fasttier-plain.json missing" in out
         # The intact mode still renders fully.
         assert "rest-debug" in out
 
