@@ -150,6 +150,7 @@ EXPERIMENTS = (
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
+    from repro.harness.experiment import cell_cache
     from repro.harness.parallel import ResultCache, WorkUnit, execute_units
 
     names = args.names or list(EXPERIMENTS)
@@ -170,13 +171,14 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
         for name in names
     ]
     cache = ResultCache(args.cache) if args.cache else None
-    results = execute_units(
-        units,
-        jobs=args.jobs,
-        cache=cache,
-        timeout=args.timeout,
-        retries=args.retries,
-    )
+    with cell_cache(args.cache or None):  # experiments share their cells
+        results = execute_units(
+            units,
+            jobs=args.jobs,
+            cache=cache,
+            timeout=args.timeout,
+            retries=args.retries,
+        )
     status = 0
     for name in names:  # print in request order whatever finished first
         result = results[name]

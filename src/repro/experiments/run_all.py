@@ -13,6 +13,14 @@ manifest while the rest of the sweep completes, and a re-run recomputes
 only the failed/missing cells.  Output is byte-identical regardless of
 job count (timing fields aside).
 
+Beneath the experiment units, every simulated (benchmark, spec,
+config) cell is shared: experiments run inside
+:func:`~repro.harness.experiment.cell_cache`, so a cell that fig7,
+fig8, intext and stalls all need is simulated once and read from its
+JSON cell record after that.  Cell records live in the same cache
+directory; under ``--no-cache`` they live in a scratch directory
+under ``--outdir`` that is deleted when the experiments finish.
+
 ``--timeout``/``--retries`` activate the engine's resilience layer:
 hung workers are killed and re-dispatched, failed attempts retry with
 seeded backoff, and units that exhaust the budget are *quarantined* —
@@ -32,6 +40,7 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
+from repro.harness.experiment import cell_cache
 from repro.harness.parallel import (
     FAULT_PLAN_ENV,
     ResultCache,
@@ -224,17 +233,20 @@ def run_all(
         tracer = RingTracer()
 
     wall0 = time.perf_counter()
-    results = execute_units(
-        units,
-        jobs=jobs,
-        cache=cache,
-        progress=progress,
-        timeout=timeout,
-        retries=retries,
-        backoff=backoff,
-        retry_seed=seed,
-        tracer=tracer,
-    )
+    with cell_cache(
+        cache.root if cache is not None else None, scratch_parent=out
+    ):
+        results = execute_units(
+            units,
+            jobs=jobs,
+            cache=cache,
+            progress=progress,
+            timeout=timeout,
+            retries=retries,
+            backoff=backoff,
+            retry_seed=seed,
+            tracer=tracer,
+        )
 
     manifest = write_outputs(
         out,

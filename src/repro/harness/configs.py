@@ -67,8 +67,14 @@ class DefenseSpec:
     asan_intercepts: bool = True
 
     def key_payload(self) -> dict:
-        """Cache-key fingerprint of this spec (see parallel engine)."""
-        return config_payload(self)
+        """Cache-key fingerprint of this spec (see parallel engine).
+
+        ``name`` is a display label, not an input, so it is left out:
+        two specs that differ only in name share cache entries.
+        """
+        payload = config_payload(self)
+        del payload["name"]
+        return payload
 
     @staticmethod
     def plain() -> "DefenseSpec":

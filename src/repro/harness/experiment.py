@@ -8,21 +8,32 @@ token width and operating mode.  Every surface that simulates a cell
 goes through these two functions.  Runtime is the cycle count;
 overheads are runtimes normalised to the Plain run of the same
 benchmark and seed.
+
+Inside a :func:`cell_cache` block, :func:`run_benchmark` reads each
+unobserved cell from a :class:`~repro.harness.parallel.ResultCache`
+of JSON cell records (:meth:`RunResult.to_json`) and publishes the
+cells it computes, so a sweep simulates each distinct cell once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+import hashlib
+import json
+import shutil
+import tempfile
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.cache.hierarchy import MemoryHierarchy
+from repro.cache.hierarchy import HierarchyStats, MemoryHierarchy
 from repro.core.token import Token, TokenConfigRegister
 from repro.cpu.isa import MicroOp
 from repro.cpu.pipeline import OutOfOrderCore
 from repro.cpu.stats import CoreStats
 from repro.defenses import Defense
 from repro.defenses.plugin import get_plugin, is_baseline
-from repro.harness.configs import DefenseSpec, SimulationConfig
+from repro.harness.configs import DefenseSpec, SimulationConfig, config_payload
+from repro.harness.parallel import ResultCache, WorkUnit, code_version_salt
 from repro.runtime.machine import ExecutionMode, Machine
 from repro.workloads.generator import SyntheticWorkload, WorkloadStats
 from repro.workloads.spec import BenchmarkProfile
@@ -39,9 +50,43 @@ class RunResult:
     app_instructions: int
     core_stats: CoreStats
     workload_stats: WorkloadStats
-    hierarchy_stats: object
+    hierarchy_stats: HierarchyStats
     l1d_miss_rate: float
     l2_miss_rate: float
+
+    def to_json(self) -> dict:
+        """The JSON-safe cell record of this run.
+
+        ``spec`` is left out: its name is a label, and
+        :meth:`from_json` takes the caller's spec back.
+        """
+        return {
+            "benchmark": self.benchmark,
+            "cycles": self.cycles,
+            "instructions": self.instructions,
+            "app_instructions": self.app_instructions,
+            "core_stats": asdict(self.core_stats),
+            "workload_stats": asdict(self.workload_stats),
+            "hierarchy_stats": asdict(self.hierarchy_stats),
+            "l1d_miss_rate": self.l1d_miss_rate,
+            "l2_miss_rate": self.l2_miss_rate,
+        }
+
+    @classmethod
+    def from_json(cls, record: dict, spec: DefenseSpec) -> "RunResult":
+        """Rebuild a run from :meth:`to_json` output under ``spec``."""
+        return cls(
+            benchmark=record["benchmark"],
+            spec=spec,
+            cycles=record["cycles"],
+            instructions=record["instructions"],
+            app_instructions=record["app_instructions"],
+            core_stats=CoreStats(**record["core_stats"]),
+            workload_stats=WorkloadStats(**record["workload_stats"]),
+            hierarchy_stats=HierarchyStats(**record["hierarchy_stats"]),
+            l1d_miss_rate=record["l1d_miss_rate"],
+            l2_miss_rate=record["l2_miss_rate"],
+        )
 
     @property
     def runtime(self) -> float:
@@ -73,6 +118,63 @@ class RunResult:
         from repro.obs.stalls import stall_buckets
 
         return stall_buckets(self.core_stats)
+
+
+#: The cell cache :func:`run_benchmark` consults (None: off).  Only
+#: :func:`cell_cache` sets it; forked workers inherit it.
+_CELL_CACHE: Optional[ResultCache] = None
+
+
+@contextmanager
+def cell_cache(root=None, scratch_parent=None) -> Iterator[ResultCache]:
+    """Share cell records through one :class:`ResultCache` for a block.
+
+    Entries live under ``root``.  With ``root`` None they live in a
+    scratch directory made under ``scratch_parent`` (default: the
+    system temp directory) and deleted on exit, so nothing is read
+    from an earlier run.  Worker processes forked inside the block
+    inherit the cache and share cells through its first-writer-wins
+    publish; spawned workers start without it and compute every cell
+    themselves, with the same results.  The previous cache comes back
+    on exit, also when the block raises.
+    """
+    global _CELL_CACHE
+    previous = _CELL_CACHE
+    scratch = None
+    if root is None:
+        scratch = root = tempfile.mkdtemp(prefix=".cells-", dir=scratch_parent)
+    code_version_salt()  # memoised before any worker forks
+    _CELL_CACHE = ResultCache(root)
+    try:
+        yield _CELL_CACHE
+    finally:
+        _CELL_CACHE = previous
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
+
+
+def _cell_unit(
+    profile: BenchmarkProfile, spec: DefenseSpec, config: SimulationConfig
+) -> WorkUnit:
+    """The cache identity of one cell: everything it computes from.
+
+    The uid is a digest of the payload, not the spec's display name,
+    so the cache's uid/payload cross-check compares inputs only.
+    """
+    payload = {
+        "profile": config_payload(profile),
+        "spec": spec.key_payload(),
+        "config": config.key_payload(),
+    }
+    digest = hashlib.sha256(
+        json.dumps(payload, sort_keys=True).encode()
+    ).hexdigest()
+    return WorkUnit(
+        uid=f"cell/{profile.name}/{digest[:16]}",
+        module=__name__,
+        func="run_benchmark",
+        key_payload=payload,
+    )
 
 
 def build_defense(machine: Machine, spec: DefenseSpec) -> Defense:
@@ -164,8 +266,21 @@ def run_benchmark(
     entries) do not depend on whether a run was observed.  ``tracer``
     observes both phases: trace generation, then every hook point of
     the replaying core.
+
+    Inside a :func:`cell_cache` block an unobserved run returns the
+    cached cell when there is one and publishes its cell otherwise.
+    A run with a ``tracer`` or ``on_sample`` always simulates and
+    publishes nothing, since its observer needs the events.
     """
     config = config or SimulationConfig()
+    cache = _CELL_CACHE if tracer is None and on_sample is None else None
+    if cache is not None:
+        unit = _cell_unit(profile, spec, config)
+        key = unit.cache_key()
+        entry = cache.get(key, unit)
+        if entry is not None:
+            return RunResult.from_json(entry["value"], spec)
+
     trace, workload_stats = build_trace(profile, spec, config, tracer)
 
     hierarchy = _make_hierarchy(spec, config)
@@ -186,7 +301,7 @@ def run_benchmark(
             on_sample=on_sample,
         )
 
-    return RunResult(
+    result = RunResult(
         benchmark=profile.name,
         spec=spec,
         cycles=core_stats.cycles,
@@ -198,6 +313,9 @@ def run_benchmark(
         l1d_miss_rate=hierarchy.l1d.stats.miss_rate,
         l2_miss_rate=hierarchy.l2.stats.miss_rate,
     )
+    if cache is not None:
+        cache.put(key, unit, result.to_json())
+    return result
 
 
 def run_suite(
