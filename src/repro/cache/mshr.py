@@ -66,6 +66,25 @@ class MshrFile:
         self.allocations += 1
         return mshr
 
+    def complete_miss(self, line_address: int) -> bool:
+        """Account a miss whose fill completes within the access.
+
+        The net effect of :meth:`allocate` (retrying through
+        :meth:`retire_blocking` on a structural stall) and
+        :meth:`release` back to back; returns whether the allocation
+        stalled.  The core executes one memory op at a time, so its
+        misses find the file empty and cost one counter update.
+        """
+        if not self._active:
+            self.allocations += 1
+            return False
+        stalled = self.allocate(line_address) is None
+        if stalled:
+            self.retire_blocking(line_address)
+            self.allocate(line_address)
+        self.release(line_address)
+        return stalled
+
     def hold_for_token_check(self, line_address: int) -> None:
         """Debug mode: keep the load parked until the full line arrives."""
         mshr = self._active.get(line_address)

@@ -20,7 +20,7 @@ write until eviction.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Tuple
 
 from repro.core.token import Token, TokenConfigRegister
 from repro.obs.tracer import NULL_TRACER
@@ -49,12 +49,13 @@ class TokenDetector:
         self.matches_found = 0
         #: Observability hook; emits one ``token_scan`` per checked fill.
         self.tracer = NULL_TRACER
-        # Memoized per-beat token slices, keyed on token identity so a
-        # rotation invalidates them (see scan_line).
+        # Per-token memo, keyed on token identity so a rotation
+        # invalidates it (see _load_token).
         self._chunk_token: Token = None
         self._chunks: List[bytes] = []
         self._slots_cached = 0
         self._width_cached = 0
+        self._zero_scan: Tuple[int, int, int] = (0, 0, 0)
 
     @property
     def line_size(self) -> int:
@@ -83,38 +84,25 @@ class TokenDetector:
                 f"fill data must be one line ({self._line_size}B), "
                 f"got {len(data)}B"
             )
+        return self.scan_at(data, 0)
+
+    def scan_at(self, buffer: Optional[bytes], offset: int) -> int:
+        """:meth:`scan_line` on the line at ``buffer[offset:]``, in place.
+
+        The fill path passes the backing store's page, so no line is
+        copied.  ``buffer`` None stands for a never-written page, an
+        all-zero line: its result is the same for every fill under one
+        token, so it is computed once per token, and the counters and
+        the ``token_scan`` event still record every scan.
+        """
         self.fills_checked += 1
         token = self._config.token_for_hardware()
         if token is not self._chunk_token:
-            width = token.width
-            beat_bytes = self.BEAT_BYTES
-            self._chunks = [
-                token.chunk(beat, beat_bytes)
-                for beat in range(width // beat_bytes)
-            ]
-            self._chunk_token = token
-            self._width_cached = width
-            self._slots_cached = self._line_size // width
-        chunks = self._chunks
-        width = self._width_cached
-        beat_bytes = self.BEAT_BYTES
-        bitmap = 0
-        beats = 0
-        matches = 0
-        base = 0
-        for slot in range(self._slots_cached):
-            lo = base
-            matched = True
-            for chunk in chunks:
-                beats += 1
-                if data[lo : lo + beat_bytes] != chunk:
-                    matched = False
-                    break
-                lo += beat_bytes
-            if matched:
-                bitmap |= 1 << slot
-                matches += 1
-            base += width
+            self._load_token(token)
+        if buffer is None:
+            bitmap, beats, matches = self._zero_scan
+        else:
+            bitmap, beats, matches = self._compare(buffer, offset)
         self.beat_compares += beats
         if matches:
             self.matches_found += matches
@@ -127,6 +115,43 @@ class TokenDetector:
                 beats=beats,
             )
         return bitmap
+
+    def _load_token(self, token: Token) -> None:
+        """Memoize the per-beat slices and the zero-line scan of
+        ``token``; keyed on token identity, so a rotation refreshes."""
+        width = token.width
+        beat_bytes = self.BEAT_BYTES
+        self._chunks = [
+            token.chunk(beat, beat_bytes) for beat in range(width // beat_bytes)
+        ]
+        self._chunk_token = token
+        self._width_cached = width
+        self._slots_cached = self._line_size // width
+        self._zero_scan = self._compare(bytes(self._line_size), 0)
+
+    def _compare(self, buffer: bytes, offset: int) -> Tuple[int, int, int]:
+        """(bitmap, beats compared, slots matched) for one line."""
+        chunks = self._chunks
+        width = self._width_cached
+        beat_bytes = self.BEAT_BYTES
+        bitmap = 0
+        beats = 0
+        matches = 0
+        base = offset
+        for slot in range(self._slots_cached):
+            lo = base
+            matched = True
+            for chunk in chunks:
+                beats += 1
+                if not buffer.startswith(chunk, lo):
+                    matched = False
+                    break
+                lo += beat_bytes
+            if matched:
+                bitmap |= 1 << slot
+                matches += 1
+            base += width
+        return bitmap, beats, matches
 
     def slot_of(self, address: int) -> int:
         """Which token slot within its line an address falls into."""

@@ -16,6 +16,7 @@ the statistics are identical for every job count.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
@@ -131,6 +132,25 @@ def run_cell(
     }
 
 
+def _cell_specs(specs: Sequence[DefenseSpec]) -> Dict[str, DefenseSpec]:
+    """Spec name -> the spec whose cell that name reads.
+
+    Every baseline spelling reads the one Plain cell, and specs that
+    differ only by name (equal ``key_payload()``) read the first such
+    spec's cell, so twins never compete for one cache entry.
+    """
+    plain = DefenseSpec.plain()
+    first: Dict[str, DefenseSpec] = {}
+    cells = {}
+    for spec in specs:
+        if is_baseline(spec.defense):
+            cells[spec.name] = plain
+        else:
+            key = json.dumps(spec.key_payload(), sort_keys=True)
+            cells[spec.name] = first.setdefault(key, spec)
+    return cells
+
+
 def sweep_units(
     profiles: Sequence[BenchmarkProfile],
     specs: Sequence[DefenseSpec],
@@ -139,15 +159,17 @@ def sweep_units(
     live: bool = False,
     sample_interval: Optional[int] = None,
 ) -> List[WorkUnit]:
-    """One work unit per (benchmark, spec, seed) cell, Plain included.
+    """One work unit per distinct (benchmark, spec, seed) cell, Plain
+    included (see :func:`_cell_specs` for which specs share a cell).
 
     ``live``/``sample_interval`` only change *how* a cell runs (sampled
     replay with streaming snapshots), never what it computes, so they
     go into ``kwargs`` but not ``key_payload``.
     """
-    all_specs = [DefenseSpec.plain()] + [
-        spec for spec in specs if not is_baseline(spec.defense)
-    ]
+    all_specs = [DefenseSpec.plain()]
+    for spec in _cell_specs(specs).values():
+        if spec not in all_specs:
+            all_specs.append(spec)
     units = []
     for seed in seeds:
         config = SimulationConfig(scale=scale, seed=seed)
@@ -199,11 +221,11 @@ def aggregate_overheads(
         return values[f"{profile.name}/{spec_name}/{seed}"]["runtime"]
 
     samples: Dict[str, List[float]] = {spec.name: [] for spec in specs}
+    cells = _cell_specs(specs)
     for seed in seeds:  # seed order, not completion order: deterministic
         plains = [runtime(p, "Plain", seed) for p in profiles]
         for spec in specs:
-            # sweep_units runs every baseline spelling as the one Plain cell.
-            cell = "Plain" if is_baseline(spec.defense) else spec.name
+            cell = cells[spec.name].name
             runtimes = [runtime(p, cell, seed) for p in profiles]
             samples[spec.name].append(
                 weighted_mean_overhead(runtimes, plains)

@@ -9,7 +9,7 @@ fresh anonymous mappings.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 PAGE_SIZE = 4096
 ADDRESS_MASK = (1 << 64) - 1
@@ -95,8 +95,37 @@ class BackingStore:
             view = view[take:]
 
     def fill(self, address: int, size: int, byte: int = 0) -> None:
-        """Fill a range with a repeated byte (used for zeroing regions)."""
-        self.write(address, bytes([byte]) * size)
+        """Fill a range with a repeated byte (used for zeroing regions).
+
+        Zeroing leaves never-written pages absent: they already read
+        as zero, so only resident pages are written.
+        """
+        if byte:
+            self.write(address, bytes([byte]) * size)
+            return
+        self._check(address, size)
+        self.bytes_written += size
+        page_size = self._page_size
+        pages = self._pages
+        while size > 0:
+            page, offset = divmod(address, page_size)
+            take = min(size, page_size - offset)
+            stored = pages.get(page)
+            if stored is not None:
+                stored[offset : offset + take] = bytes(take)
+            address += take
+            size -= take
+
+    def page_of(self, address: int) -> Optional[bytearray]:
+        """The stored page holding ``address``, or None if the page was
+        never written (it reads as zeros).
+
+        This is the live page, for scanning in place without a copy;
+        callers must not resize it.
+        """
+        if not 0 <= address <= ADDRESS_MASK:
+            self._check(address, 1)  # raises
+        return self._pages.get(address // self._page_size)
 
     def read_u64(self, address: int) -> int:
         return int.from_bytes(self.read(address, 8), "little")

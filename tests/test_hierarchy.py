@@ -368,8 +368,6 @@ class TestMshrExhaustion:
         """Exercise the hierarchy's stall path directly: stats must
         count one miss and one stall cycle, and other in-flight
         registers must survive the retry."""
-        from repro.cache.hierarchy import AccessResult
-
         reg = TokenConfigRegister(Token.random(64, seed=1))
         h = MemoryHierarchy(token_config=reg)
         # Pin the MSHR file full with unrelated outstanding misses.
@@ -378,8 +376,7 @@ class TestMshrExhaustion:
             assert mshrs.allocate(0x100000 + 64 * i) is not None
         allocations_before = mshrs.allocations
         misses_before = h.l1d.stats.misses
-        result = AccessResult(latency=0)
-        h._fetch_into_l1(0x2000, result)
+        h._fetch_into_l1(0x2000, 0)
         assert h.l1d.stats.misses == misses_before + 1
         assert h.l1d.stats.mshr_stall_cycles == 1
         # One register retired for the stall, one allocated for the new

@@ -152,6 +152,29 @@ class TestDeterminism:
         assert cache.stores == stores  # nothing recomputed
         assert warm["Secure Full"].samples == cold["Secure Full"].samples
 
+    def test_seed_sweep_twins_share_one_cell(self, tmp_path):
+        """Specs that differ only by name read one cached cell: a warm
+        sweep neither mismatches nor rewrites the entry."""
+        from dataclasses import replace
+
+        from repro.core.modes import Mode
+
+        profiles = [profile_by_name("sjeng")]
+        heap = DefenseSpec.rest(
+            "Secure Heap", mode=Mode.SECURE, protect_stack=False
+        )
+        specs = [heap, replace(heap, name="Secure Heap (copy)")]
+        assert [u.uid for u in sweep_units(profiles, specs, (1,), 0.02)] == [
+            "sjeng/Plain/1",
+            "sjeng/Secure Heap/1",
+        ]
+        cache = ResultCache(tmp_path / "cache")
+        seed_sweep(profiles, specs, seeds=(1,), scale=0.02, cache=cache)
+        mismatches, stores = cache.mismatches, cache.stores
+        warm = seed_sweep(profiles, specs, seeds=(1,), scale=0.02, cache=cache)
+        assert (cache.mismatches - mismatches, cache.stores - stores) == (0, 0)
+        assert warm["Secure Heap"].samples == warm["Secure Heap (copy)"].samples
+
 
 class TestFailureIsolation:
     def test_failed_unit_recorded_not_fatal(
