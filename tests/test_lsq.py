@@ -32,6 +32,17 @@ class TestDispatchAndOccupancy:
         lsq.retire_store_like(1)
         assert not lsq.sq_full
 
+    def test_store_likes_retire_from_the_head_only(self):
+        lsq = LoadStoreQueue()
+        lsq.dispatch_store_like(0, SqEntryKind.STORE, 0x100, 8)
+        lsq.dispatch_store_like(1, SqEntryKind.ARM, 0x140, 64)
+        with pytest.raises(RuntimeError):
+            lsq.retire_store_like(1)
+        lsq.retire_store_like(0)
+        lsq.retire_store_like(1)
+        assert lsq.sq_occupancy == 0
+        lsq.check_store(2, 0x140, 8)  # the retired arm no longer gates
+
     def test_rejects_bad_capacity(self):
         with pytest.raises(ValueError):
             LoadStoreQueue(lq_entries=0)
