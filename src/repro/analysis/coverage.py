@@ -11,14 +11,10 @@ comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List
+from typing import Dict, List
 
-from repro.defenses.base import Defense
-from repro.workloads.attacks import (
-    ATTACK_REGISTRY,
-    AttackOutcome,
-    run_attack,
-)
+from repro.harness.experiment import attack_outcomes
+from repro.workloads.attacks import AttackOutcome
 
 #: Bug-class grouping of the attack registry.
 ATTACK_CLASSES: Dict[str, tuple] = {
@@ -54,7 +50,7 @@ ATTACK_CLASSES: Dict[str, tuple] = {
 
 @dataclass
 class CoverageReport:
-    """Outcome tally for one defense across the attack registry."""
+    """Outcome tally for one defense mode across the attack registry."""
 
     defense: str
     outcomes: Dict[str, AttackOutcome] = field(default_factory=dict)
@@ -94,11 +90,7 @@ class CoverageReport:
         )
 
 
-def coverage_report(defense_factory: Callable[[], Defense]) -> CoverageReport:
-    """Run every registered attack against fresh defense instances."""
-    probe = defense_factory()
-    report = CoverageReport(defense=probe.describe())
-    for name in sorted(ATTACK_REGISTRY):
-        result = run_attack(name, defense_factory())
-        report.outcomes[name] = result.outcome
-    return report
+def coverage_report(mode: str) -> CoverageReport:
+    """Score defense ``mode``'s row of the attack suite
+    (:func:`~repro.harness.experiment.attack_outcomes`)."""
+    return CoverageReport(defense=mode, outcomes=attack_outcomes(mode))

@@ -37,10 +37,6 @@ from repro.cpu.rob import ReorderBuffer, RobEntry
 from repro.cpu.stats import CoreStats
 from repro.obs.tracer import NULL_TRACER
 
-#: Replayed stores carry no data: each writes zeros over at most this
-#: many bytes, so a longer store touches only its first 64 bytes.
-_STORE_DATA_BYTES = 64
-
 _SQ_KIND = {
     OpType.STORE: SqEntryKind.STORE,
     OpType.ARM: SqEntryKind.ARM,
@@ -786,7 +782,7 @@ class OutOfOrderCore:
                 size = uop.size or 8
                 lsq.check_store(uop.seq, uop.address, size)
                 latency = hierarchy.store_latency(
-                    uop.address, min(size, _STORE_DATA_BYTES), cycle=cycle
+                    uop.address, size, cycle=cycle
                 )
                 if hierarchy.went_to_memory:
                     self.stats.dram_stall_cycles += latency

@@ -17,8 +17,11 @@ Beneath the experiment units, every simulated (benchmark, spec,
 config) cell is shared: experiments run inside
 :func:`~repro.harness.experiment.cell_cache`, so a cell that fig7,
 fig8, intext and stalls all need is simulated once and read from its
-JSON cell record after that.  Cell records live in the same cache
-directory; under ``--no-cache`` they live in a scratch directory
+JSON cell record after that.  Attack outcomes are shared the same
+way: table3, security and defensezoo read one record per defense mode
+(:func:`~repro.harness.experiment.attack_outcomes`), so the attack
+suite runs once per mode.  Cell and attack records live in the same
+cache directory; under ``--no-cache`` they live in a scratch directory
 under ``--outdir`` that is deleted when the experiments finish.
 
 ``--timeout``/``--retries`` activate the engine's resilience layer:

@@ -14,15 +14,13 @@ from repro.analysis import (
     token_width_tradeoff,
 )
 from repro.analysis.coverage import ATTACK_CLASSES
-from repro.defenses import make_defense
 from repro.experiments.common import ATTACK_COLUMNS, cli_main
 from repro.harness.reporting import format_table
 
 
 def _coverage_table() -> str:
     reports = {
-        label: coverage_report(lambda mode=mode: make_defense(mode))
-        for label, mode in ATTACK_COLUMNS.items()
+        label: coverage_report(mode) for label, mode in ATTACK_COLUMNS.items()
     }
     rows = []
     for class_name in ATTACK_CLASSES:

@@ -14,12 +14,12 @@ Two parts:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict
 
-from repro.defenses import make_defense
 from repro.experiments.common import ATTACK_COLUMNS, cli_main
+from repro.harness.experiment import attack_outcomes
 from repro.harness.reporting import format_table
-from repro.workloads.attacks import ATTACK_REGISTRY, AttackOutcome, run_attack
+from repro.workloads.attacks import ATTACK_REGISTRY, AttackOutcome
 
 #: The paper's Table III rows (single-core systems assumed).
 LITERATURE = [
@@ -41,30 +41,26 @@ LITERATURE = [
 ]
 
 
-def _empirical_rest_row() -> Dict[str, str]:
-    """Derive REST's claimed properties from the attack suite."""
+def _empirical_rest_row(rest: Dict[str, AttackOutcome]) -> Dict[str, str]:
+    """Derive REST's claimed properties from its attack-suite row."""
 
-    def rest():
-        return make_defense("rest")
+    def detected(name: str) -> bool:
+        return rest[name] is AttackOutcome.DETECTED
 
     linear_detected = all(
-        run_attack(name, rest()).detected
+        detected(name)
         for name in (
             "heartbleed",
             "linear_heap_overflow_write",
             "stack_linear_overflow",
         )
     )
-    targeted_missed = (
-        run_attack("targeted_corruption", rest()).outcome
-        is AttackOutcome.MISSED
-    )
-    uaf_detected = run_attack("use_after_free_read", rest()).detected
+    targeted_missed = rest["targeted_corruption"] is AttackOutcome.MISSED
+    uaf_detected = detected("use_after_free_read")
     post_realloc_missed = (
-        run_attack("uaf_after_reallocation", rest()).outcome
-        is AttackOutcome.MISSED
+        rest["uaf_after_reallocation"] is AttackOutcome.MISSED
     )
-    composable = run_attack("library_overflow", rest()).detected
+    composable = detected("library_overflow")
     spatial = (
         "Linear" if linear_detected and targeted_missed else "INCONSISTENT"
     )
@@ -81,17 +77,15 @@ def _empirical_rest_row() -> Dict[str, str]:
     }
 
 
-def _detection_matrix() -> str:
-    rows: List[List[str]] = []
-    for attack in sorted(ATTACK_REGISTRY):
-        row = [attack]
-        for mode in ATTACK_COLUMNS.values():
-            result = run_attack(attack, make_defense(mode))
-            row.append(result.outcome.value)
-        rows.append(row)
+def _detection_matrix(rows: Dict[str, Dict[str, AttackOutcome]]) -> str:
+    """``rows`` maps each :data:`ATTACK_COLUMNS` mode to its outcomes."""
     return format_table(
         ["attack"] + list(ATTACK_COLUMNS),
-        rows,
+        [
+            [attack]
+            + [rows[mode][attack].value for mode in ATTACK_COLUMNS.values()]
+            for attack in sorted(ATTACK_REGISTRY)
+        ],
         title="Measured detection matrix (attack suite vs defenses)",
     )
 
@@ -133,7 +127,8 @@ def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
         LITERATURE,
         title="Table III: comparison of previous hardware techniques",
     )
-    empirical = _empirical_rest_row()
+    rows = {mode: attack_outcomes(mode) for mode in ATTACK_COLUMNS.values()}
+    empirical = _empirical_rest_row(rows["rest"])
     summary = (
         "REST row validated against the implemented system:\n"
         f"  spatial protection:  {empirical['spatial']}\n"
@@ -148,7 +143,7 @@ def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
         + "\n\n"
         + summary
         + "\n\n"
-        + _detection_matrix()
+        + _detection_matrix(rows)
         + "\n\n"
         + _hardware_cost_table()
     )

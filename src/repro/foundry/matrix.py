@@ -210,20 +210,18 @@ def handwritten_matrix(
     golden (``results/attack_matrix_golden.json``) must equal this
     exactly, so no refactor can silently flip an outcome.
     """
-    from repro.defenses.plugin import make_defense
-    from repro.workloads.attacks import ATTACK_REGISTRY, run_attack
+    from repro.harness.experiment import attack_outcomes
+    from repro.workloads.attacks import ATTACK_REGISTRY
 
     modes = list(defenses) if defenses else list(DEFENSE_MODES)
-    attacks: Dict[str, Dict[str, str]] = {}
-    for name in sorted(ATTACK_REGISTRY):
-        attacks[name] = {}
-        for mode in modes:
-            result = run_attack(name, make_defense(mode))
-            attacks[name][mode] = result.outcome.value
+    rows = {mode: attack_outcomes(mode) for mode in modes}
     return {
         "schema": ATTACK_MATRIX_SCHEMA,
         "defenses": modes,
-        "attacks": attacks,
+        "attacks": {
+            name: {mode: rows[mode][name].value for mode in modes}
+            for name in sorted(ATTACK_REGISTRY)
+        },
     }
 
 

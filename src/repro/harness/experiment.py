@@ -13,6 +13,9 @@ Inside a :func:`cell_cache` block, :func:`run_benchmark` reads each
 unobserved cell from a :class:`~repro.harness.parallel.ResultCache`
 of JSON cell records (:meth:`RunResult.to_json`) and publishes the
 cells it computes, so a sweep simulates each distinct cell once.
+:func:`attack_outcomes` does the same for the attack suite: one
+record per defense mode holds that mode's outcome of every registered
+attack, so a sweep runs each (attack, mode) pair once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ import shutil
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar,
+)
 
 from repro.cache.hierarchy import HierarchyStats, MemoryHierarchy
 from repro.core.token import Token, TokenConfigRegister
@@ -31,10 +36,11 @@ from repro.cpu.isa import MicroOp
 from repro.cpu.pipeline import OutOfOrderCore
 from repro.cpu.stats import CoreStats
 from repro.defenses import Defense
-from repro.defenses.plugin import get_plugin, is_baseline
+from repro.defenses.plugin import get_plugin, is_baseline, make_defense
 from repro.harness.configs import DefenseSpec, SimulationConfig, config_payload
 from repro.harness.parallel import ResultCache, WorkUnit, code_version_salt
 from repro.runtime.machine import ExecutionMode, Machine
+from repro.workloads.attacks import ATTACK_REGISTRY, AttackOutcome, run_attack
 from repro.workloads.generator import SyntheticWorkload, WorkloadStats
 from repro.workloads.spec import BenchmarkProfile
 
@@ -120,14 +126,17 @@ class RunResult:
         return stall_buckets(self.core_stats)
 
 
-#: The cell cache :func:`run_benchmark` consults (None: off).  Only
-#: :func:`cell_cache` sets it; forked workers inherit it.
+#: The cell cache :func:`run_benchmark` and :func:`attack_outcomes`
+#: consult (None: off).  Only :func:`cell_cache` sets it; forked
+#: workers inherit it.
 _CELL_CACHE: Optional[ResultCache] = None
+
+_T = TypeVar("_T")
 
 
 @contextmanager
 def cell_cache(root=None, scratch_parent=None) -> Iterator[ResultCache]:
-    """Share cell records through one :class:`ResultCache` for a block.
+    """Share cell and attack records through one :class:`ResultCache`.
 
     Entries live under ``root``.  With ``root`` None they live in a
     scratch directory made under ``scratch_parent`` (default: the
@@ -175,6 +184,26 @@ def _cell_unit(
         func="run_benchmark",
         key_payload=payload,
     )
+
+
+def _cached(
+    unit: WorkUnit,
+    compute: Callable[[], _T],
+    encode: Callable[[_T], dict],
+    decode: Callable[[dict], _T],
+) -> _T:
+    """``unit``'s value: read from the installed cell cache, or computed
+    and published there; just computed when no cache is installed."""
+    cache = _CELL_CACHE
+    if cache is None:
+        return compute()
+    key = unit.cache_key()
+    entry = cache.get(key, unit)
+    if entry is not None:
+        return decode(entry["value"])
+    value = compute()
+    cache.put(key, unit, encode(value))
+    return value
 
 
 def build_defense(machine: Machine, spec: DefenseSpec) -> Defense:
@@ -273,14 +302,27 @@ def run_benchmark(
     publishes nothing, since its observer needs the events.
     """
     config = config or SimulationConfig()
-    cache = _CELL_CACHE if tracer is None and on_sample is None else None
-    if cache is not None:
-        unit = _cell_unit(profile, spec, config)
-        key = unit.cache_key()
-        entry = cache.get(key, unit)
-        if entry is not None:
-            return RunResult.from_json(entry["value"], spec)
+    if tracer is not None or on_sample is not None:
+        return _simulate(
+            profile, spec, config, on_sample, sample_interval, tracer
+        )
+    return _cached(
+        _cell_unit(profile, spec, config),
+        lambda: _simulate(profile, spec, config),
+        RunResult.to_json,
+        lambda record: RunResult.from_json(record, spec),
+    )
 
+
+def _simulate(
+    profile: BenchmarkProfile,
+    spec: DefenseSpec,
+    config: SimulationConfig,
+    on_sample: Optional[Callable] = None,
+    sample_interval: Optional[int] = None,
+    tracer=None,
+) -> RunResult:
+    """Generate and replay one cell (the body of :func:`run_benchmark`)."""
     trace, workload_stats = build_trace(profile, spec, config, tracer)
 
     hierarchy = _make_hierarchy(spec, config)
@@ -301,7 +343,7 @@ def run_benchmark(
             on_sample=on_sample,
         )
 
-    result = RunResult(
+    return RunResult(
         benchmark=profile.name,
         spec=spec,
         cycles=core_stats.cycles,
@@ -313,9 +355,35 @@ def run_benchmark(
         l1d_miss_rate=hierarchy.l1d.stats.miss_rate,
         l2_miss_rate=hierarchy.l2.stats.miss_rate,
     )
-    if cache is not None:
-        cache.put(key, unit, result.to_json())
-    return result
+
+
+def attack_outcomes(mode: str) -> Dict[str, AttackOutcome]:
+    """Every registered attack's outcome against defense ``mode``.
+
+    Each attack runs once, in name order, against a fresh functional
+    defense (:func:`~repro.defenses.plugin.make_defense`).  Inside a
+    :func:`cell_cache` block the row is one record, uid
+    ``attacks/<mode>``, so Table III, the security coverage table and
+    the attack matrices of one sweep run the suite once per mode.
+    """
+    names = sorted(ATTACK_REGISTRY)
+    unit = WorkUnit(
+        uid=f"attacks/{mode}",
+        module=__name__,
+        func="attack_outcomes",
+        key_payload={"mode": mode, "attacks": names},
+    )
+    return _cached(
+        unit,
+        lambda: {
+            name: run_attack(name, make_defense(mode)).outcome
+            for name in names
+        },
+        lambda row: {name: outcome.value for name, outcome in row.items()},
+        lambda record: {
+            name: AttackOutcome(value) for name, value in record.items()
+        },
+    )
 
 
 def run_suite(

@@ -314,27 +314,31 @@ def double_free(defense: Defense) -> AttackResult:
     return _missed("double_free", defense, "second free accepted")
 
 
-def uaf_after_reallocation(defense: Defense) -> AttackResult:
-    """Dangling access *after* the chunk left quarantine and was
-    reallocated.  Both ASan and REST lose the bug at this point — their
-    temporal protection lasts "until realloc" (Table III)."""
-    machine = defense.machine
-    allocator = defense.allocator
-    victim = defense.malloc(64)
-    defense.free(victim)
-    # Exhaust the quarantine so the chunk drains and gets reused.
-    quarantine_budget = getattr(allocator, "quarantine_bytes", 0)
+def _reallocate_after_drain(defense: Defense, freed: int) -> Optional[int]:
+    """Drain the quarantine (if any), then reallocate 64-byte chunks
+    until one lands on ``freed``'s address; None if none does in 64."""
+    quarantine_budget = getattr(defense.allocator, "quarantine_bytes", 0)
     drained = 0
     while drained <= quarantine_budget + 4096:
         filler = defense.malloc(512)
         defense.free(filler)
         drained += 512
-    reused = None
+    target = defense.canonical_address(freed)
     for _ in range(64):
         candidate = defense.malloc(64)
-        if defense.canonical_address(candidate) == defense.canonical_address(victim):
-            reused = candidate
-            break
+        if defense.canonical_address(candidate) == target:
+            return candidate
+    return None
+
+
+def uaf_after_reallocation(defense: Defense) -> AttackResult:
+    """Dangling access *after* the chunk left quarantine and was
+    reallocated.  Both ASan and REST lose the bug at this point — their
+    temporal protection lasts "until realloc" (Table III)."""
+    machine = defense.machine
+    victim = defense.malloc(64)
+    defense.free(victim)
+    reused = _reallocate_after_drain(defense, victim)
     if reused is None:
         return _prevented(
             "uaf_after_reallocation",
@@ -362,19 +366,7 @@ def uninitialized_heap_leak(defense: Defense) -> AttackResult:
     first = defense.malloc(64)
     machine.store(first, SECRET)
     defense.free(first)
-    # Drain quarantine if there is one, then reallocate.
-    quarantine_budget = getattr(defense.allocator, "quarantine_bytes", 0)
-    drained = 0
-    while drained <= quarantine_budget + 4096:
-        filler = defense.malloc(512)
-        defense.free(filler)
-        drained += 512
-    probe = None
-    for _ in range(64):
-        candidate = defense.malloc(64)
-        if defense.canonical_address(candidate) == defense.canonical_address(first):
-            probe = candidate
-            break
+    probe = _reallocate_after_drain(defense, first)
     if probe is None:
         return _prevented(
             "uninitialized_heap_leak", defense, "address never reused"

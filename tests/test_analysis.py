@@ -8,8 +8,6 @@ from repro.analysis import (
     token_width_tradeoff,
 )
 from repro.analysis.coverage import ATTACK_CLASSES
-from repro.defenses import AsanDefense, PlainDefense, RestDefense
-from repro.runtime import Machine
 from repro.workloads.attacks import ATTACK_REGISTRY
 
 
@@ -19,7 +17,7 @@ class TestCoverage:
         assert classified == set(ATTACK_REGISTRY)
 
     def test_rest_coverage_shape(self):
-        report = coverage_report(lambda: RestDefense(Machine()))
+        report = coverage_report("rest")
         # Linear spatial: everything applicable stopped.
         assert report.stopped_fraction("spatial-linear") == 1.0
         # Targeted/intra-object/pad: missed by design.
@@ -32,19 +30,19 @@ class TestCoverage:
         assert report.stopped_fraction("hardening") == 1.0
 
     def test_plain_coverage_near_zero(self):
-        report = coverage_report(lambda: PlainDefense(Machine()))
+        report = coverage_report("plain")
         assert report.stopped_fraction("spatial-linear") == 0.0
         assert report.stopped_fraction("temporal") == 0.0
 
     def test_rest_strictly_dominates_asan_on_composability(self):
-        rest = coverage_report(lambda: RestDefense(Machine()))
-        asan = coverage_report(lambda: AsanDefense(Machine()))
+        rest = coverage_report("rest")
+        asan = coverage_report("asan")
         assert rest.stopped_fraction("spatial-linear") > (
             asan.stopped_fraction("spatial-linear")
         )
 
     def test_missed_attacks_listed(self):
-        report = coverage_report(lambda: RestDefense(Machine()))
+        report = coverage_report("rest")
         missed = report.missed_attacks()
         assert "targeted_corruption" in missed
         assert "uaf_after_reallocation" in missed

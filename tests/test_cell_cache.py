@@ -13,6 +13,7 @@ from repro.harness.bench import BENCH_MODES, bench_specs
 from repro.harness.configs import DefenseSpec, SimulationConfig
 from repro.harness.experiment import RunResult, cell_cache, run_benchmark
 from repro.harness.sweeps import seed_sweep
+from repro.workloads.attacks import ATTACK_REGISTRY
 from repro.workloads.spec import profile_by_name
 
 
@@ -32,6 +33,23 @@ def count_builds(monkeypatch):
         return build_trace(*args, **kwargs)
 
     monkeypatch.setattr(experiment, "build_trace", counted)
+    return counter
+
+
+@pytest.fixture
+def count_attacks(monkeypatch):
+    """Count every registered attack that runs, whoever runs it."""
+    counter = {"runs": 0}
+
+    def counted(attack):
+        def run(defense):
+            counter["runs"] += 1
+            return attack(defense)
+
+        return run
+
+    for name, attack in list(ATTACK_REGISTRY.items()):
+        monkeypatch.setitem(ATTACK_REGISTRY, name, counted(attack))
     return counter
 
 
@@ -183,4 +201,39 @@ class TestRunAllSharesCells:
         capsys.readouterr()
         assert count_builds["builds"] == 109  # 146 unshared
         assert list(tmp_path.iterdir()) == []  # scratch cells deleted
+        assert experiment._CELL_CACHE is None
+
+
+class TestRunAllSharesAttacks:
+    NAMES = ["table3", "security"]
+    SCALE = 0.05
+    SEED = 1234
+
+    def test_each_attack_row_runs_once(self, tmp_path, count_attacks):
+        out = driver.run_all(
+            tmp_path / "out", scale=self.SCALE, seed=self.SEED, jobs=1,
+            use_cache=False, quiet=True, names=self.NAMES,
+        )
+        # 19 attacks x 4 modes, each run once (159 runs unshared).
+        assert count_attacks["runs"] == 4 * len(ATTACK_REGISTRY) == 76
+        assert experiment._CELL_CACHE is None
+        assert sorted(path.name for path in out.iterdir()) == [
+            "manifest.json", "security.txt", "table3.txt",
+        ]
+        for name in self.NAMES:
+            module = importlib.import_module(f"repro.experiments.{name}")
+            written = (out / f"{name}.txt").read_text()
+            assert written == module.regenerate(self.SCALE, self.SEED) + "\n"
+
+    def test_attack_rows_persist_in_the_cache_dir(
+        self, tmp_path, count_attacks
+    ):
+        runs = []
+        for name in self.NAMES:
+            driver.run_all(
+                tmp_path / name, scale=self.SCALE, seed=self.SEED,
+                cache_dir=str(tmp_path / "cache"), quiet=True, names=[name],
+            )
+            runs.append(count_attacks["runs"])
+        assert runs == [76, 76]  # security reads table3's four rows
         assert experiment._CELL_CACHE is None

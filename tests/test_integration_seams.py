@@ -277,6 +277,30 @@ class TestOneCellPath:
         assert offenders == []
         assert counts["harness/experiment.py"] == 1
 
+    def test_only_attack_outcomes_runs_attacks(self):
+        """Tripwire: every attack-suite consumer reads its rows from
+        ``attack_outcomes``, so a sweep runs each (attack, mode) once.
+
+        Only the single-attack ``repro attack`` command calls
+        ``run_attack`` directly besides it.
+        """
+        import ast
+        from pathlib import Path
+
+        import repro
+
+        root = Path(repro.__file__).parent
+        callers = set()
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                if name == "run_attack":
+                    callers.add(path.relative_to(root).as_posix())
+        assert callers == {"harness/experiment.py", "__main__.py"}
+
     def test_only_fasttier_imports_fasttier(self):
         """Tripwire: no surface reaches the analytical fast tier again.
 

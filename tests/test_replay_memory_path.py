@@ -20,6 +20,7 @@ from repro.core import Mode, RestException, Token, TokenConfigRegister
 from repro.core.exceptions import InvalidRestInstructionError, RestFaultKind
 from repro.core.modes import PrivilegeLevel
 from repro.cpu import OutOfOrderCore
+from repro.cpu.isa import alu, arm_op, store
 from repro.cpu.smp import SmpSystem
 from repro.harness.bench import BENCH_MODES, bench_specs
 from repro.harness.configs import SimulationConfig
@@ -159,6 +160,26 @@ class TestOneBody:
             call(0, 8, PrivilegeLevel.SUPERVISOR, 7)
         assert info.value.kind is RestFaultKind.SYSCALL_TOUCHED_TOKEN
         assert info.value.cycle == 7
+
+
+class TestLongStores:
+    """A replayed store checks every byte it writes, as the functional
+    ``write`` does: a 128-byte store whose second line holds a token
+    faults in both."""
+
+    def test_store_past_64_bytes_reaches_an_armed_line(self):
+        functional = _hierarchy(Mode.SECURE, 0, False, 64)
+        functional.arm(0x1040)
+        with pytest.raises(RestException) as info:
+            functional.write(0x1000, bytes(128))
+        assert info.value.kind is RestFaultKind.STORE_TOUCHED_TOKEN
+
+        core = OutOfOrderCore(_hierarchy(Mode.SECURE, 0, False, 64))
+        trace = [arm_op(0x1040)] + [alu() for _ in range(50)]
+        trace.append(store(0x1000, 128))
+        with pytest.raises(RestException) as info:
+            core.run(trace)
+        assert info.value.kind is RestFaultKind.STORE_TOUCHED_TOKEN
 
 
 class TestSmpRouting:
