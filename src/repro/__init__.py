@@ -41,37 +41,63 @@ Quick start::
         defense.load(buffer + 128, 8)
     except RestException as error:
         print(error)   # the over-read hit a token
+
+Public names load on first use: importing ``repro`` (or any of its
+packages) imports no submodule until one of its names is touched.
 """
 
-from repro.core import (
-    InvalidRestInstructionError,
-    Mode,
-    PrivilegeLevel,
-    RestException,
-    Token,
-    TokenConfigRegister,
-)
-from repro.cache import MemoryHierarchy, MulticoreHierarchy
-from repro.defenses import AsanDefense, PlainDefense, RestDefense
-from repro.runtime import ExecutionMode, Machine
-from repro.runtime.shadow import AsanViolation
+import importlib
+import sys
+from typing import Callable, Dict, List, Sequence, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AsanDefense",
-    "AsanViolation",
-    "ExecutionMode",
-    "InvalidRestInstructionError",
-    "Machine",
-    "MemoryHierarchy",
-    "Mode",
-    "MulticoreHierarchy",
-    "PlainDefense",
-    "PrivilegeLevel",
-    "RestDefense",
-    "RestException",
-    "Token",
-    "TokenConfigRegister",
-    "__version__",
-]
+
+def lazy_exports(
+    package: str, exports: Dict[str, Sequence[str]]
+) -> Tuple[List[str], Callable[[str], object]]:
+    """``(__all__, __getattr__)`` of a package whose names load on use.
+
+    ``exports`` maps each submodule to the public names it provides.
+    The returned PEP 562 ``__getattr__`` imports a name's submodule the
+    first time the name is read and keeps the value in the package, so
+    importing the package itself costs nothing.  Every package
+    ``__init__`` under ``repro`` declares its exports this way.
+    """
+    home = {
+        name: module for module, names in exports.items() for name in names
+    }
+
+    def __getattr__(name: str):
+        try:
+            module = home[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)
+        return value
+
+    return sorted(home), __getattr__
+
+
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.exceptions": (
+            "InvalidRestInstructionError",
+            "RestException",
+        ),
+        "repro.core.modes": ("Mode", "PrivilegeLevel"),
+        "repro.core.token": ("Token", "TokenConfigRegister"),
+        "repro.cache.hierarchy": ("MemoryHierarchy",),
+        "repro.cache.coherence": ("MulticoreHierarchy",),
+        "repro.defenses.asan": ("AsanDefense",),
+        "repro.defenses.none": ("PlainDefense",),
+        "repro.defenses.rest": ("RestDefense",),
+        "repro.runtime.machine": ("ExecutionMode", "Machine"),
+        "repro.runtime.shadow": ("AsanViolation",),
+    },
+)
+__all__.append("__version__")

@@ -68,35 +68,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-
-def _positive_int(text: str) -> int:
-    """argparse type for flags that only make sense strictly positive.
-
-    Rejecting ``--jobs 0`` here (instead of silently running serial)
-    gives the standard argparse usage error and a non-zero exit.
-    """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a positive integer, got {value}"
-        )
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    """argparse type for counts where zero means "none" (``--kills 0``)."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"must be a non-negative integer, got {value}"
-        )
-    return value
+from repro.experiments.run_all import (
+    cache_directory,
+    non_negative_int,
+    positive_float,
+    positive_int,
+)
 
 
 def _benchmark_name(text: str) -> str:
@@ -124,16 +101,6 @@ def _bench_mode(text: str) -> str:
     return text
 
 
-def _cache_dir(text: str) -> str:
-    """argparse type for cache-directory flags: reject plain files."""
-    from pathlib import Path
-
-    if Path(text).is_file():
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is a file, not a cache directory"
-        )
-    return text
-
 EXPERIMENTS = (
     "table1",
     "table2",
@@ -150,8 +117,9 @@ EXPERIMENTS = (
 
 
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.harness.experiment import cell_cache
-    from repro.harness.parallel import ResultCache, WorkUnit, execute_units
+    from repro.harness.parallel import (
+        ResultCache, WorkUnit, cell_cache, execute_units,
+    )
 
     names = args.names or list(EXPERIMENTS)
     for name in names:
@@ -990,16 +958,17 @@ def main(argv=None) -> int:
     p_exp.add_argument("names", nargs="*", metavar="name")
     p_exp.add_argument("--scale", type=float, default=0.35)
     p_exp.add_argument("--seed", type=int, default=1234)
-    p_exp.add_argument("--jobs", "-j", type=_positive_int, default=1,
+    p_exp.add_argument("--jobs", "-j", type=positive_int, default=1,
                        help="worker processes (1 = in-process)")
-    p_exp.add_argument("--cache", type=_cache_dir, default=None,
+    p_exp.add_argument("--cache", type=cache_directory, default=None,
                        metavar="DIR",
                        help="reuse/populate a result cache directory")
-    p_exp.add_argument("--timeout", type=float, default=None,
+    p_exp.add_argument("--timeout", type=positive_float, default=None,
                        metavar="SECONDS",
                        help="per-unit wall-clock timeout (hung workers "
                             "are killed and re-dispatched)")
-    p_exp.add_argument("--retries", type=int, default=0, metavar="N",
+    p_exp.add_argument("--retries", type=non_negative_int,
+                       default=0, metavar="N",
                        help="extra attempts per failed unit before "
                             "quarantine")
     p_exp.set_defaults(handler=_cmd_experiments)
@@ -1010,16 +979,17 @@ def main(argv=None) -> int:
     p_sweep.add_argument("--seeds", type=int, nargs="+",
                          default=[1, 2, 3, 4, 5])
     p_sweep.add_argument("--scale", type=float, default=0.1)
-    p_sweep.add_argument("--jobs", "-j", type=_positive_int, default=1)
-    p_sweep.add_argument("--cache", type=_cache_dir, default=None,
+    p_sweep.add_argument("--jobs", "-j", type=positive_int, default=1)
+    p_sweep.add_argument("--cache", type=cache_directory, default=None,
                          metavar="DIR")
     p_sweep.add_argument("--benchmarks", nargs="*", metavar="name",
                          type=_benchmark_name,
                          help="subset of benchmarks (default: all)")
-    p_sweep.add_argument("--timeout", type=float, default=None,
+    p_sweep.add_argument("--timeout", type=positive_float, default=None,
                          metavar="SECONDS",
                          help="per-cell wall-clock timeout")
-    p_sweep.add_argument("--retries", type=int, default=0, metavar="N",
+    p_sweep.add_argument("--retries", type=non_negative_int,
+                         default=0, metavar="N",
                          help="extra attempts per failed cell")
     p_sweep.add_argument("--live", action="store_true",
                          help="stream per-cell sampler snapshots while "
@@ -1033,11 +1003,12 @@ def main(argv=None) -> int:
     p_chaos.add_argument("--outdir", default="results/chaos", metavar="DIR")
     p_chaos.add_argument("--scale", type=float, default=0.35)
     p_chaos.add_argument("--seed", type=int, default=1234)
-    p_chaos.add_argument("--jobs", "-j", type=_positive_int, default=2)
-    p_chaos.add_argument("--timeout", type=float, default=60.0,
+    p_chaos.add_argument("--jobs", "-j", type=positive_int, default=2)
+    p_chaos.add_argument("--timeout", type=positive_float, default=60.0,
                          metavar="SECONDS",
                          help="per-unit timeout for the chaos run")
-    p_chaos.add_argument("--retries", type=int, default=2, metavar="N")
+    p_chaos.add_argument("--retries", type=non_negative_int,
+                         default=2, metavar="N")
     p_chaos.add_argument("--fault-seed", type=int, default=7,
                          help="seed of the fault plan (same seed, same "
                               "chaos)")
@@ -1048,7 +1019,7 @@ def main(argv=None) -> int:
                               "faulted units")
     p_chaos.add_argument("--fraction", type=float, default=0.6,
                          help="fraction of units to fault")
-    p_chaos.add_argument("--permanent", type=_non_negative_int, default=0,
+    p_chaos.add_argument("--permanent", type=non_negative_int, default=0,
                          metavar="K",
                          help="make K planned faults unhealable "
                               "(exercises quarantine)")
@@ -1075,16 +1046,16 @@ def main(argv=None) -> int:
     )
     p_fnd.add_argument("--seed", type=int, default=7,
                        help="corpus seed (same seed, same matrix)")
-    p_fnd.add_argument("--cases", type=_positive_int, default=500,
+    p_fnd.add_argument("--cases", type=positive_int, default=500,
                        help="corpus size, round-robin over families")
-    p_fnd.add_argument("--jobs", "-j", type=_positive_int, default=1)
+    p_fnd.add_argument("--jobs", "-j", type=positive_int, default=1)
     p_fnd.add_argument("--defenses", nargs="*", choices=DEFENSE_MODES,
                        metavar="mode",
                        help="defense modes (default: none asan rest "
                             "softrest mte mte-async)")
     p_fnd.add_argument("--families", nargs="*", metavar="family",
                        help="primitive families (default: all)")
-    p_fnd.add_argument("--cache", type=_cache_dir, default=None,
+    p_fnd.add_argument("--cache", type=cache_directory, default=None,
                        metavar="DIR",
                        help="reuse/populate a shard result cache")
     p_fnd.add_argument("--out", default=None, metavar="FILE",
@@ -1096,10 +1067,11 @@ def main(argv=None) -> int:
     p_fnd.add_argument("--strict", action="store_true",
                        help="fail (exit 1) on oracle mispredictions or "
                             "sound-oracle ASan misses")
-    p_fnd.add_argument("--timeout", type=float, default=None,
+    p_fnd.add_argument("--timeout", type=positive_float, default=None,
                        metavar="SECONDS",
                        help="per-shard wall-clock timeout")
-    p_fnd.add_argument("--retries", type=int, default=0, metavar="N",
+    p_fnd.add_argument("--retries", type=non_negative_int,
+                       default=0, metavar="N",
                        help="extra attempts per failed shard")
     p_fnd.set_defaults(handler=_cmd_foundry)
 
@@ -1172,10 +1144,10 @@ def main(argv=None) -> int:
                        type=_bench_mode,
                        help="defense modes (default: plain asan "
                             "rest-secure rest-debug)")
-    p_run.add_argument("--sample-interval", type=_positive_int,
+    p_run.add_argument("--sample-interval", type=positive_int,
                        default=None, metavar="N",
                        help="cycles per time-series sample")
-    p_run.add_argument("--ring", type=_positive_int, default=1 << 16,
+    p_run.add_argument("--ring", type=positive_int, default=1 << 16,
                        help="event ring-buffer capacity")
     p_run.add_argument("--trace-out", action="store_true",
                        help="export structured events as JSONL")
@@ -1195,7 +1167,7 @@ def main(argv=None) -> int:
                         help="baseline mode (default plain)")
     p_diff.add_argument("--b", default="rest-debug", metavar="MODE",
                         help="compared mode (default rest-debug)")
-    p_diff.add_argument("--top", type=_positive_int, default=20,
+    p_diff.add_argument("--top", type=positive_int, default=20,
                         help="top delta PCs to keep")
     p_diff.add_argument("--out", default=None, metavar="FILE",
                         help="artifact path (default: "
@@ -1226,15 +1198,16 @@ def main(argv=None) -> int:
         "serve", help="run the simulation job daemon (SIGTERM drains)"
     )
     add_endpoint_flags(p_serve)
-    p_serve.add_argument("--slots", type=_positive_int, default=2,
+    p_serve.add_argument("--slots", type=positive_int, default=2,
                          help="concurrent simulations")
-    p_serve.add_argument("--max-jobs", type=_positive_int, default=8,
+    p_serve.add_argument("--max-jobs", type=positive_int, default=8,
                          help="open-job admission limit (excess submits "
                               "get a structured queue_full rejection)")
-    p_serve.add_argument("--timeout", type=float, default=None,
+    p_serve.add_argument("--timeout", type=positive_float, default=None,
                          metavar="SECONDS",
                          help="per-unit wall-clock timeout")
-    p_serve.add_argument("--retries", type=int, default=0, metavar="N",
+    p_serve.add_argument("--retries", type=non_negative_int,
+                         default=0, metavar="N",
                          help="extra attempts per failed unit")
     p_serve.add_argument("--drain-grace", type=float, default=10.0,
                          metavar="SECONDS",
@@ -1250,7 +1223,7 @@ def main(argv=None) -> int:
                          metavar="X",
                          help="coordinator: heartbeats a worker may miss "
                               "before its leases are revoked")
-    p_serve.add_argument("--unit-retries", type=int, default=2,
+    p_serve.add_argument("--unit-retries", type=non_negative_int, default=2,
                          metavar="N",
                          help="coordinator: reassignments a unit gets "
                               "after worker deaths before quarantine")
@@ -1265,14 +1238,14 @@ def main(argv=None) -> int:
                           help="coordinator TCP endpoint")
     p_worker.add_argument("--name", default=None,
                           help="worker name (default: coordinator assigns)")
-    p_worker.add_argument("--slots", type=_positive_int, default=2,
+    p_worker.add_argument("--slots", type=positive_int, default=2,
                           help="concurrent supervised simulations")
     p_worker.add_argument("--state-dir", default=None, metavar="DIR",
                           help="write worker.log here (default: stdout)")
     p_worker.add_argument("--no-reconnect", action="store_true",
                           help="exit instead of redialing a lost "
                                "coordinator")
-    p_worker.add_argument("--reconnect-tries", type=_positive_int,
+    p_worker.add_argument("--reconnect-tries", type=positive_int,
                           default=30, metavar="N",
                           help="consecutive failed dials before giving up")
     p_worker.set_defaults(handler=_cmd_worker)
@@ -1297,13 +1270,13 @@ def main(argv=None) -> int:
                              "fields against (exit 1 on drift)")
     p_load.add_argument("--seed", type=int, default=11)
     p_load.add_argument("--fault-seed", type=int, default=7)
-    p_load.add_argument("--slots", type=_positive_int, default=2,
+    p_load.add_argument("--slots", type=positive_int, default=2,
                         help="slots per worker")
     p_load.add_argument("--scale", type=float, default=0.05)
-    p_load.add_argument("--chaos-workers", type=_positive_int, default=2)
-    p_load.add_argument("--kills", type=_non_negative_int, default=1,
+    p_load.add_argument("--chaos-workers", type=positive_int, default=2)
+    p_load.add_argument("--kills", type=non_negative_int, default=1,
                         help="seeded mid-flight worker SIGKILLs")
-    p_load.add_argument("--permanent", type=_non_negative_int, default=1,
+    p_load.add_argument("--permanent", type=non_negative_int, default=1,
                         help="unhealable faults (expected quarantine)")
     p_load.add_argument("--quiet", action="store_true")
     p_load.set_defaults(handler=_cmd_loadgen)
@@ -1333,7 +1306,7 @@ def main(argv=None) -> int:
                        help="sweep: seeds (default 1..5)")
     p_sub.add_argument("--no-live", action="store_true",
                        help="sweep: skip live sampler streaming")
-    p_sub.add_argument("--sample-interval", type=_positive_int,
+    p_sub.add_argument("--sample-interval", type=positive_int,
                        default=None, metavar="N",
                        help="sweep: cycles per live sample")
     p_sub.set_defaults(handler=_cmd_submit)

@@ -9,23 +9,20 @@
   width), pairing each point's cost with the protection it buys.
 """
 
-from repro.analysis.attribution import (
-    CycleBreakdown,
-    attribute_overhead,
-    breakdown,
-)
-from repro.analysis.coverage import CoverageReport, coverage_report
-from repro.analysis.tradeoffs import (
-    quarantine_tradeoff,
-    token_width_tradeoff,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "CoverageReport",
-    "CycleBreakdown",
-    "attribute_overhead",
-    "breakdown",
-    "coverage_report",
-    "quarantine_tradeoff",
-    "token_width_tradeoff",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.analysis.attribution": (
+            "CycleBreakdown",
+            "attribute_overhead",
+            "breakdown",
+        ),
+        "repro.analysis.coverage": ("CoverageReport", "coverage_report"),
+        "repro.analysis.tradeoffs": (
+            "quarantine_tradeoff",
+            "token_width_tradeoff",
+        ),
+    },
+)

@@ -8,24 +8,20 @@ the Table I action semantics for arm/disarm/load/store on hits and
 misses.
 """
 
-from repro.cache.line import CacheLine
-from repro.cache.mshr import Mshr, MshrFile
-from repro.cache.writebuffer import WriteBuffer
-from repro.cache.cache import Cache, CacheConfig, CacheStats
-from repro.cache.hierarchy import AccessResult, MemoryHierarchy, HierarchyConfig
-from repro.cache.coherence import CoherenceStats, MulticoreHierarchy
+from repro import lazy_exports
 
-__all__ = [
-    "AccessResult",
-    "CoherenceStats",
-    "MulticoreHierarchy",
-    "Cache",
-    "CacheConfig",
-    "CacheLine",
-    "CacheStats",
-    "HierarchyConfig",
-    "MemoryHierarchy",
-    "Mshr",
-    "MshrFile",
-    "WriteBuffer",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.cache.line": ("CacheLine",),
+        "repro.cache.mshr": ("Mshr", "MshrFile"),
+        "repro.cache.writebuffer": ("WriteBuffer",),
+        "repro.cache.cache": ("Cache", "CacheConfig", "CacheStats"),
+        "repro.cache.hierarchy": (
+            "AccessResult",
+            "MemoryHierarchy",
+            "HierarchyConfig",
+        ),
+        "repro.cache.coherence": ("CoherenceStats", "MulticoreHierarchy"),
+    },
+)

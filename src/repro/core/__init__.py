@@ -6,38 +6,27 @@ privileged token configuration register, the secure/debug operating
 modes, the REST exception types, and the L1 fill-path token detector.
 """
 
-from repro.core.exceptions import (
-    InvalidRestInstructionError,
-    PrivilegeError,
-    RestException,
-    RestFault,
-)
-from repro.core.modes import Mode, PrivilegeLevel
-from repro.core.token import (
-    TOKEN_WIDTHS,
-    Token,
-    TokenConfigRegister,
-    brute_force_years,
-    false_positive_probability,
-    max_aligned_chunks,
-)
-from repro.core.detector import TokenDetector
-from repro.core.hwcost import HardwareCost, rest_cost
+from repro import lazy_exports
 
-__all__ = [
-    "HardwareCost",
-    "TOKEN_WIDTHS",
-    "rest_cost",
-    "InvalidRestInstructionError",
-    "Mode",
-    "PrivilegeError",
-    "PrivilegeLevel",
-    "RestException",
-    "RestFault",
-    "Token",
-    "TokenConfigRegister",
-    "TokenDetector",
-    "brute_force_years",
-    "false_positive_probability",
-    "max_aligned_chunks",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.core.exceptions": (
+            "InvalidRestInstructionError",
+            "PrivilegeError",
+            "RestException",
+            "RestFault",
+        ),
+        "repro.core.modes": ("Mode", "PrivilegeLevel"),
+        "repro.core.token": (
+            "TOKEN_WIDTHS",
+            "Token",
+            "TokenConfigRegister",
+            "brute_force_years",
+            "false_positive_probability",
+            "max_aligned_chunks",
+        ),
+        "repro.core.detector": ("TokenDetector",),
+        "repro.core.hwcost": ("HardwareCost", "rest_cost"),
+    },
+)

@@ -9,25 +9,18 @@ Figure 5) and in the commit policy (secure mode commits stores eagerly;
 debug mode holds the ROB head until the write completes).
 """
 
-from repro.cpu.isa import MicroOp, OpType
-from repro.cpu.bpred import BranchPredictor
-from repro.cpu.lsq import LoadStoreQueue, SqEntryKind
-from repro.cpu.rob import ReorderBuffer
-from repro.cpu.iq import IssueQueue
-from repro.cpu.stats import CoreStats
-from repro.cpu.pipeline import CoreConfig, OutOfOrderCore
-from repro.cpu.smp import SmpSystem
+from repro import lazy_exports
 
-__all__ = [
-    "SmpSystem",
-    "BranchPredictor",
-    "CoreConfig",
-    "CoreStats",
-    "IssueQueue",
-    "LoadStoreQueue",
-    "MicroOp",
-    "OpType",
-    "OutOfOrderCore",
-    "ReorderBuffer",
-    "SqEntryKind",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.cpu.isa": ("MicroOp", "OpType"),
+        "repro.cpu.bpred": ("BranchPredictor",),
+        "repro.cpu.lsq": ("LoadStoreQueue", "SqEntryKind"),
+        "repro.cpu.rob": ("ReorderBuffer",),
+        "repro.cpu.iq": ("IssueQueue",),
+        "repro.cpu.stats": ("CoreStats",),
+        "repro.cpu.pipeline": ("CoreConfig", "OutOfOrderCore"),
+        "repro.cpu.smp": ("SmpSystem",),
+    },
+)

@@ -11,32 +11,24 @@ New schemes register a :class:`~repro.defenses.plugin.DefensePlugin`
 mode name is accepted — CLI, foundry, attack suite, experiments.
 """
 
-from repro.defenses.base import Defense
-from repro.defenses.none import PlainDefense
-from repro.defenses.asan import AsanDefense
-from repro.defenses.mte import MteDefense
-from repro.defenses.rest import RestDefense
-from repro.defenses.softrest import SoftRestDefense
-from repro.defenses.plugin import (
-    DEFENSE_MODES,
-    DefensePlugin,
-    canonical_mode,
-    get_plugin,
-    make_defense,
-    registered_plugins,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AsanDefense",
-    "DEFENSE_MODES",
-    "Defense",
-    "DefensePlugin",
-    "MteDefense",
-    "PlainDefense",
-    "RestDefense",
-    "SoftRestDefense",
-    "canonical_mode",
-    "get_plugin",
-    "make_defense",
-    "registered_plugins",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.defenses.base": ("Defense",),
+        "repro.defenses.none": ("PlainDefense",),
+        "repro.defenses.asan": ("AsanDefense",),
+        "repro.defenses.mte": ("MteDefense",),
+        "repro.defenses.rest": ("RestDefense",),
+        "repro.defenses.softrest": ("SoftRestDefense",),
+        "repro.defenses.plugin": (
+            "DEFENSE_MODES",
+            "DefensePlugin",
+            "canonical_mode",
+            "get_plugin",
+            "make_defense",
+            "registered_plugins",
+        ),
+    },
+)

@@ -15,7 +15,7 @@ job count (timing fields aside).
 
 Beneath the experiment units, every simulated (benchmark, spec,
 config) cell is shared: experiments run inside
-:func:`~repro.harness.experiment.cell_cache`, so a cell that fig7,
+:func:`~repro.harness.parallel.cell_cache`, so a cell that fig7,
 fig8, intext and stalls all need is simulated once and read from its
 JSON cell record after that.  Attack outcomes are shared the same
 way: table3, security and defensezoo read one record per defense mode
@@ -43,11 +43,11 @@ import time
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.harness.experiment import cell_cache
 from repro.harness.parallel import (
     FAULT_PLAN_ENV,
     ResultCache,
     WorkUnit,
+    cell_cache,
     execute_units,
     failed_units,
     fault_summary,
@@ -282,7 +282,9 @@ def run_all(
     return out
 
 
-def _positive_int(text: str) -> int:
+def positive_int(text: str) -> int:
+    """argparse type for counts that only make sense strictly positive
+    (``--jobs``): ``--jobs 0`` is a usage error, not a serial run."""
     try:
         value = int(text)
     except ValueError:
@@ -294,7 +296,34 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _cache_dir(text: str) -> str:
+def non_negative_int(text: str) -> int:
+    """argparse type for counts where zero means "none" (``--retries``)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer")
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, got {value}"
+        )
+    return value
+
+
+def positive_float(text: str) -> float:
+    """argparse type for durations (``--timeout``): strictly positive."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number")
+    if not value > 0:  # also rejects nan
+        raise argparse.ArgumentTypeError(
+            f"must be a positive number, got {value}"
+        )
+    return value
+
+
+def cache_directory(text: str) -> str:
+    """argparse type for cache-directory flags: reject plain files."""
     if Path(text).is_file():
         raise argparse.ArgumentTypeError(
             f"{text!r} is a file, not a cache directory"
@@ -310,13 +339,13 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--jobs",
         "-j",
-        type=_positive_int,
+        type=positive_int,
         default=1,
         help="worker processes (1 = run in-process)",
     )
     parser.add_argument(
         "--cache-dir",
-        type=_cache_dir,
+        type=cache_directory,
         default=None,
         help="result cache location (default: <outdir>/cache)",
     )
@@ -327,7 +356,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--timeout",
-        type=float,
+        type=positive_float,
         default=None,
         metavar="SECONDS",
         help="per-unit wall-clock timeout (hung workers are killed "
@@ -335,7 +364,7 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--retries",
-        type=int,
+        type=non_negative_int,
         default=0,
         metavar="N",
         help="extra attempts per failed unit before quarantine",

@@ -7,16 +7,16 @@ cycle-accurately.  It survives because the ``cells-fast`` workload of
 See :mod:`repro.fasttier.engine` for the strategy and INTERNALS §12.
 """
 
-from repro.fasttier.engine import (
-    DECLARED_TOLERANCE,
-    BlockMemo,
-    FastTierEngine,
-    FastTierResult,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "BlockMemo",
-    "DECLARED_TOLERANCE",
-    "FastTierEngine",
-    "FastTierResult",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.fasttier.engine": (
+            "DECLARED_TOLERANCE",
+            "BlockMemo",
+            "FastTierEngine",
+            "FastTierResult",
+        ),
+    },
+)

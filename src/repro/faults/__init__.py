@@ -8,30 +8,24 @@
              sweep, manifest-identity verdict, fault accounting.
 """
 
-from repro.faults.inject import (
-    ENV_VAR,
-    InjectedFault,
-    TransientInjectedFault,
-    maybe_inject,
-)
-from repro.faults.plan import (
-    ALWAYS,
-    FAULT_KINDS,
-    FaultPlan,
-    FaultSpec,
-    WorkerKill,
-    WorkerKillPlan,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ALWAYS",
-    "ENV_VAR",
-    "FAULT_KINDS",
-    "FaultPlan",
-    "FaultSpec",
-    "InjectedFault",
-    "TransientInjectedFault",
-    "WorkerKill",
-    "WorkerKillPlan",
-    "maybe_inject",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.faults.inject": (
+            "ENV_VAR",
+            "InjectedFault",
+            "TransientInjectedFault",
+            "maybe_inject",
+        ),
+        "repro.faults.plan": (
+            "ALWAYS",
+            "FAULT_KINDS",
+            "FaultPlan",
+            "FaultSpec",
+            "WorkerKill",
+            "WorkerKillPlan",
+        ),
+    },
+)

@@ -26,42 +26,29 @@ Layering:
   the top-level :func:`run_foundry` entry point.
 """
 
-from repro.foundry.primitives import (
-    AttackCase,
-    CaseOutcome,
-    DEFENSE_MODES,
-    FAMILIES,
-    Family,
-    Oracle,
-    OracleViolation,
-)
-from repro.foundry.generator import generate_corpus, validate_case
-from repro.foundry.executor import run_case
-from repro.foundry.matrix import (
-    MATRIX_SCHEMA,
-    corpus_digest,
-    handwritten_matrix,
-    render_matrix_text,
-    score_matrix,
-)
-from repro.foundry.runner import FoundryExecutionError, run_foundry
+from repro import lazy_exports
 
-__all__ = [
-    "AttackCase",
-    "CaseOutcome",
-    "DEFENSE_MODES",
-    "FAMILIES",
-    "Family",
-    "FoundryExecutionError",
-    "MATRIX_SCHEMA",
-    "Oracle",
-    "OracleViolation",
-    "corpus_digest",
-    "generate_corpus",
-    "handwritten_matrix",
-    "render_matrix_text",
-    "run_case",
-    "run_foundry",
-    "score_matrix",
-    "validate_case",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.foundry.primitives": (
+            "AttackCase",
+            "CaseOutcome",
+            "DEFENSE_MODES",
+            "FAMILIES",
+            "Family",
+            "Oracle",
+            "OracleViolation",
+        ),
+        "repro.foundry.generator": ("generate_corpus", "validate_case"),
+        "repro.foundry.executor": ("run_case",),
+        "repro.foundry.matrix": (
+            "MATRIX_SCHEMA",
+            "corpus_digest",
+            "handwritten_matrix",
+            "render_matrix_text",
+            "score_matrix",
+        ),
+        "repro.foundry.runner": ("FoundryExecutionError", "run_foundry"),
+    },
+)

@@ -1,53 +1,38 @@
 """Experiment harness: configurations, runners, metrics, reporting."""
 
-from repro.harness.configs import (
-    DefenseSpec,
-    SimulationConfig,
-    config_payload,
-    table2_text,
-)
-from repro.harness.experiment import RunResult, run_benchmark, run_suite
-from repro.harness.metrics import (
-    geo_mean_overhead,
-    overhead_percent,
-    weighted_mean_overhead,
-)
-from repro.harness.parallel import (
-    TIMING_FIELDS,
-    VOLATILE_FIELDS,
-    ResultCache,
-    UnitResult,
-    WorkUnit,
-    code_version_salt,
-    execute_units,
-    failed_units,
-    strip_volatile,
-)
-from repro.harness.reporting import bar_chart, format_table
-from repro.harness.sweeps import SweepResult, seed_sweep
+from repro import lazy_exports
 
-__all__ = [
-    "TIMING_FIELDS",
-    "VOLATILE_FIELDS",
-    "ResultCache",
-    "SweepResult",
-    "UnitResult",
-    "WorkUnit",
-    "DefenseSpec",
-    "RunResult",
-    "SimulationConfig",
-    "bar_chart",
-    "code_version_salt",
-    "config_payload",
-    "execute_units",
-    "failed_units",
-    "format_table",
-    "geo_mean_overhead",
-    "overhead_percent",
-    "run_benchmark",
-    "run_suite",
-    "seed_sweep",
-    "strip_volatile",
-    "table2_text",
-    "weighted_mean_overhead",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.harness.configs": (
+            "DefenseSpec",
+            "SimulationConfig",
+            "config_payload",
+            "table2_text",
+        ),
+        "repro.harness.experiment": (
+            "RunResult",
+            "run_benchmark",
+            "run_suite",
+        ),
+        "repro.harness.metrics": (
+            "geo_mean_overhead",
+            "overhead_percent",
+            "weighted_mean_overhead",
+        ),
+        "repro.harness.parallel": (
+            "TIMING_FIELDS",
+            "VOLATILE_FIELDS",
+            "ResultCache",
+            "UnitResult",
+            "WorkUnit",
+            "code_version_salt",
+            "execute_units",
+            "failed_units",
+            "strip_volatile",
+        ),
+        "repro.harness.reporting": ("bar_chart", "format_table"),
+        "repro.harness.sweeps": ("SweepResult", "seed_sweep"),
+    },
+)

@@ -9,10 +9,10 @@ goes through these two functions.  Runtime is the cycle count;
 overheads are runtimes normalised to the Plain run of the same
 benchmark and seed.
 
-Inside a :func:`cell_cache` block, :func:`run_benchmark` reads each
-unobserved cell from a :class:`~repro.harness.parallel.ResultCache`
-of JSON cell records (:meth:`RunResult.to_json`) and publishes the
-cells it computes, so a sweep simulates each distinct cell once.
+Inside a :func:`~repro.harness.parallel.cell_cache` block,
+:func:`run_benchmark` reads each unobserved cell from a
+:class:`~repro.harness.parallel.ResultCache` of JSON cell records
+(:meth:`RunResult.to_json`) and publishes the cells it computes, so a sweep simulates each distinct cell once.
 :func:`attack_outcomes` does the same for the attack suite: one
 record per defense mode holds that mode's outcome of every registered
 attack, so a sweep runs each (attack, mode) pair once.
@@ -22,13 +22,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import shutil
-import tempfile
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass
-from typing import (
-    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, TypeVar,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.hierarchy import HierarchyStats, MemoryHierarchy
 from repro.core.token import Token, TokenConfigRegister
@@ -38,7 +33,7 @@ from repro.cpu.stats import CoreStats
 from repro.defenses import Defense
 from repro.defenses.plugin import get_plugin, is_baseline, make_defense
 from repro.harness.configs import DefenseSpec, SimulationConfig, config_payload
-from repro.harness.parallel import ResultCache, WorkUnit, code_version_salt
+from repro.harness.parallel import WorkUnit, _cached
 from repro.runtime.machine import ExecutionMode, Machine
 from repro.workloads.attacks import ATTACK_REGISTRY, AttackOutcome, run_attack
 from repro.workloads.generator import SyntheticWorkload, WorkloadStats
@@ -126,42 +121,6 @@ class RunResult:
         return stall_buckets(self.core_stats)
 
 
-#: The cell cache :func:`run_benchmark` and :func:`attack_outcomes`
-#: consult (None: off).  Only :func:`cell_cache` sets it; forked
-#: workers inherit it.
-_CELL_CACHE: Optional[ResultCache] = None
-
-_T = TypeVar("_T")
-
-
-@contextmanager
-def cell_cache(root=None, scratch_parent=None) -> Iterator[ResultCache]:
-    """Share cell and attack records through one :class:`ResultCache`.
-
-    Entries live under ``root``.  With ``root`` None they live in a
-    scratch directory made under ``scratch_parent`` (default: the
-    system temp directory) and deleted on exit, so nothing is read
-    from an earlier run.  Worker processes forked inside the block
-    inherit the cache and share cells through its first-writer-wins
-    publish; spawned workers start without it and compute every cell
-    themselves, with the same results.  The previous cache comes back
-    on exit, also when the block raises.
-    """
-    global _CELL_CACHE
-    previous = _CELL_CACHE
-    scratch = None
-    if root is None:
-        scratch = root = tempfile.mkdtemp(prefix=".cells-", dir=scratch_parent)
-    code_version_salt()  # memoised before any worker forks
-    _CELL_CACHE = ResultCache(root)
-    try:
-        yield _CELL_CACHE
-    finally:
-        _CELL_CACHE = previous
-        if scratch is not None:
-            shutil.rmtree(scratch, ignore_errors=True)
-
-
 def _cell_unit(
     profile: BenchmarkProfile, spec: DefenseSpec, config: SimulationConfig
 ) -> WorkUnit:
@@ -184,26 +143,6 @@ def _cell_unit(
         func="run_benchmark",
         key_payload=payload,
     )
-
-
-def _cached(
-    unit: WorkUnit,
-    compute: Callable[[], _T],
-    encode: Callable[[_T], dict],
-    decode: Callable[[dict], _T],
-) -> _T:
-    """``unit``'s value: read from the installed cell cache, or computed
-    and published there; just computed when no cache is installed."""
-    cache = _CELL_CACHE
-    if cache is None:
-        return compute()
-    key = unit.cache_key()
-    entry = cache.get(key, unit)
-    if entry is not None:
-        return decode(entry["value"])
-    value = compute()
-    cache.put(key, unit, encode(value))
-    return value
 
 
 def build_defense(machine: Machine, spec: DefenseSpec) -> Defense:
@@ -296,8 +235,9 @@ def run_benchmark(
     observes both phases: trace generation, then every hook point of
     the replaying core.
 
-    Inside a :func:`cell_cache` block an unobserved run returns the
-    cached cell when there is one and publishes its cell otherwise.
+    Inside a :func:`~repro.harness.parallel.cell_cache` block an
+    unobserved run returns the cached cell when there is one and
+    publishes its cell otherwise.
     A run with a ``tracer`` or ``on_sample`` always simulates and
     publishes nothing, since its observer needs the events.
     """
@@ -362,9 +302,10 @@ def attack_outcomes(mode: str) -> Dict[str, AttackOutcome]:
 
     Each attack runs once, in name order, against a fresh functional
     defense (:func:`~repro.defenses.plugin.make_defense`).  Inside a
-    :func:`cell_cache` block the row is one record, uid
-    ``attacks/<mode>``, so Table III, the security coverage table and
-    the attack matrices of one sweep run the suite once per mode.
+    :func:`~repro.harness.parallel.cell_cache` block the row is one
+    record, uid ``attacks/<mode>``, so Table III, the security coverage
+    table and the attack matrices of one sweep run the suite once per
+    mode.
     """
     names = sorted(ATTACK_REGISTRY)
     unit = WorkUnit(

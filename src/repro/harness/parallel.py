@@ -68,6 +68,17 @@ streamed to the parent *while the unit runs*, not after.  This is what
 With no queue installed :func:`emit_progress` is a dormant
 ``is None`` check, so cache keys, results, and the hot path are
 unaffected.
+
+**Cell cache.**  Inside a :func:`cell_cache` block, the simulation
+cells and attack rows that units compute are shared through one
+:class:`ResultCache` as well (:func:`_cached`), so a sweep computes
+each of them once.
+
+**Import before fork.**  This module imports nothing of the simulator.
+A unit's module is imported in the parent just before workers fork
+(:func:`_import_target`), so forked workers inherit it and a sweep
+pays each import once, while a run that finds every unit cached
+imports no target at all.
 """
 
 from __future__ import annotations
@@ -80,14 +91,20 @@ import json
 import multiprocessing
 import os
 import random
+import shutil
 import tempfile
+import threading
 import time
 import traceback
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mp_connection
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+    TypeVar,
+)
 
 #: Environment variable activating worker-side fault injection (see
 #: :mod:`repro.faults.inject`).  Checked once per work-unit attempt.
@@ -524,6 +541,63 @@ class ResultCache:
         return path
 
 
+#: The cell cache :func:`_cached` consults (None: off), which
+#: ``run_benchmark`` and ``attack_outcomes`` of
+#: :mod:`repro.harness.experiment` read through.  Only
+#: :func:`cell_cache` sets it; forked workers inherit it.
+_CELL_CACHE: Optional[ResultCache] = None
+
+_T = TypeVar("_T")
+
+
+@contextmanager
+def cell_cache(root=None, scratch_parent=None) -> Iterator[ResultCache]:
+    """Share cell and attack records through one :class:`ResultCache`.
+
+    Entries live under ``root``.  With ``root`` None they live in a
+    scratch directory made under ``scratch_parent`` (default: the
+    system temp directory) and deleted on exit, so nothing is read
+    from an earlier run.  Worker processes forked inside the block
+    inherit the cache and share cells through its first-writer-wins
+    publish; spawned workers start without it and compute every cell
+    themselves, with the same results.  The previous cache comes back
+    on exit, also when the block raises.
+    """
+    global _CELL_CACHE
+    previous = _CELL_CACHE
+    scratch = None
+    if root is None:
+        scratch = root = tempfile.mkdtemp(prefix=".cells-", dir=scratch_parent)
+    code_version_salt()  # memoised before any worker forks
+    _CELL_CACHE = ResultCache(root)
+    try:
+        yield _CELL_CACHE
+    finally:
+        _CELL_CACHE = previous
+        if scratch is not None:
+            shutil.rmtree(scratch, ignore_errors=True)
+
+
+def _cached(
+    unit: WorkUnit,
+    compute: Callable[[], _T],
+    encode: Callable[[_T], dict],
+    decode: Callable[[dict], _T],
+) -> _T:
+    """``unit``'s value: read from the installed cell cache, or computed
+    and published there; just computed when no cache is installed."""
+    cache = _CELL_CACHE
+    if cache is None:
+        return compute()
+    key = unit.cache_key()
+    entry = cache.get(key, unit)
+    if entry is not None:
+        return decode(entry["value"])
+    value = compute()
+    cache.put(key, unit, encode(value))
+    return value
+
+
 def _execute_task(task) -> UnitResult:
     """Worker entry: run one unit, never raise (failure isolation).
 
@@ -567,6 +641,20 @@ def _execute_task(task) -> UnitResult:
             wall_seconds=time.perf_counter() - wall0,
             attempts=attempt,
         )
+
+
+def _import_target(unit: WorkUnit) -> None:
+    """Import ``unit``'s module here, before a worker forks.
+
+    Forked workers inherit it, so a sweep pays each import once, and a
+    run that finds every unit cached imports no target at all.  A
+    module that fails to import is left to the worker, which reports
+    the error as the unit's structured failure.
+    """
+    try:
+        importlib.import_module(unit.module)
+    except Exception:  # noqa: BLE001 — the worker reports it
+        pass
 
 
 def _pool_context():
@@ -717,6 +805,10 @@ class RetryPolicy:
         return None
 
 
+#: Serialises import-then-fork of :class:`SupervisedAttempt` starts.
+_START_LOCK = threading.Lock()
+
+
 class SupervisedAttempt:
     """One attempt of one unit in its own worker process.
 
@@ -746,7 +838,11 @@ class SupervisedAttempt:
             args=(child_conn, task, progress_queue, tag),
             daemon=True,
         )
-        self.process.start()
+        # The service starts attempts from several threads: none may
+        # fork while another is half-way through importing its target.
+        with _START_LOCK:
+            _import_target(unit)
+            self.process.start()
         child_conn.close()
         self.started = time.monotonic()
         self.deadline = (
@@ -1069,6 +1165,8 @@ def execute_units(
             if progress_queue is not None:
                 install_progress(previous)
     else:
+        for unit in pending:
+            _import_target(unit)
         context = _pool_context()
         pool_kwargs = {}
         if progress_queue is not None:

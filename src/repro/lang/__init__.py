@@ -22,61 +22,37 @@ Listing 1 of the paper is shipped as a program
 ``examples/listing1_minic.py``.
 """
 
-from repro.lang.ast import (
-    ArrayDecl,
-    Assign,
-    BinOp,
-    Call,
-    Const,
-    Expr,
-    ExprStatement,
-    For,
-    Free,
-    Function,
-    If,
-    Load,
-    Malloc,
-    MemcpyStmt,
-    Program,
-    Return,
-    Statement,
-    Store,
-    Var,
-    While,
-)
-from repro.lang.format import format_program
-from repro.lang.interp import Interpreter, MiniCError
-from repro.lang.parser import ParseError, parse
-from repro.lang.programs import heartbleed_program, sum_array_program
-from repro.lang.measure import measure_program
+from repro import lazy_exports
 
-__all__ = [
-    "ArrayDecl",
-    "Assign",
-    "BinOp",
-    "Call",
-    "Const",
-    "Expr",
-    "ExprStatement",
-    "For",
-    "Free",
-    "Function",
-    "If",
-    "Interpreter",
-    "Load",
-    "Malloc",
-    "MemcpyStmt",
-    "MiniCError",
-    "ParseError",
-    "Program",
-    "format_program",
-    "measure_program",
-    "parse",
-    "Return",
-    "Statement",
-    "Store",
-    "Var",
-    "While",
-    "heartbleed_program",
-    "sum_array_program",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.lang.ast": (
+            "ArrayDecl",
+            "Assign",
+            "BinOp",
+            "Call",
+            "Const",
+            "Expr",
+            "ExprStatement",
+            "For",
+            "Free",
+            "Function",
+            "If",
+            "Load",
+            "Malloc",
+            "MemcpyStmt",
+            "Program",
+            "Return",
+            "Statement",
+            "Store",
+            "Var",
+            "While",
+        ),
+        "repro.lang.format": ("format_program",),
+        "repro.lang.interp": ("Interpreter", "MiniCError"),
+        "repro.lang.parser": ("ParseError", "parse"),
+        "repro.lang.programs": ("heartbleed_program", "sum_array_program"),
+        "repro.lang.measure": ("measure_program",),
+    },
+)

@@ -17,44 +17,34 @@ importing the stall/report layers here (which import the harness, which
 imports the cpu package) would create an import cycle.
 """
 
-from __future__ import annotations
+from repro import lazy_exports
 
-_EXPORTS = {
-    "Tracer": "repro.obs.tracer",
-    "NULL_TRACER": "repro.obs.tracer",
-    "RingTracer": "repro.obs.tracer",
-    "attach_tracer": "repro.obs.tracer",
-    "attach_hierarchy_tracer": "repro.obs.tracer",
-    "write_jsonl": "repro.obs.tracer",
-    "read_jsonl": "repro.obs.tracer",
-    "STALL_BUCKETS": "repro.obs.stalls",
-    "BUCKET_LABELS": "repro.obs.stalls",
-    "stall_buckets": "repro.obs.stalls",
-    "format_stall_line": "repro.obs.stalls",
-    "verify_buckets": "repro.obs.stalls",
-    "DEFAULT_INTERVAL": "repro.obs.sampler",
-    "run_sampled": "repro.obs.sampler",
-    "series": "repro.obs.sampler",
-    "o3_records": "repro.obs.o3",
-    "export_o3_pipeview": "repro.obs.o3",
-    "validate_o3_trace": "repro.obs.o3",
-    "run_observed": "repro.obs.runner",
-    "render_text": "repro.obs.report",
-    "render_html": "repro.obs.report",
-    "write_report": "repro.obs.report",
-}
-
-__all__ = sorted(_EXPORTS)
-
-
-def __getattr__(name):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(module_name), name)
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_EXPORTS))
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.obs.tracer": (
+            "Tracer",
+            "NULL_TRACER",
+            "RingTracer",
+            "attach_tracer",
+            "attach_hierarchy_tracer",
+            "write_jsonl",
+            "read_jsonl",
+        ),
+        "repro.obs.stalls": (
+            "STALL_BUCKETS",
+            "BUCKET_LABELS",
+            "stall_buckets",
+            "format_stall_line",
+            "verify_buckets",
+        ),
+        "repro.obs.sampler": ("DEFAULT_INTERVAL", "run_sampled", "series"),
+        "repro.obs.o3": (
+            "o3_records",
+            "export_o3_pipeview",
+            "validate_o3_trace",
+        ),
+        "repro.obs.runner": ("run_observed",),
+        "repro.obs.report": ("render_text", "render_html", "write_report"),
+    },
+)

@@ -17,6 +17,11 @@ armed map is re-armed under it), and pipe-style IPC that copies data
 between address spaces without ever copying token values.
 """
 
-from repro.os.kernel import Kernel, Process, TokenSwitchPolicy
+from repro import lazy_exports
 
-__all__ = ["Kernel", "Process", "TokenSwitchPolicy"]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.os.kernel": ("Kernel", "Process", "TokenSwitchPolicy"),
+    },
+)

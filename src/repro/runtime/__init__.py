@@ -13,33 +13,27 @@ execution modes:
   the performance experiments (Figures 3, 7, 8).
 """
 
-from repro.runtime.layout import AddressSpaceLayout
-from repro.runtime.machine import ExecutionMode, Machine
-from repro.runtime.shadow import ShadowMemory, AsanViolation, ShadowState
-from repro.runtime.libc import Libc
-from repro.runtime.allocators import (
-    AllocationError,
-    AllocatorStats,
-    AsanAllocator,
-    BaseAllocator,
-    FastRestAllocator,
-    LibcAllocator,
-    RestAllocator,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "AddressSpaceLayout",
-    "AllocationError",
-    "AllocatorStats",
-    "AsanAllocator",
-    "AsanViolation",
-    "BaseAllocator",
-    "ExecutionMode",
-    "FastRestAllocator",
-    "Libc",
-    "LibcAllocator",
-    "Machine",
-    "RestAllocator",
-    "ShadowMemory",
-    "ShadowState",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.runtime.layout": ("AddressSpaceLayout",),
+        "repro.runtime.machine": ("ExecutionMode", "Machine"),
+        "repro.runtime.shadow": (
+            "ShadowMemory",
+            "AsanViolation",
+            "ShadowState",
+        ),
+        "repro.runtime.libc": ("Libc",),
+        "repro.runtime.allocators": (
+            "AllocationError",
+            "AllocatorStats",
+            "AsanAllocator",
+            "BaseAllocator",
+            "FastRestAllocator",
+            "LibcAllocator",
+            "RestAllocator",
+        ),
+    },
+)

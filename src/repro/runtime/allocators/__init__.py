@@ -18,24 +18,20 @@ differ exactly where the paper says they do:
   quarantine ageing).
 """
 
-from repro.runtime.allocators.base import (
-    AllocationError,
-    AllocatorStats,
-    BaseAllocator,
-)
-from repro.runtime.allocators.libc_alloc import LibcAllocator
-from repro.runtime.allocators.asan_alloc import AsanAllocator
-from repro.runtime.allocators.rest_alloc import RestAllocator
-from repro.runtime.allocators.fast_rest import FastRestAllocator
-from repro.runtime.allocators.mte_alloc import MteAllocator
+from repro import lazy_exports
 
-__all__ = [
-    "AllocationError",
-    "AllocatorStats",
-    "AsanAllocator",
-    "BaseAllocator",
-    "FastRestAllocator",
-    "LibcAllocator",
-    "MteAllocator",
-    "RestAllocator",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.runtime.allocators.base": (
+            "AllocationError",
+            "AllocatorStats",
+            "BaseAllocator",
+        ),
+        "repro.runtime.allocators.libc_alloc": ("LibcAllocator",),
+        "repro.runtime.allocators.asan_alloc": ("AsanAllocator",),
+        "repro.runtime.allocators.rest_alloc": ("RestAllocator",),
+        "repro.runtime.allocators.fast_rest": ("FastRestAllocator",),
+        "repro.runtime.allocators.mte_alloc": ("MteAllocator",),
+    },
+)

@@ -27,38 +27,36 @@ fabric) for the architecture.  Quick tour:
   fleet, ``BENCH_service.json``).
 """
 
-from repro.service.client import (
-    ServiceClient,
-    ServiceError,
-    wait_for_daemon,
-    watch_resilient,
-)
-from repro.service.daemon import Daemon, ServiceConfig, StartupError, serve
-from repro.service.fabric import FabricDispatcher
-from repro.service.jobs import JOB_KINDS, PRIORITIES, Job, JobParamsError
-from repro.service.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.service.scheduler import AdmissionError, Scheduler
-from repro.service.worker import WorkerConfig, WorkerDaemon, serve_worker
+from repro import lazy_exports
 
-__all__ = [
-    "AdmissionError",
-    "Daemon",
-    "FabricDispatcher",
-    "JOB_KINDS",
-    "Job",
-    "JobParamsError",
-    "PRIORITIES",
-    "PROTOCOL_VERSION",
-    "ProtocolError",
-    "Scheduler",
-    "ServiceClient",
-    "ServiceConfig",
-    "ServiceError",
-    "StartupError",
-    "WorkerConfig",
-    "WorkerDaemon",
-    "serve",
-    "serve_worker",
-    "wait_for_daemon",
-    "watch_resilient",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.service.client": (
+            "ServiceClient",
+            "ServiceError",
+            "wait_for_daemon",
+            "watch_resilient",
+        ),
+        "repro.service.daemon": (
+            "Daemon",
+            "ServiceConfig",
+            "StartupError",
+            "serve",
+        ),
+        "repro.service.fabric": ("FabricDispatcher",),
+        "repro.service.jobs": (
+            "JOB_KINDS",
+            "PRIORITIES",
+            "Job",
+            "JobParamsError",
+        ),
+        "repro.service.protocol": ("PROTOCOL_VERSION", "ProtocolError"),
+        "repro.service.scheduler": ("AdmissionError", "Scheduler"),
+        "repro.service.worker": (
+            "WorkerConfig",
+            "WorkerDaemon",
+            "serve_worker",
+        ),
+    },
+)

@@ -14,28 +14,23 @@ defense) pair into the dynamic micro-op trace the cycle-level core
 consumes.
 """
 
-from repro.workloads.spec import (
-    ALL_PROFILES,
-    BenchmarkProfile,
-    profile_by_name,
-)
-from repro.workloads.generator import SyntheticWorkload
-from repro.workloads.attacks import (
-    AttackOutcome,
-    AttackResult,
-    ATTACK_REGISTRY,
-    UnknownAttackError,
-    run_attack,
-)
+from repro import lazy_exports
 
-__all__ = [
-    "ALL_PROFILES",
-    "ATTACK_REGISTRY",
-    "AttackOutcome",
-    "AttackResult",
-    "BenchmarkProfile",
-    "SyntheticWorkload",
-    "UnknownAttackError",
-    "profile_by_name",
-    "run_attack",
-]
+__all__, __getattr__ = lazy_exports(
+    __name__,
+    {
+        "repro.workloads.spec": (
+            "ALL_PROFILES",
+            "BenchmarkProfile",
+            "profile_by_name",
+        ),
+        "repro.workloads.generator": ("SyntheticWorkload",),
+        "repro.workloads.attacks": (
+            "AttackOutcome",
+            "AttackResult",
+            "ATTACK_REGISTRY",
+            "UnknownAttackError",
+            "run_attack",
+        ),
+    },
+)

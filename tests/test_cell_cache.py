@@ -8,10 +8,11 @@ import tempfile
 import pytest
 
 from repro.experiments import run_all as driver
-from repro.harness import experiment
+from repro.harness import experiment, parallel
 from repro.harness.bench import BENCH_MODES, bench_specs
 from repro.harness.configs import DefenseSpec, SimulationConfig
-from repro.harness.experiment import RunResult, cell_cache, run_benchmark
+from repro.harness.experiment import RunResult, run_benchmark
+from repro.harness.parallel import cell_cache
 from repro.harness.sweeps import seed_sweep
 from repro.workloads.attacks import ATTACK_REGISTRY
 from repro.workloads.spec import profile_by_name
@@ -128,10 +129,10 @@ class TestCellCache:
     ):
         with pytest.raises(RuntimeError):
             with cell_cache(scratch_parent=tmp_path) as cache:
-                assert experiment._CELL_CACHE is cache
+                assert parallel._CELL_CACHE is cache
                 assert cache.root.parent == tmp_path
                 raise RuntimeError("boom")
-        assert experiment._CELL_CACHE is None
+        assert parallel._CELL_CACHE is None
         assert list(tmp_path.iterdir()) == []
 
     def test_renamed_spec_gives_equal_sweep_samples(self):
@@ -155,7 +156,7 @@ class TestRunAllSharesCells:
         # fig8's 64-byte bars, intext's Plain/Secure/PerfectHW cells and
         # the stalls cells are all simulated once (150 builds unshared).
         assert count_builds["builds"] == 110
-        assert experiment._CELL_CACHE is None
+        assert parallel._CELL_CACHE is None
         assert sorted(path.name for path in out.iterdir()) == [
             "fig8.txt", "intext.txt", "manifest.json", "stalls.json",
         ]
@@ -177,7 +178,7 @@ class TestRunAllSharesCells:
         out = driver.run_all(tmp_path / "boom", scale=0.02, quiet=True)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["experiments"]["_selftest"]["status"] == "error"
-        assert experiment._CELL_CACHE is None
+        assert parallel._CELL_CACHE is None
 
     def test_cells_persist_in_the_cache_dir(self, tmp_path, count_builds):
         """A later sweep over the same cache reads the cells an earlier
@@ -188,7 +189,7 @@ class TestRunAllSharesCells:
                 cache_dir=str(tmp_path / "cache"), quiet=True, names=[name],
             )
         assert count_builds["builds"] == 109  # as in one shared sweep
-        assert experiment._CELL_CACHE is None
+        assert parallel._CELL_CACHE is None
 
     def test_experiments_command_shares_cells(
         self, tmp_path, count_builds, monkeypatch, capsys
@@ -201,7 +202,7 @@ class TestRunAllSharesCells:
         capsys.readouterr()
         assert count_builds["builds"] == 109  # 146 unshared
         assert list(tmp_path.iterdir()) == []  # scratch cells deleted
-        assert experiment._CELL_CACHE is None
+        assert parallel._CELL_CACHE is None
 
 
 class TestRunAllSharesAttacks:
@@ -216,7 +217,7 @@ class TestRunAllSharesAttacks:
         )
         # 19 attacks x 4 modes, each run once (159 runs unshared).
         assert count_attacks["runs"] == 4 * len(ATTACK_REGISTRY) == 76
-        assert experiment._CELL_CACHE is None
+        assert parallel._CELL_CACHE is None
         assert sorted(path.name for path in out.iterdir()) == [
             "manifest.json", "security.txt", "table3.txt",
         ]
@@ -236,4 +237,4 @@ class TestRunAllSharesAttacks:
             )
             runs.append(count_attacks["runs"])
         assert runs == [76, 76]  # security reads table3's four rows
-        assert experiment._CELL_CACHE is None
+        assert parallel._CELL_CACHE is None

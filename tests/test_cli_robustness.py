@@ -240,6 +240,42 @@ class TestArgumentValidation:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["experiments", "table1", "--timeout", "-1"],
+            ["experiments", "table1", "--retries", "-1"],
+            ["sweep", "--timeout", "0"],
+            ["sweep", "--retries", "-1"],
+            ["chaos", "--timeout", "0"],
+            ["chaos", "--retries", "-1"],
+            ["foundry", "--timeout", "nan"],
+            ["foundry", "--retries", "-1"],
+            ["serve", "--timeout", "-1"],
+            ["serve", "--retries", "-1"],
+            ["serve", "--unit-retries", "-1"],
+        ],
+    )
+    def test_bad_engine_flags_are_usage_errors(self, argv):
+        self._expect_usage_exit(argv)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--timeout", "-1"],
+            ["--timeout", "0"],
+            ["--timeout", "soon"],
+            ["--retries", "-1"],
+            ["--retries", "1.5"],
+        ],
+    )
+    def test_run_all_bad_engine_flags_are_usage_errors(self, argv):
+        from repro.experiments.run_all import main as run_all_main
+
+        with pytest.raises(SystemExit) as excinfo:
+            run_all_main(argv)
+        assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
             ["loadgen", "DIR", "--kills", "-1"],
             ["loadgen", "DIR", "--permanent", "-1"],
             ["chaos", "--permanent", "-1"],
