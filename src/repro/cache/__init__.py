@@ -14,7 +14,6 @@ __all__, __getattr__ = lazy_exports(
     __name__,
     {
         "repro.cache.line": ("CacheLine",),
-        "repro.cache.mshr": ("Mshr", "MshrFile"),
         "repro.cache.writebuffer": ("WriteBuffer",),
         "repro.cache.cache": ("Cache", "CacheConfig", "CacheStats"),
         "repro.cache.hierarchy": (

@@ -1,4 +1,4 @@
-"""Set-associative cache with LRU replacement, MSHRs and a write buffer.
+"""Set-associative cache with LRU replacement and a write buffer.
 
 The cache is a tag store: data lives authoritatively in the backing
 store, and the cache models presence (hit/miss), dirtiness, latency and
@@ -14,7 +14,6 @@ from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.line import CacheLine
-from repro.cache.mshr import MshrFile
 from repro.cache.writebuffer import WriteBuffer
 from repro.obs.tracer import NULL_TRACER
 
@@ -30,8 +29,6 @@ class CacheConfig:
     associativity: int = 8
     line_size: int = 64
     hit_latency: int = 2
-    mshr_registers: int = 4
-    mshr_entries: int = 20
     write_buffer_entries: int = 8
 
     def __post_init__(self) -> None:
@@ -53,8 +50,6 @@ class CacheStats:
     dirty_evictions: int = 0
     token_evictions: int = 0
     token_fills: int = 0
-    mshr_stall_cycles: int = 0
-    write_buffer_stall_cycles: int = 0
 
     @property
     def accesses(self) -> int:
@@ -76,7 +71,6 @@ class Cache:
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self.mshrs = MshrFile(config.mshr_registers, config.mshr_entries)
         self.write_buffer = WriteBuffer(config.write_buffer_entries)
         self.stats = CacheStats()
         #: Observability hook; only the (rare) eviction path emits.
@@ -171,20 +165,15 @@ class Cache:
             self._sets[line_no % self._num_sets].remove(line)
 
     def invalidate_all(self) -> None:
-        """Drop every resident line; MSHRs and write buffer untouched."""
+        """Drop every resident line; the write buffer is untouched."""
         self._lines.clear()
         self._sets.clear()
 
     def flush(self) -> None:
         self.invalidate_all()
-        self.mshrs.reset()
         self.write_buffer.reset()
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()
-        self.mshrs.allocations = 0
-        self.mshrs.merges = 0
-        self.mshrs.structural_stalls = 0
-        self.mshrs.token_holds = 0
         self.write_buffer.inserts = 0
         self.write_buffer.full_stalls = 0

@@ -64,13 +64,11 @@ class HierarchyConfig:
             size=2 * 1024 * 1024,
             associativity=16,
             hit_latency=20,
-            mshr_registers=20,
-            mshr_entries=12,
             write_buffer_entries=8,
         )
     )
-    #: Extra cycles a debug-mode load is held in the MSHR while the
-    #: delivered critical word partially matches the token value.
+    #: Extra cycles a debug-mode load is held while the delivered
+    #: critical word partially matches the token value.
     debug_token_hold_cycles: int = 2
     #: Extra latency of a disarm write (touches all data banks at once).
     disarm_extra_cycles: int = 1
@@ -83,14 +81,6 @@ class HierarchyConfig:
     #: REST lines that acks arm/disarm writes immediately, cutting the
     #: debug-mode commit wait for token operations.  0 disables it.
     token_staging_entries: int = 0
-    #: When True, a dirty/token line evicted by an L1 fill contends for
-    #: the L1 write buffer like any other outgoing write: a full buffer
-    #: stalls the *fill* until a slot drains, instead of letting the
-    #: victim's writeback leave for free.  Off by default because the
-    #: committed experiment goldens (results/*) pin the legacy timing in
-    #: which evictions bypass the buffer; flip it (and regenerate the
-    #: goldens) at the next baseline refresh.
-    eviction_port_stalls: bool = False
 
 
 @dataclass
@@ -211,14 +201,6 @@ class MemoryHierarchy:
         tracer = self.tracer
         if tracer.enabled:
             tracer.emit("l1d_miss", tracer.now, address=line_base)
-        if l1d.mshrs.complete_miss(line_base):
-            # Structural stall: charge a cycle for the blocking miss to
-            # complete; the MSHR file retired only the register that
-            # blocked this one.
-            l1d.stats.mshr_stall_cycles += 1
-            latency += 1
-            if tracer.enabled:
-                tracer.emit("mshr_stall", tracer.now, address=line_base)
         latency += self.config.l2.hit_latency
         l2 = self.l2
         if l2.lookup(line_base) is not None:
@@ -252,24 +234,15 @@ class MemoryHierarchy:
                 latency=latency,
             )
         if victim is not None:
-            latency += self._handle_l1_eviction(line_base, victim)
+            self._handle_l1_eviction(line_base, victim)
         return line, latency
 
-    def _handle_l1_eviction(self, probe_address: int, victim) -> int:
+    def _handle_l1_eviction(self, probe_address: int, victim) -> None:
         """Table I eviction: fill token value into the outgoing packet.
 
-        Returns the stall cycles the eviction costs the triggering fill
-        (non-zero only with ``eviction_port_stalls`` and a contended
-        write buffer).
+        The victim's writeback bypasses the L1 write buffer, so an
+        eviction never stalls the fill that caused it.
         """
-        stall = 0
-        if self.config.eviction_port_stalls and (
-            victim.dirty or victim.token_bits
-        ):
-            # The victim's writeback leaves through the same L1 write
-            # buffer stores drain through; a full buffer stalls the
-            # fill until a slot opens, it does not drop the writeback.
-            stall = self.l1d.write_buffer.insert()
         victim_base = self.l1d.victim_address(probe_address, victim)
         tracer = self.tracer
         if tracer.enabled:
@@ -279,7 +252,8 @@ class MemoryHierarchy:
                 address=victim_base,
                 dirty=victim.dirty,
                 tokens=victim.token_bits,
-                wb_stall=stall,
+                # Kept in the event schema: evictions never stall.
+                wb_stall=0,
             )
         if victim.token_bits:
             self.materialise_tokens(victim_base, victim.token_bits)
@@ -294,7 +268,6 @@ class MemoryHierarchy:
                         self.l2.victim_address(victim_base, l2_victim)
                     )
                 l2_line.dirty = True
-        return stall
 
     def materialise_tokens(self, line_base: int, token_bits: int) -> None:
         """Write the token value into every armed slot of a line leaving
@@ -405,8 +378,8 @@ class MemoryHierarchy:
                 # load waits for the whole line.
                 latency += self.config.debug_no_cwf_extra_cycles
                 if line.token_bits:
-                    # Word partially matched; load held in the MSHR.
-                    l1d.mshrs.token_holds += 1
+                    # Word partially matched; the load is held while
+                    # the rest of the line is checked.
                     latency += self.config.debug_token_hold_cycles
         else:
             l1d.stats.hits += 1

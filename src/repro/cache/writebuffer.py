@@ -29,7 +29,7 @@ class WriteBuffer:
 
     def insert(self) -> int:
         """Insert one write; returns stall cycles charged (0 if room)."""
-        # _drain() inlined: this runs once per store-like access.
+        # One access's worth of background drain, then the insert.
         occupancy = self._occupancy - self.drain_per_access
         self._occupancy = occupancy if occupancy > 0.0 else 0.0
         self.inserts += 1
@@ -42,9 +42,6 @@ class WriteBuffer:
             return self.entries  # buffer wedged; charge a full drain
         self._occupancy += 1
         return 0
-
-    def _drain(self) -> None:
-        self._occupancy = max(0.0, self._occupancy - self.drain_per_access)
 
     def reset(self) -> None:
         self._occupancy = 0.0

@@ -156,9 +156,6 @@ class LoadStoreQueue:
 
     # -- the Figure 5 matching logic ---------------------------------------
 
-    def _line(self, address: int) -> int:
-        return address - (address % self.line_size)
-
     @staticmethod
     def _overlaps(entry: SqEntry, address: int, size: int) -> bool:
         return (

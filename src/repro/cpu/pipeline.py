@@ -607,7 +607,7 @@ class OutOfOrderCore:
                     # Jump to the earliest cycle a timer fires, charging
                     # the skipped span to the same stall counters this
                     # cycle charged.  The hierarchy holds no cycle-
-                    # decaying state (DRAM row/MSHR/write-buffer effects
+                    # decaying state (DRAM row and write-buffer effects
                     # are modelled at access time), so these timers are
                     # the only wake-up sources.
                     target = None

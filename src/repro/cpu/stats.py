@@ -46,9 +46,6 @@ class CoreStats:
     def cpi(self) -> float:
         return self.cycles / self.committed if self.committed else 0.0
 
-    def count_op(self, name: str) -> None:
-        self.op_counts[name] = self.op_counts.get(name, 0) + 1
-
     def merge_from(self, other: "CoreStats") -> None:
         """Accumulate another run's counters into this one."""
         self.cycles += other.cycles

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable
 
 from repro.harness.configs import SimulationConfig
 
@@ -37,13 +37,3 @@ def cli_main(regenerate: Callable[..., str], description: str) -> None:
     parser.add_argument("--seed", type=int, default=1234)
     args = parser.parse_args()
     print(regenerate(scale=args.scale, seed=args.seed))
-
-
-def progress_printer(enabled: bool = True) -> Optional[Callable[[str], None]]:
-    if not enabled:
-        return None
-
-    def show(message: str) -> None:
-        print(f"  running {message} ...", flush=True)
-
-    return show

@@ -8,8 +8,8 @@ that makes prefix-trained cost models wrong.  Stepping the full
 :class:`repro.cache.hierarchy.MemoryHierarchy` for this would cost
 almost as much as the cycle-accurate tier; this module models only
 presence and LRU (per-set tag->tick dicts, mirroring the real cache's
-geometry) and none of the timing machinery (MSHRs, write buffers,
-token detector, DRAM rows).
+geometry) and none of the timing machinery (write buffers, token
+detector, DRAM rows).
 
 Latency *classes* returned: ``0`` = L1 hit, ``1`` = L2 hit, ``2`` =
 served from memory.

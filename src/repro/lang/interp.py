@@ -218,14 +218,6 @@ class Interpreter:
             return self.call_function(expr.name, args)
         raise MiniCError(f"unknown expression {expr!r}")
 
-    def _binop(self, expr: BinOp, frame: _Frame) -> int:
-        left = self._eval(expr.left, frame)
-        right = self._eval(expr.right, frame)
-        try:
-            return _BINOPS[expr.op](left, right)
-        except KeyError:
-            raise MiniCError(f"unknown operator {expr.op!r}") from None
-
     def _tick(self) -> None:
         self._steps += 1
         if self._steps > MAX_STEPS:

@@ -35,11 +35,6 @@ class BackingStore:
         """Number of pages materialised so far."""
         return len(self._pages)
 
-    @property
-    def resident_bytes(self) -> int:
-        """Host-visible footprint of the simulated memory."""
-        return len(self._pages) * self._page_size
-
     def read(self, address: int, size: int) -> bytes:
         """Read ``size`` bytes starting at ``address``."""
         self._check(address, size)

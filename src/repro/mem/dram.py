@@ -74,11 +74,6 @@ class DramModel:
         self._row_size = self.config.row_size
         self._banks = self.config.banks
 
-    def _bank_and_row(self, address: int) -> tuple:
-        row = address // self._row_size
-        bank = row % self._banks
-        return bank, row
-
     def access(self, address: int, is_write: bool) -> int:
         """Charge one line-sized access; returns latency in core cycles."""
         row = address // self._row_size

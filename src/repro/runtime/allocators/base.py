@@ -147,10 +147,6 @@ class BaseAllocator:
         else:
             self._on_free(chunk)
 
-    def allocated_size(self, ptr: int) -> Optional[int]:
-        chunk = self._live.get(ptr)
-        return chunk.size if chunk else None
-
     def live_chunks(self):
         return list(self._live.values())
 

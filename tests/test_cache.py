@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.cache import Cache, CacheConfig, MemoryHierarchy
-from repro.cache.mshr import MshrFile
 from repro.cache.writebuffer import WriteBuffer
 from repro.fasttier.lean import LeanCache
 
@@ -258,45 +257,6 @@ class TestLazyWays:
                 cache.install(line_no * 64)
                 lean.install(line_no)
             assert {b // 64 for b, _ in cache.lines()} == set(lean.ticks)
-
-
-class TestMshrFile:
-    def test_allocate_and_merge(self):
-        mshrs = MshrFile(registers=2, entries_per_register=3)
-        assert mshrs.allocate(0x1000, op_id=1) is not None
-        assert mshrs.allocate(0x1000, op_id=2) is not None  # merge
-        assert mshrs.occupancy == 1
-        assert mshrs.merges == 1
-
-    def test_structural_stall_when_full(self):
-        mshrs = MshrFile(registers=2, entries_per_register=3)
-        assert mshrs.allocate(0x1000) is not None
-        assert mshrs.allocate(0x2000) is not None
-        assert mshrs.allocate(0x3000) is None
-        assert mshrs.structural_stalls == 1
-
-    def test_merge_capacity_limit(self):
-        mshrs = MshrFile(registers=1, entries_per_register=2)
-        mshrs.allocate(0x1000, 1)
-        mshrs.allocate(0x1000, 2)
-        assert mshrs.allocate(0x1000, 3) is None
-
-    def test_release_frees_register(self):
-        mshrs = MshrFile(registers=1, entries_per_register=1)
-        mshrs.allocate(0x1000)
-        mshrs.release(0x1000)
-        assert mshrs.allocate(0x2000) is not None
-
-    def test_token_hold(self):
-        mshrs = MshrFile(registers=1, entries_per_register=1)
-        mshrs.allocate(0x1000)
-        mshrs.hold_for_token_check(0x1000)
-        assert mshrs.token_holds == 1
-        assert mshrs.lookup(0x1000).held_for_token_check
-
-    def test_rejects_bad_dimensions(self):
-        with pytest.raises(ValueError):
-            MshrFile(0, 1)
 
 
 class TestWriteBuffer:

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.cache import Cache, CacheConfig, MemoryHierarchy
-from repro.cache.hierarchy import HierarchyConfig
 from repro.core import Mode, RestException, Token, TokenConfigRegister
 from repro.cpu import CoreConfig, OutOfOrderCore
 from repro.cpu.isa import MicroOp, OpType, alu, arm_op, disarm_op, load, store
@@ -74,22 +73,6 @@ class TestHierarchyEdges:
         assert h.fetch_line(0x400040) == 0  # next line was prefetched
         assert h.l1i.stats.hits == 2
         assert h.l1i.stats.misses == 1
-
-    def test_mshr_structural_stall_counted(self):
-        config = HierarchyConfig(
-            l1d=CacheConfig(
-                name="L1-D",
-                size=512,
-                associativity=2,
-                mshr_registers=1,
-                mshr_entries=1,
-            )
-        )
-        h = MemoryHierarchy(config=config)
-        for i in range(8):
-            h.read(0x10000 + 64 * i, 8)
-        # Single MSHR: the model recycles it but accounts the pressure.
-        assert h.l1d.mshrs.allocations >= 8
 
 
 class TestPipelineEdges:

@@ -159,6 +159,12 @@ def build_sched_trace(ops):
     return trace
 
 
+def assert_memory_ops_issue_in_order(trace, issued):
+    """Memory ops issue in program order: ``issued`` maps seq -> cycle."""
+    memory = [issued[s] for s in sorted(issued) if trace[s].op.is_memory]
+    assert memory == sorted(memory)
+
+
 def _sched_outcome(ops, core_config, mode, fast_forward):
     from repro.core.token import TokenConfigRegister
 
@@ -257,8 +263,7 @@ class TestSchedulerCornerCases:
             for distance in trace[seq].deps:
                 if seq - distance >= 0:
                     assert done[seq - distance] <= cycle, (seq, distance)
-        memory = [issued[s] for s in sorted(issued) if trace[s].op.is_memory]
-        assert memory == sorted(memory)
+        assert_memory_ops_issue_in_order(trace, issued)
         per_cycle = {}
         for cycle in issued.values():
             per_cycle[cycle] = per_cycle.get(cycle, 0) + 1

@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 from repro.cache import MemoryHierarchy
 from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import AccessResult, HierarchyConfig
-from repro.cache.mshr import MshrFile
 from repro.core import Mode, RestException, Token, TokenConfigRegister
 from repro.core.exceptions import InvalidRestInstructionError, RestFaultKind
 from repro.core.modes import PrivilegeLevel
@@ -26,7 +25,9 @@ from repro.harness.bench import BENCH_MODES, bench_specs
 from repro.harness.configs import SimulationConfig
 from repro.harness.experiment import _make_hierarchy, build_trace
 from repro.mem.backing import BackingStore
+from repro.obs.tracer import RingTracer, attach_tracer
 from repro.workloads.spec import profile_by_name
+from tests.test_pipeline_properties import assert_memory_ops_issue_in_order
 
 SLOTS = [64 * i for i in range(24)]  # spans several sets of a tiny L1
 
@@ -59,13 +60,6 @@ def _counters(h):
         "hierarchy": asdict(h.stats),
         "l1d": asdict(h.l1d.stats),
         "l2": asdict(h.l2.stats),
-        "mshr": (
-            h.l1d.mshrs.allocations,
-            h.l1d.mshrs.merges,
-            h.l1d.mshrs.structural_stalls,
-            h.l1d.mshrs.token_holds,
-            h.l1d.mshrs.occupancy,
-        ),
         "wb": (h.l1d.write_buffer.inserts, h.l1d.write_buffer.full_stalls),
         "detector": (
             h.detector.fills_checked,
@@ -244,31 +238,37 @@ class TestReplayTouchesNoFunctionalPath:
         assert stats.committed == len(trace)
 
 
-class TestMshrDeviation:
-    """Memory ops execute one at a time (a conservative memory unit),
-    so every L1-D miss allocates and releases its MSHR inside one
-    access: Table II's 4x20 L1 / 20x12 L2 MSHR files never bind."""
+class TestInOrderMemoryUnit:
+    """Memory ops issue in program order, and each access's whole
+    latency is charged at issue with its line installed at once.  No
+    miss is tracked while in flight, so Table II's MSHR files (4 L1,
+    20 L2 registers) are not modelled and never cap overlapping misses."""
 
     @pytest.mark.parametrize("profile", ["xalancbmk", "lbm", "sjeng"])
-    def test_mshrs_never_bind_in_the_bench_cells(self, profile, monkeypatch):
-        occupancy_at_miss = []
-        complete_miss = MshrFile.complete_miss
-
-        def recording(self, line_address):
-            occupancy_at_miss.append(self.occupancy)
-            return complete_miss(self, line_address)
-
-        monkeypatch.setattr(MshrFile, "complete_miss", recording)
+    def test_memory_ops_issue_in_order(self, profile):
+        l1_mshrs = 4  # Table II
         for mode_name in BENCH_MODES:
-            occupancy_at_miss.clear()
             core, trace = _replay(profile, mode_name, 0.05)
+            tracer = attach_tracer(core, RingTracer(capacity=1 << 20))
             core.run(trace)
-            h = core.hierarchy
-            assert occupancy_at_miss, "the cell never missed in the L1-D"
-            # Occupancy is 1 at most: each miss finds the file empty.
-            assert set(occupancy_at_miss) == {0}
-            for cache in (h.l1d, h.l2):
-                assert cache.mshrs.merges == 0
-                assert cache.mshrs.structural_stalls == 0
-            assert h.l1d.mshrs.allocations == h.l1d.stats.misses
-            assert h.l1d.stats.mshr_stall_cycles == 0
+            assert tracer.dropped == 0
+            issued, done = {}, {}
+            for event in tracer.events():
+                if event["kind"] == "issue":
+                    issued[event["seq"]] = event["cycle"]
+                elif event["kind"] == "complete":
+                    done[event["seq"]] = event["cycle"]
+            assert len(issued) == len(trace)
+            assert_memory_ops_issue_in_order(trace, issued)
+            # Accesses that went past the L1-D overlap freely: more are
+            # in flight at once than the L1 has MSHRs.
+            beyond_l1 = core.hierarchy.config.l2.hit_latency
+            edges = []
+            for seq, cycle in issued.items():
+                if trace[seq].op.is_memory and done[seq] - cycle >= beyond_l1:
+                    edges += [(cycle, 1), (done[seq], -1)]
+            in_flight = peak = 0
+            for _, step in sorted(edges):
+                in_flight += step
+                peak = max(peak, in_flight)
+            assert peak > l1_mshrs, (profile, mode_name, peak)
