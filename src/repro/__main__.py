@@ -497,18 +497,6 @@ def _cmd_minic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_compare(args: argparse.Namespace) -> int:
-    from repro.harness.regression import (
-        compare_suites,
-        format_comparison,
-        regressions,
-    )
-
-    deltas = compare_suites(args.before, args.after)
-    print(format_comparison(deltas, tolerance_pp=args.tolerance))
-    return 1 if regressions(deltas, tolerance_pp=args.tolerance) else 0
-
-
 def _cmd_chaos(args: argparse.Namespace) -> int:
     from repro.faults.chaos import run_chaos
     from repro.faults.plan import FAULT_KINDS
@@ -1106,15 +1094,6 @@ def main(argv=None) -> int:
         "args", nargs="*", type=int, help="integer arguments to main()"
     )
     p_minic.set_defaults(handler=_cmd_minic)
-
-    p_cmp = sub.add_parser(
-        "compare", help="diff two saved suite JSONs (regression check)"
-    )
-    p_cmp.add_argument("before")
-    p_cmp.add_argument("after")
-    p_cmp.add_argument("--tolerance", type=float, default=2.0,
-                       help="flag overhead moves beyond this (pp)")
-    p_cmp.set_defaults(handler=_cmd_compare)
 
     p_bench = sub.add_parser(
         "bench",

@@ -252,8 +252,6 @@ class MemoryHierarchy:
                 address=victim_base,
                 dirty=victim.dirty,
                 tokens=victim.token_bits,
-                # Kept in the event schema: evictions never stall.
-                wb_stall=0,
             )
         if victim.token_bits:
             self.materialise_tokens(victim_base, victim.token_bits)

@@ -8,7 +8,7 @@ workers and merges results deterministically regardless of completion
 order: results are keyed by unit id, and callers iterate in their own
 unit order, so ``jobs=4`` output is byte-identical to ``jobs=1``.
 
-Three properties the engine guarantees:
+Four properties the engine guarantees:
 
 * **Caching.**  Every unit has a content-addressed key — a hash of its
   full configuration payload plus a code-version salt — and completed
@@ -23,26 +23,28 @@ Three properties the engine guarantees:
   the worker catches the exception and returns a structured error
   (type, message, traceback) that the caller records; all other units
   complete.
+* **Supervision.**  A unit that runs out of process runs each attempt
+  in its own supervised worker process.  A worker that dies hard
+  (``os._exit``, SIGKILL, OOM-kill) fails exactly its own unit as a
+  ``WorkerCrash``; with a per-unit wall-clock ``timeout`` a hung worker
+  is SIGKILLed as a ``WorkerTimeout``.  With ``retries`` a failed
+  attempt is retried after a seeded exponential backoff with jitter,
+  and a unit that exhausts the budget is *quarantined*: the sweep
+  completes in a marked-degraded state instead of aborting.
+  Retry/timeout/crash/quarantine decisions are emitted as ``fault.*``
+  events on an optional tracer (see :mod:`repro.obs.tracer`).
 * **Resume.**  Because successful units are cached as they finish, a
   crashed, interrupted, or partially-failed sweep re-run recomputes
   only the missing/failed cells.  ``KeyboardInterrupt`` flushes every
   completed-but-unmerged result to the cache before propagating.
 
-On top of failure isolation sits an opt-in **resilience layer**
-(activated by ``timeout=``/``retries=`` or an active
-``REPRO_FAULT_PLAN``): each attempt runs in a dedicated supervised
-worker process, hung workers are SIGKILLed at the per-unit wall-clock
-``timeout`` and re-dispatched, failed attempts are retried with seeded
-exponential backoff + jitter, and units that exhaust the retry budget
-are *quarantined* — the sweep completes in a marked-degraded state
-instead of aborting, and a dead worker can never poison other units
-the way a broken shared pool would (each attempt owns its process, so
-"pool rebuild" is a per-attempt respawn).  With the layer dormant the
-dispatch path is exactly the classic pool/serial one.  Retry/timeout/
-crash/quarantine decisions are emitted as ``fault.*`` events on an
-optional tracer (see :mod:`repro.obs.tracer`).
+A unit runs in one of two ways: in the calling process (``jobs=1``, or
+a single pending unit, with no ``timeout``, ``retries`` or active
+``REPRO_FAULT_PLAN``), or supervised as above.  There is no third,
+shared-pool path: a pool loses a dead worker's task and waits for it
+forever.
 
-The layer's two halves are shared with the job service and the
+Supervision's two halves are shared with the job service and the
 distributed fabric, so each exists once: :class:`RetryPolicy` decides
 what an attempt's outcome means (retry after a seeded backoff,
 quarantine, or done) and stamps the final result, and
@@ -141,7 +143,7 @@ def strip_volatile(obj, fields: frozenset = VOLATILE_FIELDS):
 
 
 #: Worker-side progress channel (see module docstring).  Installed by
-#: the pool initializer / supervised worker entry / serial path, read
+#: the supervised worker entry or the in-process path, read
 #: by :func:`emit_progress` from inside a unit's target callable.
 _PROGRESS_QUEUE = None
 _PROGRESS_TAG: Optional[str] = None
@@ -284,8 +286,6 @@ class ResultCache:
     computation would silently poison the sweep.
     """
 
-    #: Generation marker filename inside the cache root.
-    GENERATION_FILE = "GENERATION"
     # Temp files younger than this are presumed live publishes, not
     # crashed-writer debris; a real publish lasts milliseconds.
     STALE_TMP_SECONDS = 60.0
@@ -302,50 +302,16 @@ class ResultCache:
         self.mismatches = 0
         self.races = 0
         self.healed = 0
-        self.evicted = 0
 
     def _path(self, key: str) -> Path:
         return self.root / key[:2] / f"{key}.json"
-
-    # -- generations ----------------------------------------------------
-    #
-    # The cache is shared by concurrent writers (fabric workers, CLI
-    # sweeps) that cannot coordinate, so GC cannot use wall-clock age or
-    # reference counting.  Instead the store carries a monotonically
-    # increasing *generation* counter; every published entry is stamped
-    # with the generation current at write time, and collection is
-    # expressed against generations ("drop everything older than G"),
-    # which an operator advances at safe points (a finished load run, a
-    # release).  Writers racing a collection are safe: a collected key
-    # reads as a miss and is simply recomputed and re-published.
-
-    @property
-    def generation(self) -> int:
-        try:
-            return int((self.root / self.GENERATION_FILE).read_text())
-        except (FileNotFoundError, ValueError, OSError):
-            return 0
-
-    def bump_generation(self) -> int:
-        """Advance the store's generation (atomic publish); returns it."""
-        new_gen = self.generation + 1
-        self.root.mkdir(parents=True, exist_ok=True)
-        handle, tmp_name = tempfile.mkstemp(
-            dir=self.root, prefix=".generation.", suffix=".tmp"
-        )
-        with os.fdopen(handle, "w") as tmp:
-            tmp.write(str(new_gen))
-            tmp.flush()
-            os.fsync(tmp.fileno())
-        os.replace(tmp_name, self.root / self.GENERATION_FILE)
-        return new_gen
 
     def _entries(self):
         """Yield ``(path, entry_or_None)`` for every entry file.
 
         ``entry`` is None for a torn/unparseable file.  Stray temp
         files from crashed writers are yielded with ``entry is None``
-        too, so one scan drives both healing and collection.
+        too, so one scan finds everything :meth:`heal` removes.
         """
         if not self.root.is_dir():
             return
@@ -381,7 +347,7 @@ class ResultCache:
             path.unlink()
             return True
         except FileNotFoundError:
-            return False  # a concurrent healer/collector got it first
+            return False  # a concurrent healer got it first
         except OSError:
             return False
 
@@ -402,49 +368,6 @@ class ResultCache:
                 if log is not None:
                     log(f"cache: healed torn entry {path.name}")
         self.healed += removed
-        return removed
-
-    def gc(self, min_generation: int, log=None) -> int:
-        """Drop every valid entry stamped older than ``min_generation``
-        (entries with no stamp count as generation 0); heals torn
-        entries on the way.  Returns the number of files removed."""
-        removed = 0
-        for path, entry in list(self._entries()):
-            if entry is None:
-                if self._remove(path):
-                    removed += 1
-                    self.healed += 1
-                continue
-            if int(entry.get("gen", 0)) < min_generation:
-                if self._remove(path):
-                    removed += 1
-                    self.evicted += 1
-                    if log is not None:
-                        log(f"cache: collected {path.name} "
-                            f"(gen {entry.get('gen', 0)})")
-        return removed
-
-    def evict(self, max_entries: int) -> int:
-        """Bound the store to ``max_entries`` newest entries.
-
-        Eviction order is deterministic — oldest generation first, then
-        key order — so concurrent evictors converge on the same
-        survivors instead of thrashing each other's choices.
-        """
-        valid = [
-            (int(entry.get("gen", 0)), path.name, path)
-            for path, entry in self._entries()
-            if entry is not None
-        ]
-        removed = 0
-        excess = len(valid) - max(0, max_entries)
-        if excess <= 0:
-            return 0
-        valid.sort()
-        for _gen, _name, path in valid[:excess]:
-            if self._remove(path):
-                removed += 1
-                self.evicted += 1
         return removed
 
     def get(
@@ -497,7 +420,6 @@ class ResultCache:
             "uid": unit.uid,
             "payload": unit.key_payload,
             "value": value,
-            "gen": self.generation,
         }
         path = self._path(key)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -519,7 +441,7 @@ class ResultCache:
                         self.races += 1
                     tmp_name = None
             except FileNotFoundError:
-                # A collector reaped our temp mid-publish.  The value
+                # A healer reaped our temp mid-publish.  The value
                 # is recomputable, so a lost publish is a benign miss,
                 # never a reason to crash the worker.
                 tmp_name = None
@@ -601,14 +523,13 @@ def _cached(
 def _execute_task(task) -> UnitResult:
     """Worker entry: run one unit, never raise (failure isolation).
 
-    ``task`` is ``(uid, module, func, kwargs)`` plus an optional
-    attempt number (1-based; retries thread it through so deterministic
-    fault plans can key on it).  The fault hook costs one environment
+    ``task`` is ``(uid, module, func, kwargs, attempt)``; the attempt
+    number is 1-based, and retries thread it through so deterministic
+    fault plans can key on it.  The fault hook costs one environment
     lookup per unit when dormant.
     """
     global _PROGRESS_UID
-    uid, module_name, func_name, kwargs = task[0], task[1], task[2], task[3]
-    attempt = task[4] if len(task) > 4 else 1
+    uid, module_name, func_name, kwargs, attempt = task
     _PROGRESS_UID = uid  # stamp emit_progress events with the unit id
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
@@ -698,7 +619,7 @@ def _supervised_worker(conn, task, progress=None, tag=None) -> None:
                         "message": "worker could not deliver its result",
                         "traceback": traceback.format_exc(),
                     },
-                    attempts=task[4] if len(task) > 4 else 1,
+                    attempts=task[4],
                 )
             )
         except Exception:  # noqa: BLE001
@@ -933,11 +854,11 @@ def _run_supervised(
     emit: Callable[[str, dict], None],
     progress_queue=None,
 ) -> None:
-    """Resilient dispatch: one :class:`SupervisedAttempt` per attempt.
+    """Out-of-process dispatch: one :class:`SupervisedAttempt` per attempt.
 
     Owning each attempt's process (instead of sharing a pool) is what
     makes hung-worker SIGKILL, hard-crash detection and re-dispatch
-    possible without ever tearing down or rebuilding a shared pool.
+    possible: a dead worker fails its own unit and nothing else.
     Up to ``jobs`` attempts run at once, multiplexed on their pipes.
     ``absorb`` receives only *final* results — retries are internal —
     with timing accumulated across attempts.
@@ -1028,21 +949,6 @@ def _run_supervised(
                 pass
 
 
-def _drain_ready(iterator, absorb) -> None:
-    """Best-effort absorb of already-completed pool results (KI flush)."""
-    while True:
-        try:
-            result = iterator.next(timeout=0.1)
-        except (StopIteration, multiprocessing.TimeoutError):
-            return
-        except Exception:  # noqa: BLE001 — flushing must never raise
-            return
-        try:
-            absorb(result, True)
-        except Exception:  # noqa: BLE001
-            return
-
-
 def execute_units(
     units: Iterable[WorkUnit],
     jobs: int = 1,
@@ -1065,15 +971,18 @@ def execute_units(
     (``KeyboardInterrupt`` additionally flushes completed-but-unmerged
     results before propagating).
 
-    ``timeout`` (per-unit wall seconds) and ``retries`` (extra attempts
-    after the first) activate the resilience layer: supervised
-    per-attempt worker processes, hung-worker SIGKILL + re-dispatch,
-    seeded exponential ``backoff`` between attempts, and quarantine of
-    units that exhaust the budget (``ok=False, quarantined=True``
-    instead of aborting).  An active ``REPRO_FAULT_PLAN`` also routes
-    through the supervised path so injected crashes can never take the
-    parent down.  With none of those set, dispatch is exactly the
-    classic serial/pool path.
+    With ``jobs > 1`` and more than one pending unit, each attempt runs
+    in its own supervised worker process, up to ``jobs`` at once; a
+    worker that dies hard fails only its unit (``WorkerCrash``).
+    ``timeout`` (per-unit wall seconds) SIGKILLs a hung worker
+    (``WorkerTimeout``), and ``retries`` (extra attempts after the
+    first) re-runs a failed attempt after a seeded exponential
+    ``backoff``; a unit that exhausts the budget is quarantined
+    (``ok=False, quarantined=True``) instead of aborting the sweep.
+    Either one, or an active ``REPRO_FAULT_PLAN``, also puts a
+    ``jobs=1`` run under supervision, so an injected crash can never
+    take the parent down.  Otherwise units run one by one in the
+    calling process.
 
     ``progress_queue`` (a queue from this engine's multiprocessing
     context) installs the live progress channel in every worker: unit
@@ -1126,9 +1035,10 @@ def execute_units(
                 status = f"FAILED: {result.error['type']}"
             progress(f"{result.uid} [{status}]")
 
-    resilient = (
+    supervised = (
         timeout is not None
         or retries > 0
+        or (jobs > 1 and len(pending) > 1)
         or (
             bool(os.environ.get(FAULT_PLAN_ENV))
             # A supervised worker may not spawn children, so a sweep
@@ -1136,54 +1046,34 @@ def execute_units(
             and not multiprocessing.current_process().daemon
         )
     )
-    if resilient:
-        emit = _quiet
-        if tracer is not None and getattr(tracer, "enabled", False):
-            def emit(kind: str, info: dict) -> None:
-                tracer.emit(kind, 0, **info)
-
-        _run_supervised(
-            pending,
-            jobs=max(1, jobs),
-            absorb=absorb,
-            timeout=timeout,
-            policy=RetryPolicy(retries, backoff, retry_seed),
-            emit=emit,
-            progress_queue=progress_queue,
-        )
-        return results
-
-    tasks = [(u.uid, u.module, u.func, u.kwargs, 1) for u in pending]
-    if jobs <= 1 or len(tasks) <= 1:
+    if not supervised:
         previous = _PROGRESS_QUEUE
         if progress_queue is not None:
             install_progress(progress_queue)
         try:
-            for task in tasks:
-                absorb(_execute_task(task))
+            for unit in pending:
+                absorb(_execute_task(
+                    (unit.uid, unit.module, unit.func, unit.kwargs, 1)
+                ))
         finally:
             if progress_queue is not None:
                 install_progress(previous)
-    else:
-        for unit in pending:
-            _import_target(unit)
-        context = _pool_context()
-        pool_kwargs = {}
-        if progress_queue is not None:
-            pool_kwargs["initializer"] = install_progress
-            pool_kwargs["initargs"] = (progress_queue,)
-        with context.Pool(
-            processes=min(jobs, len(tasks)), **pool_kwargs
-        ) as pool:
-            iterator = pool.imap_unordered(_execute_task, tasks)
-            try:
-                for result in iterator:
-                    absorb(result)
-            except KeyboardInterrupt:
-                # Checkpoint flush: completed results already sitting in
-                # the pool's outqueue still reach the cache.
-                _drain_ready(iterator, absorb)
-                raise
+        return results
+
+    emit = _quiet
+    if tracer is not None and getattr(tracer, "enabled", False):
+        def emit(kind: str, info: dict) -> None:
+            tracer.emit(kind, 0, **info)
+
+    _run_supervised(
+        pending,
+        jobs=max(1, jobs),
+        absorb=absorb,
+        timeout=timeout,
+        policy=RetryPolicy(retries, backoff, retry_seed),
+        emit=emit,
+        progress_queue=progress_queue,
+    )
     return results
 
 

@@ -1,21 +1,12 @@
-"""Result serialisation: JSON export of runs and suites.
-
-Experiment outputs are text tables for humans; downstream tooling
-(plotting scripts, regression trackers) wants structured data.  This
-module flattens :class:`RunResult` into JSON-safe dictionaries and
-round-trips whole suites to disk.
-"""
+"""Crash-safe JSON file writes (the job service's drain persistence)."""
 
 from __future__ import annotations
 
 import json
 import os
 import tempfile
-from dataclasses import asdict
 from pathlib import Path
-from typing import Dict, Union
-
-from repro.harness.experiment import RunResult
+from typing import Union
 
 
 def atomic_write_json(path: Union[str, Path], payload) -> Path:
@@ -25,9 +16,9 @@ def atomic_write_json(path: Union[str, Path], payload) -> Path:
 
     The data is fsync'd before the rename (so the rename never
     publishes an empty or partial temp file after a crash) and the
-    directory is fsync'd after it (so the rename itself is durable).
-    Concurrent sweep workers share the result cache, and the daemon's
-    ``queue.json`` drain persistence must survive a crash mid-drain.
+    directory is fsync'd after it (so the rename itself is durable):
+    the daemon's ``queue.json`` drain persistence must survive a crash
+    mid-drain.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -57,82 +48,3 @@ def atomic_write_json(path: Union[str, Path], payload) -> Path:
             pass
         raise
     return path
-
-
-def run_result_to_dict(result: RunResult) -> Dict:
-    """Flatten one run into JSON-safe primitives."""
-    spec = result.spec
-    return {
-        "benchmark": result.benchmark,
-        "spec": {
-            "name": spec.name,
-            "defense": spec.defense,
-            "protect_stack": spec.protect_stack,
-            "mode": spec.mode.value,
-            "token_width": spec.token_width,
-            "perfect_hw": spec.perfect_hw,
-        },
-        "cycles": result.cycles,
-        "instructions": result.instructions,
-        "app_instructions": result.app_instructions,
-        "instruction_expansion": result.instruction_expansion,
-        "ipc": result.core_stats.ipc,
-        "l1d_miss_rate": result.l1d_miss_rate,
-        "l2_miss_rate": result.l2_miss_rate,
-        "core": {
-            "rob_blocked_by_store_cycles": (
-                result.core_stats.rob_blocked_by_store_cycles
-            ),
-            "rob_full_cycles": result.core_stats.rob_full_cycles,
-            "iq_full_cycles": result.core_stats.iq_full_cycles,
-            "branch_mispredicts": result.core_stats.branch_mispredicts,
-            "icache_stall_cycles": result.core_stats.icache_stall_cycles,
-            "lsq_forwards": result.core_stats.lsq_forwards,
-            "op_counts": dict(result.core_stats.op_counts),
-        },
-        "rest": {
-            "arms": getattr(result.hierarchy_stats, "arms", 0),
-            "disarms": getattr(result.hierarchy_stats, "disarms", 0),
-            "tokens_at_memory_interface": getattr(
-                result.hierarchy_stats, "tokens_at_memory_interface", 0
-            ),
-        },
-        "workload": {
-            "mallocs": result.workload_stats.mallocs,
-            "frees": result.workload_stats.frees,
-            "calls": result.workload_stats.calls,
-            "libc_calls": result.workload_stats.libc_calls,
-        },
-    }
-
-
-def suite_to_dict(results: Dict[str, Dict[str, RunResult]]) -> Dict:
-    """Flatten run_suite output: {benchmark: {spec_name: run_dict}}."""
-    return {
-        bench: {
-            name: run_result_to_dict(result)
-            for name, result in per_bench.items()
-        }
-        for bench, per_bench in results.items()
-    }
-
-
-def save_suite(
-    results: Dict[str, Dict[str, RunResult]],
-    path: Union[str, Path],
-    metadata: Dict = None,
-) -> Path:
-    """Write a suite to JSON; returns the path written."""
-    payload = {
-        "metadata": metadata or {},
-        "results": suite_to_dict(results),
-    }
-    return atomic_write_json(path, payload)
-
-
-def load_suite(path: Union[str, Path]) -> Dict:
-    """Load a previously saved suite (as plain dictionaries)."""
-    payload = json.loads(Path(path).read_text())
-    if "results" not in payload:
-        raise ValueError(f"{path} is not a saved suite")
-    return payload

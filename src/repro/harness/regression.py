@@ -1,102 +1,12 @@
-"""Regression comparison between two saved experiment suites.
-
-Simulator changes should not silently move the headline numbers.  This
-module diffs two ``save_suite`` JSON files (e.g. from two commits) and
-reports per-(benchmark, configuration) overhead changes, flagging any
-beyond a tolerance — the same workflow gem5-based papers run between
-simulator revisions.
-"""
+"""Sweep-manifest comparison: do two ``run_all`` runs agree?"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
 from pathlib import Path
-from typing import Dict, List, Union
+from typing import Dict, Union
 
-from repro.harness.persistence import load_suite
-
-
-@dataclass
-class Delta:
-    """One (benchmark, spec) comparison."""
-
-    benchmark: str
-    spec: str
-    before_overhead: float
-    after_overhead: float
-
-    @property
-    def change(self) -> float:
-        """Change in overhead, percentage points."""
-        return self.after_overhead - self.before_overhead
-
-
-def _overheads(payload: Dict) -> Dict[str, Dict[str, float]]:
-    """Per-benchmark per-spec overhead (%) from a saved suite."""
-    out: Dict[str, Dict[str, float]] = {}
-    for bench, per_bench in payload["results"].items():
-        if "Plain" not in per_bench:
-            raise ValueError(f"suite has no Plain baseline for {bench}")
-        plain = per_bench["Plain"]["cycles"]
-        out[bench] = {
-            spec: (entry["cycles"] / plain - 1.0) * 100.0
-            for spec, entry in per_bench.items()
-            if spec != "Plain"
-        }
-    return out
-
-
-def compare_suites(
-    before: Union[str, Path, Dict],
-    after: Union[str, Path, Dict],
-) -> List[Delta]:
-    """Diff two suites; returns deltas for every common (bench, spec)."""
-    if not isinstance(before, dict):
-        before = load_suite(before)
-    if not isinstance(after, dict):
-        after = load_suite(after)
-    old = _overheads(before)
-    new = _overheads(after)
-    deltas: List[Delta] = []
-    for bench in sorted(set(old) & set(new)):
-        for spec in sorted(set(old[bench]) & set(new[bench])):
-            deltas.append(
-                Delta(
-                    benchmark=bench,
-                    spec=spec,
-                    before_overhead=old[bench][spec],
-                    after_overhead=new[bench][spec],
-                )
-            )
-    if not deltas:
-        raise ValueError("the suites share no (benchmark, spec) pairs")
-    return deltas
-
-
-def regressions(
-    deltas: List[Delta], tolerance_pp: float = 2.0
-) -> List[Delta]:
-    """Deltas whose overhead moved by more than ``tolerance_pp``."""
-    return [d for d in deltas if abs(d.change) > tolerance_pp]
-
-
-def format_comparison(
-    deltas: List[Delta], tolerance_pp: float = 2.0
-) -> str:
-    """Human-readable report, flagged rows first."""
-    flagged = regressions(deltas, tolerance_pp)
-    lines = [
-        f"{len(deltas)} comparisons, {len(flagged)} beyond "
-        f"±{tolerance_pp:.1f} pp"
-    ]
-    for delta in sorted(deltas, key=lambda d: -abs(d.change)):
-        marker = "!!" if abs(delta.change) > tolerance_pp else "  "
-        lines.append(
-            f"{marker} {delta.benchmark:12s} {delta.spec:16s} "
-            f"{delta.before_overhead:8.2f}% -> {delta.after_overhead:8.2f}% "
-            f"({delta.change:+.2f} pp)"
-        )
-    return "\n".join(lines)
+from repro.harness.parallel import strip_volatile
 
 
 def manifests_equal(
@@ -109,10 +19,6 @@ def manifests_equal(
     are ignored: a serial run, a parallel run, and a cache-warm re-run
     of the same configuration must all compare equal.
     """
-    import json
-
-    from repro.harness.parallel import strip_volatile
-
     def load(source) -> Dict:
         if isinstance(source, dict):
             return source

@@ -522,7 +522,5 @@ class Scheduler:
                 "stores": self.cache.stores,
                 "races": self.cache.races,
                 "healed": self.cache.healed,
-                "evicted": self.cache.evicted,
-                "generation": self.cache.generation,
             }
         return counters

@@ -133,71 +133,6 @@ def _key(index):
     return f"{index:02d}" + "ab" * 31
 
 
-class TestGenerations:
-    def test_generation_starts_at_zero_and_bumps_atomically(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.generation == 0
-        assert cache.bump_generation() == 1
-        assert cache.bump_generation() == 2
-        # Another handle on the same root sees the published value.
-        assert ResultCache(tmp_path).generation == 2
-        stray = [
-            name for name in os.listdir(tmp_path)
-            if name.startswith(".generation.")
-        ]
-        assert stray == [], "generation bump must not leak temp files"
-
-    def test_entries_are_stamped_with_current_generation(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(_key(0), UNIT, VALUE)
-        cache.bump_generation()
-        cache.put(_key(1), UNIT, VALUE)
-        first = json.loads(cache._path(_key(0)).read_text())
-        second = json.loads(cache._path(_key(1)).read_text())
-        assert first["gen"] == 0
-        assert second["gen"] == 1
-
-    def test_gc_drops_only_older_generations(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        cache.put(_key(0), UNIT, VALUE)
-        cache.bump_generation()
-        cache.put(_key(1), UNIT, VALUE)
-        removed = cache.gc(min_generation=1)
-        assert removed == 1
-        assert cache.get(_key(0), UNIT) is None
-        assert cache.get(_key(1), UNIT)["value"] == VALUE
-        # Unstamped legacy entries count as generation 0.
-        path = cache._path(_key(2))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(
-            {"uid": UNIT.uid, "payload": UNIT.key_payload, "value": VALUE}
-        ))
-        assert cache.gc(min_generation=1) == 1
-        assert cache.evicted == 2
-
-    def test_evict_keeps_newest_generations_deterministically(
-        self, tmp_path
-    ):
-        cache = ResultCache(tmp_path)
-        for index in range(3):
-            cache.put(_key(index), UNIT, VALUE)
-        cache.bump_generation()
-        for index in range(3, 5):
-            cache.put(_key(index), UNIT, VALUE)
-        assert cache.evict(max_entries=3) == 2
-        survivors = {
-            path.name for path, entry in cache._entries()
-            if entry is not None
-        }
-        # Oldest generation goes first, key order breaks ties: the two
-        # gen-1 entries survive plus the highest-sorting gen-0 key.
-        assert survivors == {
-            f"{_key(2)}.json", f"{_key(3)}.json", f"{_key(4)}.json"
-        }
-        # Idempotent: a second evictor converges on the same survivors.
-        assert cache.evict(max_entries=3) == 0
-
-
 class TestHealing:
     def test_heal_removes_torn_entries_and_stray_temps(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -11,9 +11,13 @@ byte-identical to a fault-free one after ``strip_volatile``.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import run_all as driver
 from repro.faults import (
     ALWAYS,
@@ -397,9 +401,8 @@ class TestTimingAccounting:
 
 
 class TestInterruptFlush:
-    def test_completed_results_flushed_on_interrupt(
-        self, monkeypatch, tmp_path
-    ):
+    @pytest.mark.parametrize("retries", [0, 1])
+    def test_completed_results_flushed_on_interrupt(self, tmp_path, retries):
         units = selftest_units(4)
         cache = ResultCache(tmp_path / "cache")
         done = []
@@ -410,7 +413,8 @@ class TestInterruptFlush:
                 raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            execute_units(units, jobs=2, cache=cache, progress=progress)
+            execute_units(units, jobs=2, cache=cache, progress=progress,
+                          retries=retries, backoff=0.02)
         # every completed unit reached the cache before the interrupt
         # tore the engine down: the resumed sweep re-executes nothing.
         stores = cache.stores
@@ -418,24 +422,43 @@ class TestInterruptFlush:
         assert cache.stores == stores
         assert all(result.cached for result in resumed.values())
 
-    def test_interrupt_flush_supervised_path(self, monkeypatch, tmp_path):
-        units = selftest_units(4)
-        cache = ResultCache(tmp_path / "cache")
-        done = []
 
-        def progress(message):
-            done.append(message)
-            if len(done) == len(units):
-                raise KeyboardInterrupt
+#: A plain ``jobs=2`` sweep whose middle unit kills its worker outright.
+CRASH_SWEEP = """
+import json, multiprocessing
+from repro.harness.parallel import WorkUnit, execute_units
 
-        with pytest.raises(KeyboardInterrupt):
-            # retries>0 routes through the supervised executor
-            execute_units(units, jobs=2, cache=cache, progress=progress,
-                          retries=1, backoff=0.02)
-        stores = cache.stores
-        resumed = execute_units(units, jobs=2, cache=cache)
-        assert cache.stores == stores
-        assert all(result.cached for result in resumed.values())
+def selftest(uid, seed):
+    return WorkUnit(uid, "repro.experiments._selftest", "regenerate",
+                    {"seed": seed}, {"seed": seed})
+
+units = [selftest("ok0", 0), WorkUnit("crash", "os", "_exit", {"status": 3}),
+         selftest("ok1", 1)]
+results = execute_units(units, jobs=2)
+print(json.dumps({
+    "ok": {uid: result.ok for uid, result in results.items()},
+    "crash": results["crash"].error["type"],
+    "children": len(multiprocessing.active_children()),
+}))
+"""
+
+
+class TestPlainParallelCrash:
+    def test_dead_worker_fails_only_its_unit(self):
+        """No ``timeout`` or ``retries``: a worker that dies hard is a
+        ``WorkerCrash`` of its own unit, never a hung sweep.  The sweep
+        runs in a child so a hang fails this test by timeout."""
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        done = subprocess.run(
+            [sys.executable, "-c", CRASH_SWEEP],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert done.returncode == 0, done.stderr
+        report = json.loads(done.stdout)
+        assert report["ok"] == {"ok0": True, "crash": False, "ok1": True}
+        assert report["crash"] == "WorkerCrash"
+        assert report["children"] == 0
 
 
 class TestRunAllDegraded:

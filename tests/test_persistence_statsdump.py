@@ -1,17 +1,9 @@
-"""Tests for JSON persistence and the gem5-style stats dump."""
-
-import json
+"""Tests for the gem5-style stats dump."""
 
 import pytest
 
 from repro.harness.configs import DefenseSpec, SimulationConfig
-from repro.harness.experiment import run_benchmark, run_suite
-from repro.harness.persistence import (
-    load_suite,
-    run_result_to_dict,
-    save_suite,
-    suite_to_dict,
-)
+from repro.harness.experiment import run_benchmark
 from repro.harness.statsdump import format_stats
 from repro.workloads.spec import profile_by_name
 
@@ -23,43 +15,6 @@ def one_result():
     return run_benchmark(
         profile_by_name("sjeng"), DefenseSpec.rest("Secure Full"), QUICK
     )
-
-
-@pytest.fixture(scope="module")
-def suite_results():
-    return run_suite(
-        [profile_by_name("sjeng")], [DefenseSpec.rest("Secure Full")], QUICK
-    )
-
-
-class TestPersistence:
-    def test_run_result_roundtrips_through_json(self, one_result):
-        payload = run_result_to_dict(one_result)
-        decoded = json.loads(json.dumps(payload))
-        assert decoded["benchmark"] == "sjeng"
-        assert decoded["cycles"] == one_result.cycles
-        assert decoded["spec"]["defense"] == "rest"
-        assert decoded["rest"]["arms"] >= 0
-        assert decoded["core"]["op_counts"]["alu"] > 0
-
-    def test_suite_to_dict_structure(self, suite_results):
-        payload = suite_to_dict(suite_results)
-        assert set(payload) == {"sjeng"}
-        assert {"Plain", "Secure Full"} <= set(payload["sjeng"])
-
-    def test_save_and_load(self, suite_results, tmp_path):
-        path = save_suite(
-            suite_results, tmp_path / "suite.json", metadata={"scale": 0.05}
-        )
-        loaded = load_suite(path)
-        assert loaded["metadata"]["scale"] == 0.05
-        assert loaded["results"]["sjeng"]["Plain"]["cycles"] > 0
-
-    def test_load_rejects_non_suite(self, tmp_path):
-        bogus = tmp_path / "x.json"
-        bogus.write_text("{}")
-        with pytest.raises(ValueError):
-            load_suite(bogus)
 
 
 class TestStatsDump:
