@@ -4,9 +4,11 @@ Commands
 --------
 
 ``experiments [names...] [--scale S] [--jobs N] [--timeout T] [--retries R]``
-    Regenerate paper tables/figures (default: all of them), fanning
-    out over N worker processes; ``--timeout``/``--retries`` activate
-    the resilience layer (hung-worker kill, retry with backoff,
+    Regenerate paper tables/figures (default: all of them) from
+    ``run_all``'s registry and scale caps, so at the default scale 0.5
+    each prints its committed ``results/`` artifact.  Fans out over N
+    worker processes; ``--timeout``/``--retries`` activate the
+    resilience layer (hung-worker kill, retry with backoff,
     quarantine).
 ``sweep [--seeds a b c] [--jobs N] [--cache DIR] [--live] ...``
     Multi-seed stability sweep of the Figure 7 configurations.
@@ -101,43 +103,17 @@ def _bench_mode(text: str) -> str:
     return text
 
 
-EXPERIMENTS = (
-    "table1",
-    "table2",
-    "table3",
-    "fig3",
-    "fig7",
-    "fig8",
-    "intext",
-    "memoverhead",
-    "security",
-    "attackmatrix",
-    "defensezoo",
-)
-
-
 def _cmd_experiments(args: argparse.Namespace) -> int:
-    from repro.harness.parallel import (
-        ResultCache, WorkUnit, cell_cache, execute_units,
-    )
+    from repro.experiments.run_all import experiment_units
+    from repro.harness.parallel import ResultCache, cell_cache, execute_units
 
-    names = args.names or list(EXPERIMENTS)
-    for name in names:
-        if name not in EXPERIMENTS:
-            print(f"unknown experiment {name!r}; known: {', '.join(EXPERIMENTS)}")
-            return 2
-    names = list(dict.fromkeys(names))  # work-unit ids must be unique
-    unit_kwargs = {"scale": args.scale, "seed": args.seed}
-    units = [
-        WorkUnit(
-            uid=name,
-            module=f"repro.experiments.{name}",
-            func="regenerate",
-            kwargs=dict(unit_kwargs),
-            key_payload={"experiment": name, **unit_kwargs},
+    try:
+        units = experiment_units(
+            args.scale, args.seed, names=args.names or None
         )
-        for name in names
-    ]
+    except ValueError as error:
+        print(error)
+        return 2
     cache = ResultCache(args.cache) if args.cache else None
     with cell_cache(args.cache or None):  # experiments share their cells
         results = execute_units(
@@ -148,9 +124,9 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
             retries=args.retries,
         )
     status = 0
-    for name in names:  # print in request order whatever finished first
-        result = results[name]
-        print(f"\n{'=' * 72}\n{name}\n{'=' * 72}")
+    for unit in units:  # print in request order whatever finished first
+        result = results[unit.uid]
+        print(f"\n{'=' * 72}\n{unit.uid}\n{'=' * 72}")
         if result.ok:
             print(result.value)
         else:
@@ -944,7 +920,7 @@ def main(argv=None) -> int:
 
     p_exp = sub.add_parser("experiments", help="regenerate tables/figures")
     p_exp.add_argument("names", nargs="*", metavar="name")
-    p_exp.add_argument("--scale", type=float, default=0.35)
+    p_exp.add_argument("--scale", type=float, default=0.5)
     p_exp.add_argument("--seed", type=int, default=1234)
     p_exp.add_argument("--jobs", "-j", type=positive_int, default=1,
                        help="worker processes (1 = in-process)")

@@ -221,7 +221,3 @@ def render_text(payload: Dict) -> str:
 def regenerate(scale: float = 0.2, seed: int = 1234) -> str:
     """Canonical JSON for run_all (written as ``defensezoo.json``)."""
     return to_json(run(scale=scale, seed=seed))
-
-
-if __name__ == "__main__":
-    print(render_text(run()))

@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict, List
 
 from repro.cpu.pipeline import CoreConfig
-from repro.experiments.common import cli_main
 from repro.harness.configs import DefenseSpec, SimulationConfig
 from repro.harness.experiment import run_suite
 from repro.harness.reporting import bar_chart, format_table
@@ -86,7 +85,3 @@ def render(results) -> str:
 
 def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
     return render(run(scale=scale, seed=seed))
-
-
-if __name__ == "__main__":
-    cli_main(regenerate, __doc__.splitlines()[0])

@@ -8,7 +8,7 @@ full/heap configurations at each supported width.
 
 from __future__ import annotations
 
-from repro.experiments.common import DEFAULT_SCALE, cli_main, make_config
+from repro.experiments.common import DEFAULT_SCALE, make_config
 from repro.harness.configs import figure8_specs
 from repro.harness.experiment import run_suite
 from repro.harness.metrics import geo_mean_overhead, weighted_mean_overhead
@@ -69,7 +69,3 @@ def render(results) -> str:
 
 def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
     return render(run(scale=scale, seed=seed))
-
-
-if __name__ == "__main__":
-    cli_main(regenerate, __doc__.splitlines()[0])

@@ -18,7 +18,7 @@ The paper makes several quantitative claims outside its figures:
 from __future__ import annotations
 
 from repro.core.modes import Mode
-from repro.experiments.common import DEFAULT_SCALE, cli_main, make_config
+from repro.experiments.common import DEFAULT_SCALE, make_config
 from repro.harness.configs import DefenseSpec
 from repro.harness.experiment import run_benchmark, run_suite
 from repro.harness.metrics import weighted_mean_overhead
@@ -112,7 +112,3 @@ def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
         )
     )
     return "\n\n".join(lines)
-
-
-if __name__ == "__main__":
-    cli_main(regenerate, __doc__.splitlines()[0])

@@ -16,7 +16,7 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.defenses import RestDefense, get_plugin
-from repro.experiments.common import DEFAULT_SCALE, cli_main
+from repro.experiments.common import DEFAULT_SCALE
 from repro.harness.reporting import format_table
 from repro.runtime.machine import ExecutionMode, Machine
 from repro.workloads.generator import SyntheticWorkload
@@ -81,7 +81,3 @@ def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
         "bytes."
     )
     return table + shadow_note
-
-
-if __name__ == "__main__":
-    cli_main(regenerate, __doc__.splitlines()[0])

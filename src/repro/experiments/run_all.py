@@ -66,6 +66,10 @@ EXPERIMENT_SCALES = {
     "intext": None,
     "memoverhead": 0.35,
     "security": None,
+    #: Table III regression lock: the attack suite x defense-mode grid,
+    #: read from the attack rows it shares with table3, security and
+    #: defensezoo.
+    "attackmatrix": None,
     #: Defense zoo: REST-vs-MTE-vs-ASan overhead/coverage matrix; runs
     #: the full workload suite under six specs plus a foundry corpus,
     #: so its scale is capped small whatever the sweep's.

@@ -14,7 +14,7 @@ from repro.analysis import (
     token_width_tradeoff,
 )
 from repro.analysis.coverage import ATTACK_CLASSES
-from repro.experiments.common import ATTACK_COLUMNS, cli_main
+from repro.experiments.common import ATTACK_COLUMNS
 from repro.harness.reporting import format_table
 
 
@@ -91,7 +91,3 @@ def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
     return "\n\n".join(
         [_coverage_table(), _quarantine_table(), _width_table()]
     )
-
-
-if __name__ == "__main__":
-    cli_main(regenerate, __doc__.splitlines()[0])

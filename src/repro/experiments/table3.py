@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from repro.experiments.common import ATTACK_COLUMNS, cli_main
+from repro.experiments.common import ATTACK_COLUMNS
 from repro.harness.experiment import attack_outcomes
 from repro.harness.reporting import format_table
 from repro.workloads.attacks import ATTACK_REGISTRY, AttackOutcome
@@ -147,7 +147,3 @@ def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
         + "\n\n"
         + _hardware_cost_table()
     )
-
-
-if __name__ == "__main__":
-    cli_main(regenerate, __doc__.splitlines()[0])

@@ -415,3 +415,50 @@ class TestSweepCli:
         assert code == 2
         assert "sweep failed:" in out
         assert "unique" in out
+
+
+class TestExperimentsCommand:
+    """``repro experiments`` runs what ``run_all`` would: the same
+    registry, scale caps and default scale."""
+
+    @pytest.fixture
+    def units(self, monkeypatch):
+        """The units the command hands to the engine (nothing runs)."""
+        from types import SimpleNamespace
+
+        from repro.harness import parallel
+
+        captured = []
+
+        def fake_execute_units(units, **_options):
+            captured.extend(units)
+            return {
+                unit.uid: SimpleNamespace(ok=True, value=unit.uid)
+                for unit in units
+            }
+
+        monkeypatch.setattr(parallel, "execute_units", fake_execute_units)
+        return captured
+
+    def test_scale_caps_apply(self, units):
+        code, _ = run_cli(["experiments", "defensezoo", "--scale", "0.35"])
+        assert code == 0
+        assert [(u.uid, u.kwargs["scale"]) for u in units] == [
+            ("defensezoo", 0.2)
+        ]
+
+    def test_default_scale_is_the_committed_one(self, units):
+        from repro.experiments.run_all import experiment_units
+
+        code, output = run_cli(["experiments", "fig7", "fig3"])
+        assert code == 0
+        assert units == experiment_units(0.5, 1234, names=["fig7", "fig3"])
+        assert output.index("fig7") < output.index("fig3")
+
+    def test_every_registered_experiment_is_accepted(self, units):
+        from repro.experiments.run_all import EXPERIMENT_SCALES
+
+        code, _ = run_cli(["experiments"])
+        assert code == 0
+        assert [unit.uid for unit in units] == list(EXPERIMENT_SCALES)
+        assert {"stalls", "attackmatrix"} <= set(EXPERIMENT_SCALES)

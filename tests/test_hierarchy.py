@@ -76,6 +76,14 @@ class TestPlainAccesses:
         _, result = h.read(0x0, 4)
         assert not result.l1_hit and result.l2_hit
 
+    def test_cold_stream_misses_every_line_in_l2(self):
+        """4,096 distinct lines through a fresh hierarchy: each is one
+        L2 miss, the fill path every cold simulation cell starts with."""
+        h = MemoryHierarchy()
+        for i in range(4096):
+            h.read(0x100000 + 64 * i, 8)
+        assert h.l2.stats.misses == 4096
+
 
 class TestArmDisarm:
     def test_arm_then_load_raises(self):

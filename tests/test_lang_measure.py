@@ -13,7 +13,8 @@ from repro.lang.measure import compare_program, measure_program
 
 class TestMeasureProgram:
     def test_benign_program_overheads_ordered(self):
-        program = sum_array_program(16)
+        """Listing 1's loop, benign, under every build."""
+        program = sum_array_program(64)
         results = compare_program(
             program,
             [
