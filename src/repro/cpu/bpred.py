@@ -35,22 +35,27 @@ class BranchPredictor:
             return 1.0
         return 1.0 - self.mispredictions / self.predictions
 
-    def _indices(self, pc: int) -> tuple:
-        base = (pc >> 2) & self._mask
-        gidx = base ^ (self._history & self._mask)
-        return base, gidx
-
     def predict_and_update(self, pc: int, taken: bool) -> bool:
         """Predict the branch at ``pc``; train on the actual outcome.
 
-        Returns True when the prediction was correct.
+        Returns True when the prediction was correct.  Called once per
+        replayed branch, so each counter is read once into a local and
+        saturated with comparisons rather than ``min``/``max``.
         """
-        base, gidx = self._indices(pc)
-        gshare_taken = self._gshare[gidx] >= 2
-        bimodal_taken = self._bimodal[base] >= 2
-        use_gshare = self._chooser[base] >= 2
-        predicted = gshare_taken if use_gshare else bimodal_taken
-        correct = predicted == taken
+        mask = self._mask
+        history = self._history
+        base = (pc >> 2) & mask
+        gidx = base ^ (history & mask)
+        gshare = self._gshare
+        bimodal = self._bimodal
+        g = gshare[gidx]
+        b = bimodal[base]
+        gshare_taken = g >= 2
+        bimodal_taken = b >= 2
+        if self._chooser[base] >= 2:
+            correct = gshare_taken == taken
+        else:
+            correct = bimodal_taken == taken
 
         self.predictions += 1
         if not correct:
@@ -58,17 +63,26 @@ class BranchPredictor:
 
         # Train the chooser toward whichever component was right.
         if gshare_taken != bimodal_taken:
+            chooser = self._chooser
+            c = chooser[base]
             if gshare_taken == taken:
-                self._chooser[base] = min(3, self._chooser[base] + 1)
-            else:
-                self._chooser[base] = max(0, self._chooser[base] - 1)
+                if c < 3:
+                    chooser[base] = c + 1
+            elif c > 0:
+                chooser[base] = c - 1
         # Train both components.
-        for table, idx in ((self._gshare, gidx), (self._bimodal, base)):
-            if taken:
-                table[idx] = min(3, table[idx] + 1)
-            else:
-                table[idx] = max(0, table[idx] - 1)
-        self._history = ((self._history << 1) | int(taken)) & self._history_mask
+        if taken:
+            if g < 3:
+                gshare[gidx] = g + 1
+            if b < 3:
+                bimodal[base] = b + 1
+            self._history = ((history << 1) | 1) & self._history_mask
+        else:
+            if g > 0:
+                gshare[gidx] = g - 1
+            if b > 0:
+                bimodal[base] = b - 1
+            self._history = (history << 1) & self._history_mask
         return correct
 
     def reset_stats(self) -> None:

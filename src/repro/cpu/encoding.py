@@ -110,8 +110,8 @@ def decode_uop(record: bytes) -> MicroOp:
     taken = bool(flags & 0x1) if flags & 0x2 else None
     deps = tuple(d for d in (dep0, dep1)[:dep_count] if d)
     if op.is_memory:
-        return MicroOp(op, address=payload, size=size, deps=deps, taken=taken)
-    return MicroOp(op, pc=payload, size=size, deps=deps, taken=taken)
+        return MicroOp(op, 0, payload, size, deps, taken)
+    return MicroOp(op, payload, 0, size, deps, taken)
 
 
 def encode_trace(uops: Iterable[MicroOp]) -> bytes:

@@ -88,6 +88,7 @@ class MicroOp:
         size: int = 0,
         deps: Tuple[int, ...] = (),
         taken: Optional[bool] = None,
+        sid: int = -1,
     ) -> None:
         self.op = op
         self.pc = pc
@@ -104,7 +105,7 @@ class MicroOp:
         #: did not come through :class:`repro.runtime.machine.Machine`).
         #: Not serialized by :mod:`repro.cpu.encoding` — it is derived
         #: state, reconstructible from the pc stream.
-        self.sid = -1
+        self.sid = sid
 
     def __repr__(self) -> str:
         extra = ""
@@ -116,24 +117,24 @@ class MicroOp:
 
 
 def load(address: int, size: int = 8, deps: Tuple[int, ...] = (), pc: int = 0) -> MicroOp:
-    return MicroOp(OpType.LOAD, pc=pc, address=address, size=size, deps=deps)
+    return MicroOp(OpType.LOAD, pc, address, size, deps)
 
 
 def store(address: int, size: int = 8, deps: Tuple[int, ...] = (), pc: int = 0) -> MicroOp:
-    return MicroOp(OpType.STORE, pc=pc, address=address, size=size, deps=deps)
+    return MicroOp(OpType.STORE, pc, address, size, deps)
 
 
 def alu(deps: Tuple[int, ...] = (), pc: int = 0) -> MicroOp:
-    return MicroOp(OpType.ALU, pc=pc, deps=deps)
+    return MicroOp(OpType.ALU, pc, 0, 0, deps)
 
 
 def branch(taken: bool, pc: int = 0, deps: Tuple[int, ...] = ()) -> MicroOp:
-    return MicroOp(OpType.BRANCH, pc=pc, deps=deps, taken=taken)
+    return MicroOp(OpType.BRANCH, pc, 0, 0, deps, taken)
 
 
 def arm_op(address: int, pc: int = 0) -> MicroOp:
-    return MicroOp(OpType.ARM, pc=pc, address=address, size=0)
+    return MicroOp(OpType.ARM, pc, address)
 
 
 def disarm_op(address: int, pc: int = 0) -> MicroOp:
-    return MicroOp(OpType.DISARM, pc=pc, address=address, size=0)
+    return MicroOp(OpType.DISARM, pc, address)

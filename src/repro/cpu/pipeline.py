@@ -37,13 +37,6 @@ from repro.cpu.rob import ReorderBuffer, RobEntry
 from repro.cpu.stats import CoreStats
 from repro.obs.tracer import NULL_TRACER
 
-_SQ_KIND = {
-    OpType.STORE: SqEntryKind.STORE,
-    OpType.ARM: SqEntryKind.ARM,
-    OpType.DISARM: SqEntryKind.DISARM,
-}
-
-
 @dataclass(frozen=True)
 class CoreConfig:
     """Core structure sizes and widths (defaults: Table II)."""
@@ -187,6 +180,11 @@ class OutOfOrderCore:
         ot_store = OpType.STORE
         ot_arm = OpType.ARM
         ot_disarm = OpType.DISARM
+        # Identity tests pick the store-queue kind: an enum-keyed dict
+        # lookup calls the Python-level ``Enum.__hash__`` per op.
+        sq_store = SqEntryKind.STORE
+        sq_arm = SqEntryKind.ARM
+        sq_disarm = SqEntryKind.DISARM
         tracer = self.tracer
         trace_on = tracer.enabled
         emit = tracer.emit
@@ -469,15 +467,14 @@ class OutOfOrderCore:
                         mem_append(entry)
                     elif store_like:
                         if op_type is ot_store:
+                            sq_kind = sq_store
                             entry_size = uop.size or 8
                         else:
+                            sq_kind = sq_arm if op_type is ot_arm else sq_disarm
                             # Arm/disarm cover a whole token slot.
                             entry_size = token_width
                         dispatch_store_like(
-                            seq,
-                            _SQ_KIND[op_type],
-                            uop.address,
-                            entry_size,
+                            seq, sq_kind, uop.address, entry_size
                         )
                         mem_append(entry)
                     elif not pending:

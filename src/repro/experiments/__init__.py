@@ -1,7 +1,8 @@
 """Experiment reproductions, one module per paper table/figure.
 
-Every module exposes ``regenerate(scale=..., seed=...) -> str``
-returning the paper-style rendering.  :mod:`run_all` is the registry
+Every module exposes ``regenerate(scale, seed) -> str`` returning the
+paper-style rendering; ``scale`` and ``seed`` have no defaults.
+:mod:`run_all` is the registry and the one place scales live
 (``EXPERIMENT_SCALES``: names, order and scale caps); regenerate one
 or more with ``python -m repro experiments NAME...`` or all of them
 into a directory with ``python -m repro.experiments.run_all``.

@@ -10,7 +10,7 @@ golden (``results/attack_matrix_golden.json``) pins this grid; the
 from __future__ import annotations
 
 
-def regenerate(scale: float = 1.0, seed: int = 0) -> str:
+def regenerate(scale: float, seed: int) -> str:
     """Outcome grid text (scale/seed accepted for harness uniformity;
     the suite is deterministic and ignores both)."""
     from repro.foundry.matrix import (

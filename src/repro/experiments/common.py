@@ -4,10 +4,6 @@ from __future__ import annotations
 
 from repro.harness.configs import SimulationConfig
 
-#: Default workload scale of a module's ``run``/``regenerate`` called
-#: directly; the sweeps pass their own (``run_all.EXPERIMENT_SCALES``).
-DEFAULT_SCALE = 0.35
-
 #: Column label -> registered defense mode, for the attack-suite tables
 #: (Table III's detection matrix, the security coverage table).
 ATTACK_COLUMNS = {
@@ -18,6 +14,6 @@ ATTACK_COLUMNS = {
 }
 
 
-def make_config(scale: float = DEFAULT_SCALE, seed: int = 1234) -> SimulationConfig:
+def make_config(scale: float, seed: int) -> SimulationConfig:
     return SimulationConfig(scale=scale, seed=seed)
 

@@ -61,8 +61,8 @@ def _specs() -> List:
 
 
 def run(
-    scale: float = 0.2,
-    seed: int = 1234,
+    scale: float,
+    seed: int,
     progress: Optional[object] = None,
     foundry_seed: int = 7,
 ) -> Dict:
@@ -218,6 +218,6 @@ def render_text(payload: Dict) -> str:
     return "\n".join(lines)
 
 
-def regenerate(scale: float = 0.2, seed: int = 1234) -> str:
+def regenerate(scale: float, seed: int) -> str:
     """Canonical JSON for run_all (written as ``defensezoo.json``)."""
     return to_json(run(scale=scale, seed=seed))

@@ -29,10 +29,8 @@ COMPONENTS = [
     ("API Intercept", dict(asan_allocator=True, asan_stack=True, asan_checks=True, asan_intercepts=True)),
 ]
 
-DEFAULT_SCALE = 0.25
 
-
-def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None):
+def run(scale: float, seed: int, progress=None):
     specs = [
         DefenseSpec.asan(name=f"cum:{label}", **toggles)
         for label, toggles in COMPONENTS
@@ -83,5 +81,5 @@ def render(results) -> str:
     return table + "\n\n" + chart
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
+def regenerate(scale: float, seed: int) -> str:
     return render(run(scale=scale, seed=seed))

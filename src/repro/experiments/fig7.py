@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.experiments.common import DEFAULT_SCALE, make_config
+from repro.experiments.common import make_config
 from repro.harness.configs import figure7_specs
 from repro.harness.experiment import run_suite
 from repro.harness.metrics import geo_mean_overhead, weighted_mean_overhead
@@ -32,7 +32,7 @@ PAPER_VALUES = {
 }
 
 
-def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None):
+def run(scale: float, seed: int, progress=None):
     """Run the full Figure 7 suite; returns results[bench][spec]."""
     config = make_config(scale=scale, seed=seed)
     return run_suite(ALL_PROFILES, figure7_specs(), config,
@@ -73,5 +73,5 @@ def render(results) -> str:
     return table + "\n\n" + chart
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
+def regenerate(scale: float, seed: int) -> str:
     return render(run(scale=scale, seed=seed))

@@ -8,7 +8,7 @@ full/heap configurations at each supported width.
 
 from __future__ import annotations
 
-from repro.experiments.common import DEFAULT_SCALE, make_config
+from repro.experiments.common import make_config
 from repro.harness.configs import figure8_specs
 from repro.harness.experiment import run_suite
 from repro.harness.metrics import geo_mean_overhead, weighted_mean_overhead
@@ -16,7 +16,7 @@ from repro.harness.reporting import bar_chart, format_table, overhead_matrix
 from repro.workloads.spec import ALL_PROFILES
 
 
-def run(scale: float = DEFAULT_SCALE, seed: int = 1234, progress=None):
+def run(scale: float, seed: int, progress=None):
     config = make_config(scale=scale, seed=seed)
     return run_suite(ALL_PROFILES, figure8_specs(), config,
                      progress=progress)
@@ -67,5 +67,5 @@ def render(results) -> str:
     return table + "\n\n" + "\n".join(spreads) + "\n\n" + chart
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
+def regenerate(scale: float, seed: int) -> str:
     return render(run(scale=scale, seed=seed))

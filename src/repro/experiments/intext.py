@@ -18,7 +18,7 @@ The paper makes several quantitative claims outside its figures:
 from __future__ import annotations
 
 from repro.core.modes import Mode
-from repro.experiments.common import DEFAULT_SCALE, make_config
+from repro.experiments.common import make_config
 from repro.harness.configs import DefenseSpec
 from repro.harness.experiment import run_benchmark, run_suite
 from repro.harness.metrics import weighted_mean_overhead
@@ -26,7 +26,7 @@ from repro.harness.reporting import format_table
 from repro.workloads.spec import ALL_PROFILES, profile_by_name
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
+def regenerate(scale: float, seed: int) -> str:
     config = make_config(scale=scale, seed=seed)
     lines = []
 

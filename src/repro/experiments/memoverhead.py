@@ -16,7 +16,6 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.defenses import RestDefense, get_plugin
-from repro.experiments.common import DEFAULT_SCALE
 from repro.harness.reporting import format_table
 from repro.runtime.machine import ExecutionMode, Machine
 from repro.workloads.generator import SyntheticWorkload
@@ -40,7 +39,7 @@ def _measure(profile, defense_factory, scale: float, seed: int) -> Dict[str, flo
     }
 
 
-def regenerate(scale: float = DEFAULT_SCALE, seed: int = 1234) -> str:
+def regenerate(scale: float, seed: int) -> str:
     # Memory overhead is measured in the trace phase (allocator and
     # shadow bookkeeping); there is no replay.
     factories = {

@@ -87,7 +87,7 @@ def _width_table() -> str:
     )
 
 
-def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
+def regenerate(scale: float, seed: int) -> str:
     return "\n\n".join(
         [_coverage_table(), _quarantine_table(), _width_table()]
     )

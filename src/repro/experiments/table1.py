@@ -175,7 +175,7 @@ CHECKS: List[Tuple[str, str, Callable[[], bool]]] = [
 ]
 
 
-def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
+def regenerate(scale: float, seed: int) -> str:
     rows = []
     for cell, specified, check in CHECKS:
         try:

@@ -5,5 +5,5 @@ from __future__ import annotations
 from repro.harness.configs import table2_text
 
 
-def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
+def regenerate(scale: float, seed: int) -> str:
     return table2_text()

@@ -113,7 +113,7 @@ def _hardware_cost_table() -> str:
     return table + claim
 
 
-def regenerate(scale: float = 1.0, seed: int = 1234) -> str:
+def regenerate(scale: float, seed: int) -> str:
     lit = format_table(
         [
             "Proposal",

@@ -205,7 +205,7 @@ def collect_mode_stalls(
     return payload
 
 
-def regenerate(scale: float = 0.2, seed: int = 1234) -> str:
+def regenerate(scale: float, seed: int) -> str:
     """Work-unit entry point for ``run_all``: the stalls.json artifact.
 
     Returns the JSON text of the per-defense stall decomposition for

@@ -45,6 +45,8 @@ class Machine:
     ) -> None:
         self.layout = layout or AddressSpaceLayout()
         self.mode = mode
+        #: ``mode is TRACE``, read once per emitted op.
+        self.is_trace = mode is ExecutionMode.TRACE
         #: Limit-study switch (paper §VI-B "Software vs Hardware"): each
         #: arm/disarm is replaced by ONE regular store, simulating REST
         #: hardware with zero cost on a stock machine.
@@ -91,18 +93,23 @@ class Machine:
 
     # -- trace plumbing -----------------------------------------------------
 
-    @property
-    def is_trace(self) -> bool:
-        return self.mode is ExecutionMode.TRACE
-
-    def _emit(self, uop: MicroOp) -> None:
+    def _emit(
+        self,
+        op: OpType,
+        pc: int,
+        address: int = 0,
+        size: int = 0,
+        deps: tuple = (),
+        taken: Optional[bool] = None,
+    ) -> None:
+        # Positional construction: keyword arguments cost about twice
+        # as much per op, and every trace op is built here.
         sid_map = self._statement_ids
-        sid = sid_map.get(uop.pc)
+        sid = sid_map.get(pc)
         if sid is None:
             sid = len(sid_map)
-            sid_map[uop.pc] = sid
-        uop.sid = sid
-        self.trace.append(uop)
+            sid_map[pc] = sid
+        self.trace.append(MicroOp(op, pc, address, size, deps, taken, sid))
         self.ops_emitted += 1
         # Straight-line code: each emitted op advances the pc, so
         # instrumentation-heavy defenses naturally stretch the code
@@ -124,9 +131,7 @@ class Machine:
         if self.mte is not None:
             address = self.mte.filter(address, size, "load")
         if self.is_trace:
-            self._emit(
-                MicroOp(OpType.LOAD, pc=self._pc, address=address, size=size, deps=deps)
-            )
+            self._emit(OpType.LOAD, self._pc, address, size, deps)
             return b"\x00" * size
         data, result = self.hierarchy.read(address, size)
         self.functional_cycles += result.latency
@@ -142,9 +147,7 @@ class Machine:
         if self.mte is not None:
             address = self.mte.filter(address, n, "store")
         if self.is_trace:
-            self._emit(
-                MicroOp(OpType.STORE, pc=self._pc, address=address, size=n, deps=deps)
-            )
+            self._emit(OpType.STORE, self._pc, address, n, deps)
             return
         payload = data if data else b"\x00" * n
         result = self.hierarchy.write(address, payload)
@@ -160,17 +163,10 @@ class Machine:
             if self.software_rest:
                 # No hardware: write the whole token value out.
                 for beat in range(0, self.token_width, 8):
-                    self._emit(
-                        MicroOp(
-                            OpType.STORE,
-                            pc=self._pc,
-                            address=address + beat,
-                            size=8,
-                        )
-                    )
+                    self._emit(OpType.STORE, self._pc, address + beat, 8)
                 return
             op = OpType.STORE if self.perfect_hw else OpType.ARM
-            self._emit(MicroOp(op, pc=self._pc, address=address, size=8))
+            self._emit(op, self._pc, address, 8)
             return
         result = self.hierarchy.arm(address)
         self.functional_cycles += result.latency
@@ -186,27 +182,13 @@ class Machine:
                 # Verify the token is present (the precise-disarm
                 # requirement costs a read-and-compare), then zero it.
                 for beat in range(0, self.token_width, 8):
-                    self._emit(
-                        MicroOp(
-                            OpType.LOAD,
-                            pc=self._pc,
-                            address=address + beat,
-                            size=8,
-                        )
-                    )
-                    self._emit(MicroOp(OpType.ALU, pc=self._pc, deps=(1,)))
+                    self._emit(OpType.LOAD, self._pc, address + beat, 8)
+                    self._emit(OpType.ALU, self._pc, 0, 0, (1,))
                 for beat in range(0, self.token_width, 8):
-                    self._emit(
-                        MicroOp(
-                            OpType.STORE,
-                            pc=self._pc,
-                            address=address + beat,
-                            size=8,
-                        )
-                    )
+                    self._emit(OpType.STORE, self._pc, address + beat, 8)
                 return
             op = OpType.STORE if self.perfect_hw else OpType.DISARM
-            self._emit(MicroOp(op, pc=self._pc, address=address, size=8))
+            self._emit(op, self._pc, address, 8)
             return
         result = self.hierarchy.disarm(address)
         self.functional_cycles += result.latency
@@ -219,7 +201,7 @@ class Machine:
             return
         deps = (1,) if dependent else ()
         for _ in range(count):
-            self._emit(MicroOp(OpType.ALU, pc=self._pc, deps=deps))
+            self._emit(OpType.ALU, self._pc, 0, 0, deps)
 
     def compare_and_branch(self, taken: bool, deps: tuple = (2,)) -> None:
         """An ALU compare followed by a conditional branch.
@@ -229,24 +211,24 @@ class Machine:
         """
         if not self.is_trace:
             return
-        self._emit(MicroOp(OpType.ALU, pc=self._pc, deps=(1,)))
-        self._emit(MicroOp(OpType.BRANCH, pc=self._pc, deps=(1,), taken=taken))
+        self._emit(OpType.ALU, self._pc, 0, 0, (1,))
+        self._emit(OpType.BRANCH, self._pc, 0, 0, (1,), taken)
 
     def branch(self, taken: bool, pc: Optional[int] = None) -> None:
         if not self.is_trace:
             return
         self._emit(
-            MicroOp(OpType.BRANCH, pc=pc if pc is not None else self._pc, taken=taken)
+            OpType.BRANCH, self._pc if pc is None else pc, 0, 0, (), taken
         )
 
     def call(self, target_pc: int) -> None:
         if not self.is_trace:
             return
-        self._emit(MicroOp(OpType.CALL, pc=self._pc, taken=True))
+        self._emit(OpType.CALL, self._pc, 0, 0, (), True)
         self._pc = target_pc
 
     def ret(self, return_pc: int) -> None:
         if not self.is_trace:
             return
-        self._emit(MicroOp(OpType.RET, pc=self._pc, taken=True))
+        self._emit(OpType.RET, self._pc, 0, 0, (), True)
         self._pc = return_pc

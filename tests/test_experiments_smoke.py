@@ -12,7 +12,7 @@ class TestFig7:
         from repro.experiments import fig7
 
         monkeypatch.setattr(fig7, "ALL_PROFILES", TWO_PROFILES)
-        results = fig7.run(scale=0.02)
+        results = fig7.run(scale=0.02, seed=1234)
         text = fig7.render(results)
         assert "WtdAriMean" in text and "GeoMean" in text
         assert "Secure Full" in text
@@ -22,7 +22,7 @@ class TestFig7:
         from repro.experiments import fig7
 
         monkeypatch.setattr(fig7, "ALL_PROFILES", TWO_PROFILES[:1])
-        results = fig7.run(scale=0.02)
+        results = fig7.run(scale=0.02, seed=1234)
         assert set(results["sjeng"]) == {
             "Plain",
             "ASan",
@@ -40,7 +40,7 @@ class TestFig8:
         from repro.experiments import fig8
 
         monkeypatch.setattr(fig8, "ALL_PROFILES", TWO_PROFILES[:1])
-        text = fig8.render(fig8.run(scale=0.02))
+        text = fig8.render(fig8.run(scale=0.02, seed=1234))
         for label in ("16 Full", "32 Heap", "64 Full"):
             assert label in text
         assert "spread" in text
@@ -51,7 +51,7 @@ class TestFig3:
         from repro.experiments import fig3
 
         monkeypatch.setattr(fig3, "ALL_PROFILES", TWO_PROFILES[:1])
-        results = fig3.run(scale=0.02)
+        results = fig3.run(scale=0.02, seed=1234)
         parts = fig3.breakdown(results)
         per_bench = parts["sjeng"]
         total_from_parts = sum(per_bench.values())
@@ -65,7 +65,7 @@ class TestFig3:
         from repro.experiments import fig3
 
         monkeypatch.setattr(fig3, "ALL_PROFILES", TWO_PROFILES[:1])
-        text = fig3.render(fig3.run(scale=0.02))
+        text = fig3.render(fig3.run(scale=0.02, seed=1234))
         assert "Memory Access Validation" in text
         assert "Allocator" in text
 
@@ -75,7 +75,7 @@ class TestMemOverhead:
         from repro.experiments import memoverhead
 
         monkeypatch.setattr(memoverhead, "ALL_PROFILES", TWO_PROFILES)
-        text = memoverhead.regenerate(scale=0.05)
+        text = memoverhead.regenerate(scale=0.05, seed=1234)
         assert "TOTAL" in text
         assert "shadow bytes" in text
 
@@ -85,7 +85,7 @@ class TestIntext:
         from repro.experiments import intext as module
 
         monkeypatch.setattr(module, "ALL_PROFILES", TWO_PROFILES[:1])
-        text = module.regenerate(scale=0.02)
+        text = module.regenerate(scale=0.02, seed=1234)
         assert "ROB blocked-by-store cycles" in text
         assert "Secure Full - Secure Heap" in text
 
