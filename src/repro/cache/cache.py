@@ -10,14 +10,11 @@ line, everything else untouched.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import attrgetter
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.line import CacheLine
 from repro.cache.writebuffer import WriteBuffer
 from repro.obs.tracer import NULL_TRACER
-
-_lru_tick = attrgetter("lru_tick")
 
 
 @dataclass(frozen=True)
@@ -75,16 +72,14 @@ class Cache:
         self.stats = CacheStats()
         #: Observability hook; only the (rare) eviction path emits.
         self.tracer = NULL_TRACER
-        self._tick = 0
         self._line_shift = config.line_size.bit_length() - 1
         self._num_sets = config.num_sets
         self._associativity = config.associativity
-        #: Resident lines by line number (address >> line shift): the one
-        #: source of truth for presence, so a lookup is a single probe.
-        self._lines: Dict[int, CacheLine] = {}
-        #: Resident lines of each set that has seen a fill, for victim
-        #: selection.
-        self._sets: Dict[int, List[CacheLine]] = {}
+        #: Per set index, None until the set's first fill, then its
+        #: resident lines keyed by line number (address >> line shift)
+        #: in recency order: the least recently used line first, so it
+        #: is the victim.
+        self._sets: List[Optional[Dict[int, CacheLine]]] = [None] * self._num_sets
 
     # -- geometry helpers ------------------------------------------------
 
@@ -94,11 +89,19 @@ class Cache:
     # -- lookup / install ------------------------------------------------
 
     def lookup(self, address: int, touch: bool = True) -> Optional[CacheLine]:
-        """Find the line containing ``address``; None on miss."""
-        line = self._lines.get(address >> self._line_shift)
-        if line is not None and touch:
-            self._tick += 1
-            line.lru_tick = self._tick
+        """Find the line containing ``address``; None on miss.
+
+        A hit with ``touch`` becomes its set's most recently used line.
+        """
+        line_no = address >> self._line_shift
+        ways = self._sets[line_no % self._num_sets]
+        if ways is None:
+            return None
+        if not touch:
+            return ways.get(line_no)
+        line = ways.pop(line_no, None)
+        if line is not None:
+            ways[line_no] = line
         return line
 
     def install(self, address: int, token_bits: int = 0) -> Tuple[CacheLine, Optional[CacheLine]]:
@@ -110,24 +113,22 @@ class Cache:
         line that is already resident refills it in place.
         """
         line_no = address >> self._line_shift
-        self._tick += 1
         if token_bits:
             self.stats.token_fills += 1
-        line = self._lines.get(line_no)
-        if line is not None:
-            line.dirty = False
-            line.token_bits = token_bits
-            line.lru_tick = self._tick
-            return line, None
         tag, index = divmod(line_no, self._num_sets)
-        ways = self._sets.get(index)
+        ways = self._sets[index]
         if ways is None:
-            ways = self._sets[index] = []
+            ways = self._sets[index] = {}
+        else:
+            line = ways.pop(line_no, None)
+            if line is not None:
+                line.dirty = False
+                line.token_bits = token_bits
+                ways[line_no] = line
+                return line, None
         victim: Optional[CacheLine] = None
         if len(ways) == self._associativity:
-            victim = min(ways, key=_lru_tick)
-            ways.remove(victim)
-            del self._lines[victim.tag * self._num_sets + index]
+            victim = ways.pop(next(iter(ways)))
             self.stats.evictions += 1
             if victim.dirty:
                 self.stats.dirty_evictions += 1
@@ -142,9 +143,7 @@ class Cache:
                     dirty=victim.dirty,
                     tokens=victim.token_bits,
                 )
-        line = CacheLine(tag, False, token_bits, self._tick)
-        ways.append(line)
-        self._lines[line_no] = line
+        line = ways[line_no] = CacheLine(tag, False, token_bits)
         return line, victim
 
     def victim_address(self, probe_address: int, victim: CacheLine) -> int:
@@ -153,21 +152,23 @@ class Cache:
         return (victim.tag * self._num_sets + index) << self._line_shift
 
     def lines(self) -> Iterator[Tuple[int, CacheLine]]:
-        """(base address, line) for every resident line, in fill order."""
+        """(base address, line) for every resident line: set by set,
+        each set least recently used first."""
         shift = self._line_shift
-        for line_no, line in self._lines.items():
-            yield line_no << shift, line
+        for ways in self._sets:
+            if ways:
+                for line_no, line in ways.items():
+                    yield line_no << shift, line
 
     def invalidate(self, address: int) -> None:
         line_no = address >> self._line_shift
-        line = self._lines.pop(line_no, None)
-        if line is not None:
-            self._sets[line_no % self._num_sets].remove(line)
+        ways = self._sets[line_no % self._num_sets]
+        if ways is not None:
+            ways.pop(line_no, None)
 
     def invalidate_all(self) -> None:
         """Drop every resident line; the write buffer is untouched."""
-        self._lines.clear()
-        self._sets.clear()
+        self._sets = [None] * self._num_sets
 
     def flush(self) -> None:
         self.invalidate_all()

@@ -326,16 +326,28 @@ class MemoryHierarchy:
         if self._staging:
             del self._staging[0]
         latency = self.config.l1d.hit_latency
+        l1d = self.l1d
         # Single-line fast path: the overwhelming majority of accesses
-        # stay within one line, so skip the split loop.
+        # stay within one line, so skip the split loop, and a hit on a
+        # line without token bits needs no check.
         line_size = self._line_size
         if 0 < size <= line_size - address % line_size:
+            line = l1d.lookup(address)
+            if line is not None and not line.token_bits:
+                l1d.stats.hits += 1
+                return latency
             return self._checked_access(
-                address, size, latency, privilege, cycle, False
+                line, address, size, latency, privilege, cycle, False
             )
         for piece_addr, piece_size in self._split_lines(address, size):
             latency = self._checked_access(
-                piece_addr, piece_size, latency, privilege, cycle, False
+                l1d.lookup(piece_addr),
+                piece_addr,
+                piece_size,
+                latency,
+                privilege,
+                cycle,
+                False,
             )
         return latency
 
@@ -353,6 +365,7 @@ class MemoryHierarchy:
 
     def _checked_access(
         self,
+        line: Optional[CacheLine],
         piece_addr: int,
         piece_size: int,
         latency: int,
@@ -360,15 +373,14 @@ class MemoryHierarchy:
         cycle: Optional[int],
         is_store: bool,
     ) -> int:
-        """Token-checked L1-D access of one within-line piece.
+        """Token-checked L1-D access of one within-line piece, whose
+        L1-D lookup gave ``line``.
 
         Shared body of loads and stores: fetch on miss (with the
         debug-mode no-critical-word-first penalty for loads), then raise
         per Table I if the access touches an armed slot.  Returns the
         running ``latency`` with this piece's share added.
         """
-        l1d = self.l1d
-        line = l1d.lookup(piece_addr)
         if line is None:
             line, latency = self._fetch_into_l1(piece_addr, latency)
             if not is_store and self.token_config.mode is Mode.DEBUG:
@@ -380,7 +392,7 @@ class MemoryHierarchy:
                     # the rest of the line is checked.
                     latency += self.config.debug_token_hold_cycles
         else:
-            l1d.stats.hits += 1
+            self.l1d.stats.hits += 1
         # Compute the slot mask only when the line carries token bits at
         # all (almost never), not on every access.
         if line.token_bits and line.token_bits & self._slot_mask(
@@ -425,38 +437,43 @@ class MemoryHierarchy:
         if self._staging:
             del self._staging[0]
         latency = self.config.l1d.hit_latency
+        l1d = self.l1d
         line_size = self._line_size
         if 0 < size <= line_size - address % line_size:
-            return self._store_piece(
-                address, size, latency, privilege, cycle, data
-            )
+            line = l1d.lookup(address)
+            if line is not None and not line.token_bits:
+                l1d.stats.hits += 1
+                line.dirty = True
+            else:
+                latency = self._checked_access(
+                    line, address, size, latency, privilege, cycle, True
+                )
+            return self._store_data(address, size, latency, data)
         offset = 0
         for piece_addr, piece_size in self._split_lines(address, size):
-            latency = self._store_piece(
+            latency = self._checked_access(
+                l1d.lookup(piece_addr),
                 piece_addr,
                 piece_size,
                 latency,
                 privilege,
                 cycle,
+                True,
+            )
+            latency = self._store_data(
+                piece_addr,
+                piece_size,
+                latency,
                 None if data is None else data[offset : offset + piece_size],
             )
             offset += piece_size
         return latency
 
-    def _store_piece(
-        self,
-        address: int,
-        size: int,
-        latency: int,
-        privilege: PrivilegeLevel,
-        cycle: Optional[int],
-        data: Optional[bytes],
+    def _store_data(
+        self, address: int, size: int, latency: int, data: Optional[bytes]
     ) -> int:
-        """Store one within-line piece: check, write the backing store,
-        then take a write-buffer slot."""
-        latency = self._checked_access(
-            address, size, latency, privilege, cycle, True
-        )
+        """The checked store of one within-line piece: write the backing
+        store, then take a write-buffer slot."""
         if data is None:
             self.backing.fill(address, size)
         else:

@@ -17,24 +17,16 @@ from __future__ import annotations
 class CacheLine:
     """One resident way of one set (or an evicted victim's metadata)."""
 
-    __slots__ = ("tag", "dirty", "token_bits", "lru_tick")
+    __slots__ = ("tag", "dirty", "token_bits")
 
-    def __init__(
-        self,
-        tag: int,
-        dirty: bool = False,
-        token_bits: int = 0,
-        lru_tick: int = 0,
-    ) -> None:
+    def __init__(self, tag: int, dirty: bool = False, token_bits: int = 0) -> None:
         self.tag = tag
         self.dirty = dirty
         #: Bitmap of token bits; bit i covers token slot i of the line.
         self.token_bits = token_bits
-        #: LRU timestamp, maintained by the owning cache.
-        self.lru_tick = lru_tick
 
     def __repr__(self) -> str:
         return (
             f"CacheLine(tag={self.tag:#x}, dirty={self.dirty}, "
-            f"token_bits={self.token_bits:#x}, lru_tick={self.lru_tick})"
+            f"token_bits={self.token_bits:#x})"
         )

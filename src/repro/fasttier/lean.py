@@ -32,7 +32,7 @@ class LeanCache:
     """Presence/LRU model of one cache level.
 
     Same set/way geometry and LRU victim policy as
-    :class:`repro.cache.cache.Cache`, and the same lazy layout: a
+    :class:`repro.cache.cache.Cache`, and a lazy layout too: a
     ``{line number: tick}`` dict of resident lines plus, for each set
     that has seen a fill, the list of its resident line numbers.
     """

@@ -13,6 +13,9 @@ Inside a :func:`~repro.harness.parallel.cell_cache` block,
 :func:`run_benchmark` reads each unobserved cell from a
 :class:`~repro.harness.parallel.ResultCache` of JSON cell records
 (:meth:`RunResult.to_json`) and publishes the cells it computes, so a sweep simulates each distinct cell once.
+Inside one :func:`run_suite` call a cell whose replay inputs equal an
+earlier cell's (:func:`_replay_key`) takes that cell's replay instead
+of running the core again.
 :func:`attack_outcomes` does the same for the attack suite: one
 record per defense mode holds that mode's outcome of every registered
 attack, so a sweep runs each (attack, mode) pair once.
@@ -22,6 +25,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
+from contextvars import ContextVar
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -183,6 +188,92 @@ def _make_hierarchy(spec: DefenseSpec, config: SimulationConfig) -> MemoryHierar
     )
 
 
+#: Micro-ops per serialized chunk of :func:`_trace_digest`.
+_DIGEST_CHUNK = 4096
+
+
+def _trace_digest(trace: List[MicroOp]) -> bytes:
+    """sha256 of the fields replay reads from each op.
+
+    An exact serialization: ``marshal`` (format 2, which writes values
+    and no object sharing) of ``(op, pc, address, size, deps, taken)``
+    tuples, a chunk at a time so no copy of the whole trace is built.
+    ``sid`` is left out: only a tracer reads it.
+    """
+    digest = hashlib.sha256()
+    for start in range(0, len(trace), _DIGEST_CHUNK):
+        fields = [
+            (uop.op._value_, uop.pc, uop.address, uop.size, uop.deps, uop.taken)
+            for uop in trace[start : start + _DIGEST_CHUNK]
+        ]
+        digest.update(marshal.dumps(fields, 2))
+    return digest.digest()
+
+
+class _ReplayMemo:
+    """The replays of one :func:`run_suite` call.
+
+    ``replays`` maps a :func:`_replay_key` to the first replay's
+    ``(core_stats, hierarchy_stats, l1d_miss_rate, l2_miss_rate)``,
+    kept as copies no caller holds.  ``digested`` is the last
+    ``(trace, digest)`` pair, replaced whole, so a Secure cell and its
+    Debug twin, which share one trace object (:func:`build_trace`),
+    digest it once.
+    """
+
+    __slots__ = ("replays", "digested")
+
+    def __init__(self) -> None:
+        self.replays: Dict[tuple, tuple] = {}
+        self.digested: Optional[Tuple[List[MicroOp], bytes]] = None
+
+
+#: The replay memo of the :func:`run_suite` call running in this
+#: context, or None outside a suite.
+_replay_memo: ContextVar[Optional[_ReplayMemo]] = ContextVar(
+    "_replay_memo", default=None
+)
+
+
+def _replay_key(
+    memo: _ReplayMemo,
+    trace: List[MicroOp],
+    spec: DefenseSpec,
+    config: SimulationConfig,
+) -> tuple:
+    """Everything replay reads: the trace's ops (:func:`_trace_digest`)
+    and what :func:`_make_hierarchy` and the core are built from.
+
+    REST's hardware is inert until a token is armed, so cells of
+    different defenses whose traces are equal (a benchmark that arms
+    nothing replays the same ops under Plain and REST) share a key.
+    """
+    digested = memo.digested
+    if digested is not None and digested[0] is trace:
+        digest = digested[1]
+    else:
+        digest = _trace_digest(trace)
+        memo.digested = (trace, digest)
+    return (
+        digest,
+        spec.mode,
+        spec.token_width,
+        config.token_seed,
+        config.hierarchy,
+        config.core,
+    )
+
+
+def _copy_replay(
+    core_stats: CoreStats, hierarchy_stats: HierarchyStats
+) -> Tuple[CoreStats, HierarchyStats]:
+    """Copies of a replay's stats that share no mutable state with it."""
+    return (
+        replace(core_stats, op_counts=dict(core_stats.op_counts)),
+        replace(hierarchy_stats),
+    )
+
+
 #: The last trace :func:`build_trace` generated without a tracer, as
 #: one ``(key, trace, workload_stats)`` tuple, or None.  It is only
 #: ever replaced whole, so a concurrent caller sees an old or new
@@ -315,26 +406,52 @@ def _simulate(
     sample_interval: Optional[int] = None,
     tracer=None,
 ) -> RunResult:
-    """Generate and replay one cell (the body of :func:`run_benchmark`)."""
+    """Generate and replay one cell (the body of :func:`run_benchmark`).
+
+    Inside :func:`run_suite`, an unobserved cell whose replay key
+    (:func:`_replay_key`) an earlier cell of the suite replayed gets
+    copies of that replay's stats instead of running the core; its
+    workload stats are its own.
+    """
     trace, workload_stats = build_trace(profile, spec, config, tracer)
+    memo = None
+    if tracer is None and on_sample is None:
+        memo = _replay_memo.get()
+    replayed = None
+    if memo is not None:
+        key = _replay_key(memo, trace, spec, config)
+        replayed = memo.replays.get(key)
 
-    hierarchy = _make_hierarchy(spec, config)
-    core = OutOfOrderCore(hierarchy, config=config.core)
-    if tracer is not None:
-        from repro.obs.tracer import attach_tracer
-
-        attach_tracer(core, tracer)
-    if on_sample is None:
-        core_stats = core.run(trace)
+    if replayed is not None:
+        core_stats, hierarchy_stats, l1d_miss_rate, l2_miss_rate = replayed
+        core_stats, hierarchy_stats = _copy_replay(core_stats, hierarchy_stats)
     else:
-        from repro.obs.sampler import DEFAULT_INTERVAL, run_sampled
+        hierarchy = _make_hierarchy(spec, config)
+        core = OutOfOrderCore(hierarchy, config=config.core)
+        if tracer is not None:
+            from repro.obs.tracer import attach_tracer
 
-        core_stats, _ = run_sampled(
-            core,
-            trace,
-            interval=sample_interval or DEFAULT_INTERVAL,
-            on_sample=on_sample,
-        )
+            attach_tracer(core, tracer)
+        if on_sample is None:
+            core_stats = core.run(trace)
+        else:
+            from repro.obs.sampler import DEFAULT_INTERVAL, run_sampled
+
+            core_stats, _ = run_sampled(
+                core,
+                trace,
+                interval=sample_interval or DEFAULT_INTERVAL,
+                on_sample=on_sample,
+            )
+        hierarchy_stats = hierarchy.stats
+        l1d_miss_rate = hierarchy.l1d.stats.miss_rate
+        l2_miss_rate = hierarchy.l2.stats.miss_rate
+        if memo is not None:
+            memo.replays[key] = (
+                *_copy_replay(core_stats, hierarchy_stats),
+                l1d_miss_rate,
+                l2_miss_rate,
+            )
 
     return RunResult(
         benchmark=profile.name,
@@ -344,9 +461,9 @@ def _simulate(
         app_instructions=workload_stats.app_instructions,
         core_stats=core_stats,
         workload_stats=workload_stats,
-        hierarchy_stats=hierarchy.stats,
-        l1d_miss_rate=hierarchy.l1d.stats.miss_rate,
-        l2_miss_rate=hierarchy.l2.stats.miss_rate,
+        hierarchy_stats=hierarchy_stats,
+        l1d_miss_rate=l1d_miss_rate,
+        l2_miss_rate=l2_miss_rate,
     )
 
 
@@ -391,17 +508,27 @@ def run_suite(
 
     A Plain baseline run is added automatically (key "Plain") unless
     a spec already resolves to the baseline mode, or it is disabled.
+
+    The suite holds a replay memo for the length of the call: a cell
+    that would replay exactly what an earlier cell of the suite
+    replayed (:func:`_replay_key`) reuses that replay.  Only code that
+    can hit pays for the trace digests, so :func:`run_benchmark`
+    outside a suite never digests.
     """
     config = config or SimulationConfig()
     all_specs: List[DefenseSpec] = list(specs)
     if include_plain and not any(is_baseline(s.defense) for s in all_specs):
         all_specs.insert(0, DefenseSpec.plain())
     results: Dict[str, Dict[str, RunResult]] = {}
-    for profile in profiles:
-        per_bench: Dict[str, RunResult] = {}
-        for spec in all_specs:
-            if progress is not None:
-                progress(f"{profile.name} / {spec.name}")
-            per_bench[spec.name] = run_benchmark(profile, spec, config)
-        results[profile.name] = per_bench
+    memo_token = _replay_memo.set(_ReplayMemo())
+    try:
+        for profile in profiles:
+            per_bench: Dict[str, RunResult] = {}
+            for spec in all_specs:
+                if progress is not None:
+                    progress(f"{profile.name} / {spec.name}")
+                per_bench[spec.name] = run_benchmark(profile, spec, config)
+            results[profile.name] = per_bench
+    finally:
+        _replay_memo.reset(memo_token)
     return results

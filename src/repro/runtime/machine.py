@@ -133,9 +133,9 @@ class Machine:
         if self.is_trace:
             self._emit(OpType.LOAD, self._pc, address, size, deps)
             return b"\x00" * size
-        data, result = self.hierarchy.read(address, size)
-        self.functional_cycles += result.latency
-        return data
+        hierarchy = self.hierarchy
+        self.functional_cycles += hierarchy.load_latency(address, size)
+        return hierarchy.backing.read(address, size) if size > 0 else b""
 
     def store(self, address: int, data: bytes = b"", size: int = 0, deps: tuple = ()) -> None:
         """A regular program store.
@@ -150,8 +150,9 @@ class Machine:
             self._emit(OpType.STORE, self._pc, address, n, deps)
             return
         payload = data if data else b"\x00" * n
-        result = self.hierarchy.write(address, payload)
-        self.functional_cycles += result.latency
+        self.functional_cycles += self.hierarchy.store_latency(
+            address, n, data=payload
+        )
 
     def arm(self, address: int) -> None:
         """Place a REST token (the new ISA instruction)."""
@@ -168,8 +169,7 @@ class Machine:
             op = OpType.STORE if self.perfect_hw else OpType.ARM
             self._emit(op, self._pc, address, 8)
             return
-        result = self.hierarchy.arm(address)
-        self.functional_cycles += result.latency
+        self.functional_cycles += self.hierarchy.arm_latency(address)
 
     def disarm(self, address: int) -> None:
         """Remove a REST token (the new ISA instruction)."""
@@ -190,8 +190,7 @@ class Machine:
             op = OpType.STORE if self.perfect_hw else OpType.DISARM
             self._emit(op, self._pc, address, 8)
             return
-        result = self.hierarchy.disarm(address)
-        self.functional_cycles += result.latency
+        self.functional_cycles += self.hierarchy.disarm_latency(address)
 
     # -- compute / control ---------------------------------------------------
 

@@ -79,9 +79,10 @@ class ShadowMemory:
         start = address >> self.layout.shadow_scale
         end = (address + size - 1) >> self.layout.shadow_scale
         machine = self.machine
+        payload = bytes([value])
         for granule_index in range(start, end + 1):
             shadow_addr = granule_index + self.layout.shadow_offset
-            machine.store(shadow_addr, bytes([value]))
+            machine.store(shadow_addr, payload)
             self.poison_ops += 1
             if value == 0:
                 self._mirror.pop(granule_index, None)

@@ -135,6 +135,10 @@ class EagerLruCache:
             way[1] = self.tick
         return way is not None
 
+    def peek(self, line_no):
+        """A probe that leaves the LRU order alone."""
+        return self._find(line_no) is not None
+
     def install(self, line_no):
         """Returns the evicted line number, or None."""
         self.tick += 1
@@ -168,6 +172,16 @@ _OPS = st.lists(
         st.sampled_from(["lookup", "install", "invalidate"]),
         st.integers(min_value=0, max_value=40),
     ),
+    max_size=300,
+)
+# Long streams over few line numbers, so probes often land on a full
+# set's least recently used line before its next fill.
+_PROBED_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["lookup", "peek", "install", "invalidate"]),
+        st.integers(min_value=0, max_value=24),
+    ),
+    min_size=60,
     max_size=300,
 )
 
@@ -239,6 +253,32 @@ class TestLazyWays:
                 cache.invalidate(address)
                 ref.invalidate(line_no)
             assert {b // 64 for b, _ in cache.lines()} == ref.resident()
+
+    @given(_GEOMETRIES, _PROBED_OPS)
+    @settings(max_examples=60, deadline=None)
+    def test_untouched_probes_keep_the_recency_order(self, geometry, ops):
+        """``lookup(touch=False)`` reports presence and moves nothing,
+        so later victims still match the reference."""
+        size, ways = geometry
+        cache = small_cache(size=size, associativity=ways)
+        ref = EagerLruCache(cache.config.num_sets, ways)
+        for op, line_no in ops:
+            address = line_no * 64 + 5
+            if op == "lookup":
+                assert (cache.lookup(address) is not None) == ref.lookup(line_no)
+            elif op == "peek":
+                hit = cache.lookup(address, touch=False) is not None
+                assert hit == ref.peek(line_no)
+            elif op == "install":
+                _, victim = cache.install(address)
+                got = (
+                    None if victim is None
+                    else cache.victim_address(address, victim) // 64
+                )
+                assert got == ref.install(line_no)
+            else:
+                cache.invalidate(address)
+                ref.invalidate(line_no)
 
     @given(_GEOMETRIES, _OPS)
     @settings(max_examples=60, deadline=None)

@@ -26,6 +26,7 @@ from repro.harness.configs import SimulationConfig
 from repro.harness.experiment import _make_hierarchy, build_trace
 from repro.mem.backing import BackingStore
 from repro.obs.tracer import RingTracer, attach_tracer
+from repro.runtime.machine import Machine
 from repro.workloads.spec import profile_by_name
 from tests.test_pipeline_properties import assert_memory_ops_issue_in_order
 
@@ -154,6 +155,73 @@ class TestOneBody:
             call(0, 8, PrivilegeLevel.SUPERVISOR, 7)
         assert info.value.kind is RestFaultKind.SYSCALL_TOUCHED_TOKEN
         assert info.value.cycle == 7
+
+
+machine_operation = st.tuples(
+    st.sampled_from(["load", "store", "arm", "disarm"]),
+    st.one_of(st.sampled_from(SLOTS[:3]), st.sampled_from(SLOTS)),
+    st.integers(min_value=0, max_value=63),
+    st.sampled_from([1, 4, 8, 16]),
+)
+
+
+class TestMachineFunctionalPath:
+    """``Machine`` calls the latency forms and reads the backing store
+    itself; it must see what the :class:`AccessResult` API gives."""
+
+    @given(
+        operations=st.lists(machine_operation, min_size=1, max_size=60),
+        mode=st.sampled_from([Mode.SECURE, Mode.DEBUG]),
+        width=st.sampled_from([16, 64]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_machine_matches_the_access_result_api(
+        self, operations, mode, width
+    ):
+        reference = _hierarchy(mode, 0, False, width)
+        machine = Machine(hierarchy=_hierarchy(mode, 0, False, width))
+        cycles = 0
+        # Every sequence ends in a fault: a load of an armed token.
+        operations = operations + [("arm", 0, 0, 8), ("load", 0, 0, 8)]
+        for action, slot, offset, size in operations:
+            address = slot + offset
+            payload = bytes(range(1, size + 1))
+            if action == "load":
+                left = _outcome(lambda: reference.read(address, size))
+                right = _outcome(lambda: machine.load(address, size))
+                data, result = left[0] or (None, None)
+                assert (data, left[1]) == right
+            elif action == "store":
+                left = _outcome(lambda: reference.write(address, payload))
+                right = _outcome(lambda: machine.store(address, payload))
+                result = left[0]
+                assert left[1] == right[1]
+            else:
+                left = _outcome(lambda: getattr(reference, action)(slot))
+                right = _outcome(lambda: getattr(machine, action)(slot))
+                result = left[0]
+                assert left[1] == right[1]
+            if result is not None:
+                cycles += result.latency
+            assert machine.functional_cycles == cycles
+            assert _counters(machine.hierarchy) == _counters(reference)
+        assert right[1] is not None
+        assert right[1][0] is RestFaultKind.LOAD_TOUCHED_TOKEN
+        assert list(machine.hierarchy.backing.pages()) == list(
+            reference.backing.pages()
+        )
+
+    def test_machine_builds_no_access_result(self, monkeypatch):
+        def tripwire(*args, **kwargs):
+            raise AssertionError("Machine built an AccessResult")
+
+        monkeypatch.setattr(AccessResult, "__init__", tripwire)
+        machine = Machine()
+        machine.store(0x1000, b"\x05" * 8)
+        assert machine.load(0x1000, 8) == b"\x05" * 8
+        machine.arm(0x1040)
+        machine.disarm(0x1040)
+        assert machine.functional_cycles > 0
 
 
 class TestLongStores:
