@@ -143,7 +143,7 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness.configs import figure7_specs
-    from repro.harness.parallel import ResultCache, _pool_context
+    from repro.harness.parallel import ResultCache
     from repro.harness.sweeps import SweepError, seed_sweep
     from repro.workloads.spec import ALL_PROFILES, profile_by_name
 
@@ -154,34 +154,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     )
     cache = ResultCache(args.cache) if args.cache else None
 
-    # --live: drain the workers' progress channel in a thread and print
-    # one status line per sampler snapshot while cells run.
-    progress_queue = None
-    drain_thread = None
-    if args.live:
-        import queue as _queue_mod
-        import threading
-
-        progress_queue = _pool_context().Queue()
-
-        def drain() -> None:
-            while True:
-                try:
-                    event = progress_queue.get(timeout=0.2)
-                except (_queue_mod.Empty, OSError):
-                    continue
-                if event is None:
-                    return
-                if event.get("kind") == "sample":
-                    print(
-                        f"  live {event.get('uid')}: "
-                        f"cycle {event.get('cycle'):>8,}  "
-                        f"ipc {event.get('ipc'):.2f}",
-                        flush=True,
-                    )
-
-        drain_thread = threading.Thread(target=drain, daemon=True)
-        drain_thread.start()
+    # --live: print one status line per sampler snapshot while cells run.
+    def show_sample(kind: str, info: dict) -> None:
+        if kind == "sample":
+            print(
+                f"  live {info.get('uid')}: "
+                f"cycle {info.get('cycle'):>8,}  "
+                f"ipc {info.get('ipc'):.2f}",
+                flush=True,
+            )
 
     try:
         sweep = seed_sweep(
@@ -194,7 +175,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             timeout=args.timeout,
             retries=args.retries,
             live=args.live,
-            progress_queue=progress_queue,
+            on_progress=show_sample if args.live else None,
         )
     except SweepError as error:
         # Structured failure: name the cell and the worker's error type
@@ -208,14 +189,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     except (ValueError, RuntimeError) as error:
         print(f"sweep failed: {error}")
         return 2
-    finally:
-        if progress_queue is not None:
-            try:
-                progress_queue.put(None)
-            except Exception:  # noqa: BLE001 — teardown is best-effort
-                pass
-            if drain_thread is not None:
-                drain_thread.join(timeout=2.0)
     print(f"{'config':16s} {'mean%':>8s} {'stdev':>7s} {'spread':>7s}  "
           f"({len(args.seeds)} seeds, scale {args.scale})")
     for name, result in sweep.items():
@@ -337,8 +310,22 @@ def _replay_recorded(trace, debug: bool):
     return core
 
 
+def _read_trace(path: str):
+    """The decoded trace at ``path``, or None after a one-line error."""
+    from repro.cpu.encoding import EncodingError, decode_trace
+
+    try:
+        with open(path, "rb") as handle:
+            return decode_trace(handle.read())
+    except OSError as error:
+        print(f"cannot read trace {path}: {error.strerror or error}")
+    except EncodingError as error:
+        print(f"not a trace file: {path}: {error}")
+    return None
+
+
 def _cmd_trace(args: argparse.Namespace) -> int:
-    from repro.cpu.encoding import decode_trace, encode_trace
+    from repro.cpu.encoding import encode_trace
 
     if args.action == "record":
         from repro.defenses.plugin import canonical_mode
@@ -366,8 +353,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.action == "stats":
         from collections import Counter
 
-        with open(args.file, "rb") as handle:
-            trace = decode_trace(handle.read())
+        trace = _read_trace(args.file)
+        if trace is None:
+            return 2
         counts = Counter(uop.op.value for uop in trace)
         data_lines = {
             uop.address >> 6 for uop in trace if uop.op.is_memory
@@ -392,8 +380,9 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 0
 
     # replay
-    with open(args.file, "rb") as handle:
-        trace = decode_trace(handle.read())
+    trace = _read_trace(args.file)
+    if trace is None:
+        return 2
     core = _replay_recorded(trace, debug=args.debug)
     stats = core.stats
     print(f"replayed {stats.committed} micro-ops in {stats.cycles} "

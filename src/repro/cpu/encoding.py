@@ -3,7 +3,7 @@
 The paper extends the ISA with two instructions and implements them by
 appropriating the encodings of x86's ``xsave``/``xrstor`` (which gem5
 leaves unimplemented).  This module gives the reproduction's micro-op
-ISA a concrete 16-byte fixed-width binary format so traces can be
+ISA a concrete 24-byte fixed-width binary format so traces can be
 serialised to disk, diffed, and replayed — the moral equivalent of a
 "legacy binary" for the simulator.
 
@@ -17,20 +17,14 @@ offset   size  field
 2        1     access size (memory ops)
 3        1     dependency count (up to 2 encoded)
 4        2x2   dependency distances (u16 each)
-8        4     pc (u32, offset from code base)
-12       4     address low bits are insufficient for a
-               64-bit space, so the address is stored as
-               a u32 *page index* plus u12 offset packed
-               into the pc word's upper space — instead we
-               keep it simple: address as u64 replaces the
-               pc+address pair for memory ops (pc is then
-               recovered as 0).
+8        8     pc (u64)
+16       8     address (u64)
 =======  ====  ==========================================
 
-Simplification: two record variants share the 16-byte slot — compute/
-control ops store the pc; memory ops store the 64-bit address (their
-pc is rarely needed for replay and decodes as 0).  A header carries
-the magic and version.
+Every op keeps both its pc and its address, so a decoded trace replays
+cycle-for-cycle like the trace it was recorded from: fetch sees the
+same I-cache lines.  A header carries the magic and the version;
+version 1 records (which dropped the pc of memory ops) are refused.
 """
 
 from __future__ import annotations
@@ -41,7 +35,7 @@ from typing import Iterable, List
 from repro.cpu.isa import MicroOp, OpType
 
 MAGIC = b"REST"
-VERSION = 1
+VERSION = 2
 
 #: opcode assignments; arm/disarm get the 0xAE pair as a nod to the
 #: paper's appropriation of xsave/xrstor (0F AE /4, /5).
@@ -61,8 +55,8 @@ _OPCODES = {
 }
 _BY_OPCODE = {code: op for op, code in _OPCODES.items()}
 
-_RECORD = struct.Struct("<BBBBHHQ")
-RECORD_SIZE = _RECORD.size  # 16 bytes
+_RECORD = struct.Struct("<BBBBHHQQ")
+RECORD_SIZE = _RECORD.size  # 24 bytes
 _HEADER = struct.Struct("<4sHHQ")
 
 
@@ -71,7 +65,7 @@ class EncodingError(Exception):
 
 
 def encode_uop(uop: MicroOp) -> bytes:
-    """Encode one micro-op into its 16-byte record."""
+    """Encode one micro-op into its 24-byte record."""
     try:
         opcode = _OPCODES[uop.op]
     except KeyError:
@@ -84,7 +78,6 @@ def encode_uop(uop: MicroOp) -> bytes:
         flags |= 0x2 | (0x1 if uop.taken else 0)
     dep0 = deps[0] if len(deps) > 0 else 0
     dep1 = deps[1] if len(deps) > 1 else 0
-    payload = uop.address if uop.op.is_memory else uop.pc
     return _RECORD.pack(
         opcode,
         flags,
@@ -92,16 +85,17 @@ def encode_uop(uop: MicroOp) -> bytes:
         len(deps),
         dep0,
         dep1,
-        payload & 0xFFFF_FFFF_FFFF_FFFF,
+        uop.pc & 0xFFFF_FFFF_FFFF_FFFF,
+        uop.address & 0xFFFF_FFFF_FFFF_FFFF,
     )
 
 
 def decode_uop(record: bytes) -> MicroOp:
-    """Decode one 16-byte record back into a micro-op."""
+    """Decode one 24-byte record back into a micro-op."""
     if len(record) != RECORD_SIZE:
         raise EncodingError(f"record must be {RECORD_SIZE} bytes")
-    opcode, flags, size, dep_count, dep0, dep1, payload = _RECORD.unpack(
-        record
+    opcode, flags, size, dep_count, dep0, dep1, pc, address = (
+        _RECORD.unpack(record)
     )
     try:
         op = _BY_OPCODE[opcode]
@@ -109,9 +103,7 @@ def decode_uop(record: bytes) -> MicroOp:
         raise EncodingError(f"unknown opcode 0x{opcode:02x}") from None
     taken = bool(flags & 0x1) if flags & 0x2 else None
     deps = tuple(d for d in (dep0, dep1)[:dep_count] if d)
-    if op.is_memory:
-        return MicroOp(op, 0, payload, size, deps, taken)
-    return MicroOp(op, payload, 0, size, deps, taken)
+    return MicroOp(op, pc, address, size, deps, taken)
 
 
 def encode_trace(uops: Iterable[MicroOp]) -> bytes:
@@ -129,7 +121,10 @@ def decode_trace(data: bytes) -> List[MicroOp]:
     if magic != MAGIC:
         raise EncodingError("bad magic: not a REST trace")
     if version != VERSION:
-        raise EncodingError(f"unsupported trace version {version}")
+        raise EncodingError(
+            f"unsupported trace version {version} (expected {VERSION}; "
+            "re-record the trace)"
+        )
     body = data[_HEADER.size :]
     if len(body) != count * RECORD_SIZE:
         raise EncodingError(

@@ -24,7 +24,6 @@ class IssueQueue:
         self.capacity = capacity
         #: Dispatched ops that have not issued yet.
         self.occupancy = 0
-        self.full_cycles = 0
         self.max_occupancy = 0
 
     def __len__(self) -> int:

@@ -94,8 +94,6 @@ class LoadStoreQueue:
         self._arm_lines: Dict[int, int] = {}
         self.forwards = 0
         self.forward_blocked = 0
-        self.lq_full_cycles = 0
-        self.sq_full_cycles = 0
         self.rest_violations = 0
 
     # -- occupancy --------------------------------------------------------
@@ -259,6 +257,4 @@ class LoadStoreQueue:
     def reset_stats(self) -> None:
         self.forwards = 0
         self.forward_blocked = 0
-        self.lq_full_cycles = 0
-        self.sq_full_cycles = 0
         self.rest_violations = 0

@@ -277,7 +277,6 @@ class OutOfOrderCore:
                     if blocked:
                         if store_like:
                             head_store_blocked = True
-                            rob.blocked_by_store_cycles += 1
                             stats.rob_blocked_by_store_cycles += 1
                             if trace_on:
                                 key = ("rob_store", head_uop.pc)
@@ -491,16 +490,12 @@ class OutOfOrderCore:
                         iq_max = iq_len
                 if blocked_reason is not None:
                     if blocked_reason == "rob":
-                        rob.full_cycles += 1
                         stats.rob_full_cycles += 1
                     elif blocked_reason == "iq":
-                        iq.full_cycles += 1
                         stats.iq_full_cycles += 1
                     elif blocked_reason == "lq":
-                        lsq.lq_full_cycles += 1
                         stats.lq_full_cycles += 1
                     else:
-                        lsq.sq_full_cycles += 1
                         stats.sq_full_cycles += 1
                     if trace_on:
                         # A structure-full stall is blamed on the ROB
@@ -651,7 +646,6 @@ class OutOfOrderCore:
                             # charged: the ROB head cannot have moved
                             # (nothing committed this cycle).
                             if head_store_blocked:
-                                rob.blocked_by_store_cycles += skipped
                                 stats.rob_blocked_by_store_cycles += skipped
                                 if trace_on:
                                     key = (
@@ -663,16 +657,12 @@ class OutOfOrderCore:
                                     )
                             if blocked_reason is not None:
                                 if blocked_reason == "rob":
-                                    rob.full_cycles += skipped
                                     stats.rob_full_cycles += skipped
                                 elif blocked_reason == "iq":
-                                    iq.full_cycles += skipped
                                     stats.iq_full_cycles += skipped
                                 elif blocked_reason == "lq":
-                                    lsq.lq_full_cycles += skipped
                                     stats.lq_full_cycles += skipped
                                 else:
-                                    lsq.sq_full_cycles += skipped
                                     stats.sq_full_cycles += skipped
                                 if trace_on:
                                     key = (

@@ -59,8 +59,6 @@ class ReorderBuffer:
             raise ValueError("ROB capacity must be positive")
         self.capacity = capacity
         self._entries: Deque[RobEntry] = deque()
-        self.full_cycles = 0
-        self.blocked_by_store_cycles = 0
         self.max_occupancy = 0
 
     def __len__(self) -> int:

@@ -60,16 +60,17 @@ the caller's.  :func:`strip_volatile` removes exactly the fields that
 vary run-to-run so determinism comparisons and regression diffs can
 ignore them.
 
-**Progress channel.**  A caller may pass ``progress_queue=`` (a
-``multiprocessing`` queue from :func:`_pool_context`) to
-:func:`execute_units`; workers then have :func:`emit_progress`
-installed, and anything the unit's target calls it with — interval
-sampler snapshots, custom milestones — is tagged with the unit id and
-streamed to the parent *while the unit runs*, not after.  This is what
-``repro sweep --live`` and the job service's ``repro watch`` render.
-With no queue installed :func:`emit_progress` is a dormant
-``is None`` check, so cache keys, results, and the hot path are
-unaffected.
+**Progress channel.**  Anything a unit's target passes to
+:func:`emit_progress` — interval sampler snapshots, custom milestones
+— is stamped with the unit id and reaches the caller *while the unit
+runs*, not after, through the same ``emit(kind, info)`` callable that
+carries the attempt's ``fault.*`` events.  A supervised worker sends
+each event over its attempt's result pipe ahead of the result; the
+in-process path calls the sink directly.  :func:`execute_units` hands
+these events to its ``on_progress=`` callable.  This is what ``repro
+sweep --live`` and the job service's ``repro watch`` render.  With no
+sink installed :func:`emit_progress` is a dormant ``is None`` check,
+so cache keys, results, and the hot path are unaffected.
 
 **Cell cache.**  Inside a :func:`cell_cache` block, the simulation
 cells and attack rows that units compute are shared through one
@@ -142,46 +143,36 @@ def strip_volatile(obj, fields: frozenset = VOLATILE_FIELDS):
     return obj
 
 
-#: Worker-side progress channel (see module docstring).  Installed by
-#: the supervised worker entry or the in-process path, read
-#: by :func:`emit_progress` from inside a unit's target callable.
-_PROGRESS_QUEUE = None
-_PROGRESS_TAG: Optional[str] = None
+#: Progress sink of this process (see module docstring), an
+#: ``emit(kind, info)`` callable.  Installed by the supervised worker
+#: entry or the in-process path, called by :func:`emit_progress` from
+#: inside a unit's target callable.
+_PROGRESS_SINK: Optional[Callable[[str, dict], None]] = None
 _PROGRESS_UID: Optional[str] = None
 
 
-def install_progress(queue, tag: Optional[str] = None) -> None:
-    """Install a progress queue in this process (worker or serial).
-
-    ``tag`` disambiguates streams when one queue serves several
-    concurrent executions whose unit ids may collide (the job service
-    tags each execution); plain sweeps leave it None and rely on unit
-    ids being unique within one engine run.
-    """
-    global _PROGRESS_QUEUE, _PROGRESS_TAG
-    _PROGRESS_QUEUE = queue
-    _PROGRESS_TAG = tag
+def install_progress(sink: Optional[Callable[[str, dict], None]]) -> None:
+    """Install the progress sink of this process (None: dormant)."""
+    global _PROGRESS_SINK
+    _PROGRESS_SINK = sink
 
 
 def emit_progress(kind: str, **fields) -> bool:
-    """Stream one progress event to the parent; returns True if sent.
+    """Pass one progress event to the sink; returns True if delivered.
 
-    Callable from any work-unit target.  With no channel installed it
-    is a no-op returning False, so live-capable units run identically
-    (and hit the same cache entries) outside a live sweep.  Events are
-    flat dicts: ``{"kind": kind, "uid": <current unit>, **fields}``
-    plus ``"tag"`` when one was installed.  Delivery is best-effort —
-    a queue torn down mid-drain must never fail the unit.
+    Callable from any work-unit target.  With no sink installed it is
+    a no-op returning False, so live-capable units run identically
+    (and hit the same cache entries) outside a live sweep.  The sink
+    receives ``(kind, {"uid": <current unit>, **fields})``.  Delivery
+    is best-effort — a sink that fails must never fail the unit.
     """
-    queue = _PROGRESS_QUEUE
-    if queue is None:
+    sink = _PROGRESS_SINK
+    if sink is None:
         return False
-    event = {"kind": kind, "uid": _PROGRESS_UID}
-    if _PROGRESS_TAG is not None:
-        event["tag"] = _PROGRESS_TAG
-    event.update(fields)
+    info = {"uid": _PROGRESS_UID}
+    info.update(fields)
     try:
-        queue.put(event)
+        sink(kind, info)
     except Exception:  # noqa: BLE001 — best-effort by contract
         return False
     return True
@@ -601,10 +592,13 @@ def backoff_delay(
     return base * (2 ** (attempt - 1)) * (0.5 + rng.random())
 
 
-def _supervised_worker(conn, task, progress=None, tag=None) -> None:
-    """Entry point of a per-attempt supervised worker process."""
-    if progress is not None:
-        install_progress(progress, tag)
+def _supervised_worker(conn, task) -> None:
+    """Entry point of a per-attempt supervised worker process.
+
+    Progress events travel over ``conn`` as ``(kind, info)`` pairs,
+    ahead of the one :class:`UnitResult` that ends the attempt.
+    """
+    install_progress(lambda kind, info: conn.send((kind, info)))
     try:
         result = _execute_task(task)
         conn.send(result)
@@ -733,11 +727,12 @@ _START_LOCK = threading.Lock()
 class SupervisedAttempt:
     """One attempt of one unit in its own worker process.
 
-    The worker reports over a one-way pipe.  The owner waits on
-    :attr:`conn` (alone, or multiplexed with other attempts) and then
-    calls :meth:`collect`; in between, :meth:`expire` enforces the
-    per-unit timeout and an optional drain deadline.  A dead worker
-    takes down exactly this attempt, never a shared pool.
+    The worker reports over a one-way pipe: its progress events, then
+    its result.  The owner waits on :attr:`conn` (alone, or
+    multiplexed with other attempts) and calls :meth:`collect` each
+    time it is ready; in between, :meth:`expire` enforces the per-unit
+    timeout and an optional drain deadline.  A dead worker takes down
+    exactly this attempt, never a shared pool.
     """
 
     def __init__(
@@ -746,8 +741,6 @@ class SupervisedAttempt:
         unit: WorkUnit,
         attempt: int,
         timeout: Optional[float],
-        progress_queue=None,
-        tag: Optional[str] = None,
     ) -> None:
         self.unit = unit
         self.attempt = attempt
@@ -756,7 +749,7 @@ class SupervisedAttempt:
         task = (unit.uid, unit.module, unit.func, unit.kwargs, attempt)
         self.process = context.Process(
             target=_supervised_worker,
-            args=(child_conn, task, progress_queue, tag),
+            args=(child_conn, task),
             daemon=True,
         )
         # The service starts attempts from several threads: none may
@@ -788,15 +781,26 @@ class SupervisedAttempt:
         self.conn.close()
         return self.process.exitcode
 
-    def collect(self, emit: Callable[[str, dict], None] = _quiet) -> UnitResult:
-        """The worker's result once :attr:`conn` is ready.
+    def collect(
+        self, emit: Callable[[str, dict], None] = _quiet
+    ) -> Optional[UnitResult]:
+        """Read :attr:`conn` once it is ready; the result, or None while
+        the worker still runs.
 
-        Pipe EOF with no result means the worker died hard (``os._exit``,
-        SIGKILL, OOM-kill): a ``WorkerCrash`` carrying the exit code,
-        read after the worker is joined.
+        Every progress event read on the way goes to ``emit``, in the
+        order the worker sent it.  Pipe EOF with no result means the
+        worker died hard (``os._exit``, SIGKILL, OOM-kill): a
+        ``WorkerCrash`` carrying the exit code, read after the worker
+        is joined.
         """
         try:
-            result = self.conn.recv()
+            while True:
+                message = self.conn.recv()
+                if isinstance(message, UnitResult):
+                    break
+                emit(*message)
+                if not self.conn.poll(0):
+                    return None
         except (EOFError, OSError):
             code = self.close(kill=False)
             emit(
@@ -810,7 +814,7 @@ class SupervisedAttempt:
                 f"{self.attempt}",
             )
         self.close(kill=False)
-        return result
+        return message
 
     def expire(
         self,
@@ -852,7 +856,6 @@ def _run_supervised(
     timeout: Optional[float],
     policy: RetryPolicy,
     emit: Callable[[str, dict], None],
-    progress_queue=None,
 ) -> None:
     """Out-of-process dispatch: one :class:`SupervisedAttempt` per attempt.
 
@@ -897,9 +900,7 @@ def _run_supervised(
                 queue.append((unit, number))
             while queue and len(inflight) < jobs:
                 unit, number = queue.popleft()
-                attempt = SupervisedAttempt(
-                    context, unit, number, timeout, progress_queue
-                )
+                attempt = SupervisedAttempt(context, unit, number, timeout)
                 inflight[attempt.conn] = attempt
             if not inflight:
                 if waiting:
@@ -919,8 +920,11 @@ def _run_supervised(
                 list(inflight), timeout=max(0.0, min(wake) - now)
             )
             for conn in ready:
-                attempt = inflight.pop(conn)
-                settle(attempt, attempt.collect(emit))
+                attempt = inflight[conn]
+                result = attempt.collect(emit)
+                if result is not None:
+                    del inflight[conn]
+                    settle(attempt, result)
 
             now = time.monotonic()
             for conn, attempt in list(inflight.items()):
@@ -934,10 +938,12 @@ def _run_supervised(
         # so an interrupted sweep resumes without re-executing them.
         for conn, attempt in list(inflight.items()):
             try:
-                if conn.poll(0):
+                while conn.poll(0):
                     result = conn.recv()
-                    if result.ok:
-                        settle(attempt, result, quiet=True)
+                    if isinstance(result, UnitResult):
+                        if result.ok:
+                            settle(attempt, result, quiet=True)
+                        break
             except Exception:  # noqa: BLE001 — best-effort flush
                 pass
         raise
@@ -960,7 +966,7 @@ def execute_units(
     backoff: float = 0.25,
     retry_seed: int = 0,
     tracer=None,
-    progress_queue=None,
+    on_progress: Optional[Callable[[str, dict], None]] = None,
 ) -> Dict[str, UnitResult]:
     """Run every unit, in parallel when ``jobs > 1``; returns {uid: result}.
 
@@ -984,10 +990,9 @@ def execute_units(
     take the parent down.  Otherwise units run one by one in the
     calling process.
 
-    ``progress_queue`` (a queue from this engine's multiprocessing
-    context) installs the live progress channel in every worker: unit
-    targets that call :func:`emit_progress` stream uid-tagged events to
-    the parent while running.  The caller owns draining the queue.
+    ``on_progress(kind, info)`` receives every event unit targets
+    pass to :func:`emit_progress`, stamped with the unit id, while the
+    units run; it is called in the calling process.
     """
     ordered: List[WorkUnit] = list(units)
     seen = set()
@@ -1047,23 +1052,29 @@ def execute_units(
         )
     )
     if not supervised:
-        previous = _PROGRESS_QUEUE
-        if progress_queue is not None:
-            install_progress(progress_queue)
+        previous = _PROGRESS_SINK
+        if on_progress is not None:
+            install_progress(on_progress)
         try:
             for unit in pending:
                 absorb(_execute_task(
                     (unit.uid, unit.module, unit.func, unit.kwargs, 1)
                 ))
         finally:
-            if progress_queue is not None:
+            if on_progress is not None:
                 install_progress(previous)
         return results
 
-    emit = _quiet
-    if tracer is not None and getattr(tracer, "enabled", False):
-        def emit(kind: str, info: dict) -> None:
-            tracer.emit(kind, 0, **info)
+    record = tracer is not None and getattr(tracer, "enabled", False)
+
+    def emit(kind: str, info: dict) -> None:
+        # The tracer records the supervisor's fault.* decisions only;
+        # everything else an attempt reports is the units' progress.
+        if kind.startswith("fault."):
+            if record:
+                tracer.emit(kind, 0, **info)
+        elif on_progress is not None:
+            on_progress(kind, info)
 
     _run_supervised(
         pending,
@@ -1072,7 +1083,6 @@ def execute_units(
         timeout=timeout,
         policy=RetryPolicy(retries, backoff, retry_seed),
         emit=emit,
-        progress_queue=progress_queue,
     )
     return results
 

@@ -250,7 +250,7 @@ def seed_sweep(
     tracer=None,
     live: bool = False,
     sample_interval: Optional[int] = None,
-    progress_queue=None,
+    on_progress=None,
 ) -> Dict[str, SweepResult]:
     """Run the suite once per seed; returns overhead stats per spec.
 
@@ -265,8 +265,9 @@ def seed_sweep(
     no meaningful degraded result).
 
     ``live=True`` runs each cell through the interval sampler and
-    streams snapshots over ``progress_queue`` while the cell executes
-    (``repro sweep --live``); results and cache keys are unaffected.
+    hands each snapshot to ``on_progress("sample", info)`` while the
+    cell executes (``repro sweep --live``); results and cache keys are
+    unaffected.
     """
     if not seeds:
         raise ValueError("need at least one seed")
@@ -287,7 +288,7 @@ def seed_sweep(
         backoff=backoff,
         retry_seed=min(seeds),
         tracer=tracer,
-        progress_queue=progress_queue,
+        on_progress=on_progress,
     )
     raise_on_failed_cells(results)
     values = {uid: result.value for uid, result in results.items()}

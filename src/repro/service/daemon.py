@@ -12,11 +12,10 @@ via ``--tcp HOST:PORT``), speaks the JSON-lines protocol of
 * the shared :class:`~repro.harness.parallel.ResultCache` under
   ``DIR/cache`` — the same content-addressed store CLI sweeps use, so
   daemon and CLI runs feed each other,
-* a progress bridge: one ``multiprocessing`` queue drained by a
-  thread, each event hopped onto the event loop with
-  ``call_soon_threadsafe`` and routed to the owning execution's
-  watchers (this is what makes ``repro watch`` live rather than
-  post-hoc).
+* live progress: each unit run hands its events (sampler snapshots,
+  ``fault.*``) to the scheduler's per-execution callback while the
+  unit runs, which fans them out to every subscribed job's watchers
+  (this is what makes ``repro watch`` live rather than post-hoc).
 
 Failure domains are deliberately nested: a malformed frame kills one
 *connection*; a crashed simulation kills one *attempt*; a failed unit
@@ -32,10 +31,8 @@ from __future__ import annotations
 import asyncio
 import json
 import os
-import queue as _queue_mod
 import signal
 import sys
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,15 +104,12 @@ class Daemon:
                 events_path=self.state_dir / "fabric-events.jsonl",
             )
             self.executor = self.fabric
-            self.progress_queue = None
         else:
             self.executor = UnitExecutor(
                 timeout=config.timeout,
                 retries=config.retries,
                 backoff=config.backoff,
             )
-            self.progress_queue = self.executor.make_queue()
-            self.executor.progress_queue = self.progress_queue
         self.scheduler = Scheduler(
             self.executor,
             self.cache,
@@ -129,11 +123,9 @@ class Daemon:
             # workers yet, units queue instead of dispatching.
             self.scheduler.slots = 0
             self.fabric.on_capacity_change = self._on_capacity
-            self.fabric.on_progress = self.scheduler.on_progress
         self.started = time.time()
         self._stop = asyncio.Event()
         self._drained = asyncio.Event()
-        self._progress_thread: Optional[threading.Thread] = None
         self._monitor_task: Optional[asyncio.Task] = None
         self._server = None
         self._tcp_server = None
@@ -150,24 +142,6 @@ class Daemon:
         stamp = time.strftime("%Y-%m-%d %H:%M:%S")
         with self._log_path.open("a") as handle:
             handle.write(f"{stamp} {message}\n")
-
-    # ------------------------------------------------------ progress pump
-
-    def _drain_progress(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Thread target: hop worker progress events onto the loop."""
-        while True:
-            try:
-                event = self.progress_queue.get(timeout=0.2)
-            except (_queue_mod.Empty, OSError):
-                if self._stop.is_set():
-                    return
-                continue
-            if event is None:  # shutdown sentinel
-                return
-            try:
-                loop.call_soon_threadsafe(self.scheduler.on_progress, event)
-            except RuntimeError:  # loop already closed
-                return
 
     # ------------------------------------------------------- connections
 
@@ -465,7 +439,9 @@ class Daemon:
                         wframe.get("lease"), wframe.get("result") or {}
                     )
                 elif wtype == "w.progress":
-                    self.fabric.progress_from(wframe.get("event") or {})
+                    self.fabric.progress_from(
+                        wframe.get("lease"), wframe.get("event") or {}
+                    )
                 elif wtype == "w.bye":
                     self.log(f"fabric: worker {handle.name} said bye")
                     return
@@ -559,11 +535,6 @@ class Daemon:
                     "bind_failed", f"cannot bind {host}:{port}: {error}"
                 )
 
-        if self.progress_queue is not None:
-            self._progress_thread = threading.Thread(
-                target=self._drain_progress, args=(loop,), daemon=True
-            )
-            self._progress_thread.start()
         if self.fabric is not None:
             self._monitor_task = asyncio.ensure_future(
                 self.fabric.monitor()
@@ -605,13 +576,6 @@ class Daemon:
             for name in list(self.fabric.workers):
                 self.fabric.worker_lost(name, reason="coordinator shutdown")
             await asyncio.sleep(0)
-        if self.progress_queue is not None:
-            try:
-                self.progress_queue.put(None)  # unblock the pump thread
-            except Exception:  # noqa: BLE001
-                pass
-        if self._progress_thread is not None:
-            self._progress_thread.join(timeout=2.0)
         for server in (self._server, self._tcp_server):
             if server is not None:
                 try:

@@ -99,11 +99,16 @@ class WorkerHandle:
 
 @dataclass
 class Lease:
-    """One in-flight assignment: unit → worker, redeemed by one result."""
+    """One in-flight assignment: unit → worker, redeemed by one result.
+
+    ``on_event`` is the run's event callback; the worker's
+    ``w.progress`` frames for this lease reach it (see
+    :meth:`FabricDispatcher.progress_from`).
+    """
 
     id: str
     unit: WorkUnit
-    tag: Optional[str]
+    on_event: Callable[[str, dict], None]
     worker: str
     granted: float = field(default_factory=time.monotonic)
     future: "asyncio.Future" = None  # resolves to UnitResult or None (lost)
@@ -158,7 +163,6 @@ class FabricDispatcher:
         self.workers: Dict[str, WorkerHandle] = {}
         self.leases: Dict[str, Lease] = {}
         self.on_capacity_change: Optional[Callable[[int], None]] = None
-        self.on_progress: Optional[Callable[[dict], None]] = None
         self.assignments = 0
         self.reassignments = 0
         self.redeemed = 0
@@ -295,9 +299,17 @@ class FabricDispatcher:
             lease.future.set_result(protocol.result_from_wire(result_wire))
         self._wake.set()
 
-    def progress_from(self, event: dict) -> None:
-        if self.on_progress is not None and isinstance(event, dict):
-            self.on_progress(event)
+    def progress_from(self, lease_id: str, event: dict) -> None:
+        """Deliver one ``w.progress`` event to its lease's run.
+
+        An event for a lease no longer held (redeemed, or revoked and
+        reassigned) is dropped, like a late result.
+        """
+        lease = self.leases.get(lease_id)
+        if lease is None or not isinstance(event, dict):
+            return
+        info = dict(event)
+        lease.on_event(info.pop("kind", "progress"), info)
 
     # ---------------------------------------------------------- dispatch
 
@@ -313,12 +325,15 @@ class FabricDispatcher:
         return self.workers[rendezvous_rank(key, live)[0]]
 
     def _grant(
-        self, worker: WorkerHandle, unit: WorkUnit, tag: Optional[str]
+        self,
+        worker: WorkerHandle,
+        unit: WorkUnit,
+        on_event: Callable[[str, dict], None],
     ) -> Lease:
         lease = Lease(
             id=f"L{self._next_lease:06d}",
             unit=unit,
-            tag=tag,
+            on_event=on_event,
             worker=worker.name,
             future=asyncio.get_event_loop().create_future(),
         )
@@ -333,7 +348,6 @@ class FabricDispatcher:
                 {
                     "type": "w.assign",
                     "lease": lease.id,
-                    "tag": tag,
                     "unit": protocol.unit_to_wire(unit),
                     "timeout": self.timeout,
                     "retries": self.retries,
@@ -358,14 +372,14 @@ class FabricDispatcher:
     async def run_unit(
         self,
         unit: WorkUnit,
-        tag: Optional[str] = None,
         on_event: Optional[Callable[[str, dict], None]] = None,
     ) -> UnitResult:
         """Run one unit on the fabric to a final :class:`UnitResult`.
 
         Same contract as :meth:`UnitExecutor.run_unit`: never raises,
         returns quarantined-or-aborted structured failures instead.
-        ``on_event`` receives ``fabric.*`` lifecycle decisions.
+        ``on_event`` receives ``fabric.*`` lifecycle decisions and the
+        events the worker forwards for the unit's current lease.
         """
         emit = on_event if on_event is not None else (lambda kind, info: None)
         key = unit.cache_key(self.salt)
@@ -386,7 +400,7 @@ class FabricDispatcher:
                     pass
                 continue
             assignment += 1
-            lease = self._grant(worker, unit, tag)
+            lease = self._grant(worker, unit, emit)
             emit(
                 "fabric.assign",
                 {

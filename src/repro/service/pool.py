@@ -14,9 +14,9 @@ while the event loop stays responsive.
 Per-attempt processes — not a long-lived ``Pool`` — are a deliberate
 inheritance from the resilience layer: a hung simulation is SIGKILLed
 at its deadline and a crashed one takes down exactly one attempt,
-never the daemon.  Workers get the daemon's progress queue installed
-(tagged per execution), so interval-sampler snapshots stream to
-watchers while units run.
+never the daemon.  An attempt's progress events (interval-sampler
+snapshots) arrive over its own pipe and are handed to the loop as they
+come, so they stream to watchers while units run.
 
 Draining: :meth:`UnitExecutor.begin_drain` stops retries and arms a
 grace deadline; in-flight attempts that outlive it are killed and
@@ -54,24 +54,18 @@ class UnitExecutor:
 
     def __init__(
         self,
-        progress_queue=None,
         timeout: Optional[float] = None,
         retries: int = 0,
         backoff: float = 0.25,
         retry_seed: int = 0,
     ) -> None:
         self.context = _pool_context()
-        self.progress_queue = progress_queue
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.retry_seed = retry_seed
         self._draining = False
         self._drain_deadline: Optional[float] = None
-
-    def make_queue(self):
-        """A progress queue matching this executor's mp context."""
-        return self.context.Queue()
 
     def begin_drain(self, grace: float) -> None:
         """Stop retrying; kill attempts still running after ``grace``."""
@@ -81,34 +75,35 @@ class UnitExecutor:
     async def run_unit(
         self,
         unit: WorkUnit,
-        tag: Optional[str] = None,
         on_event: Optional[Callable[[str, dict], None]] = None,
     ) -> UnitResult:
         """Run one unit to its final result (retries + quarantine).
 
-        ``tag`` stamps the worker's progress events so the daemon can
-        route one shared queue to the right execution's watchers.
-        ``on_event`` receives the same ``fault.*`` events the engine
-        emits on its tracer (retry, timeout, crash, quarantine), called
-        on the event loop.
+        ``on_event`` receives, on the event loop and in order, the
+        unit's progress events while it runs and the same ``fault.*``
+        events the engine emits on its tracer (retry, timeout, crash,
+        quarantine).
         """
         emit = on_event if on_event is not None else (lambda kind, info: None)
+        loop = asyncio.get_running_loop()
+
+        def from_thread(kind: str, info: dict) -> None:
+            try:
+                loop.call_soon_threadsafe(emit, kind, info)
+            except RuntimeError:  # loop already closed
+                pass
+
         # Built per unit: a fabric worker updates timeout/retries from
         # each assignment.
         policy = RetryPolicy(self.retries, self.backoff, self.retry_seed)
         spent = [0.0, 0.0]
         attempt = 1
         while True:
-            events = []
+            # The attempt's callbacks are queued on the loop before the
+            # thread's completion, so they all run before ``settle``.
             result = await asyncio.to_thread(
-                self._attempt,
-                unit,
-                attempt,
-                tag,
-                lambda kind, info: events.append((kind, info)),
+                self._attempt, unit, attempt, from_thread
             )
-            for kind, info in events:
-                emit(kind, info)
             delay = policy.settle(
                 result, attempt, spent, emit, draining=self._draining
             )
@@ -121,18 +116,16 @@ class UnitExecutor:
         self,
         unit: WorkUnit,
         attempt: int,
-        tag: Optional[str],
         emit: Callable[[str, dict], None],
     ) -> UnitResult:
         """One supervised attempt; blocking — runs in a worker thread."""
-        running = SupervisedAttempt(
-            self.context, unit, attempt, self.timeout,
-            self.progress_queue, tag,
-        )
+        running = SupervisedAttempt(self.context, unit, attempt, self.timeout)
         try:
             while True:
                 if running.conn.poll(_POLL_SECONDS):
-                    return running.collect(emit)
+                    result = running.collect(emit)
+                    if result is not None:
+                        return result
                 result = running.expire(
                     time.monotonic(), emit, self._drain_deadline
                 )

@@ -43,13 +43,14 @@ worker → coordinator::
     {"v": 2, "type": "w.register", "name": "w0", "slots": 2, "pid": 123}
     {"v": 2, "type": "w.heartbeat", "name": "w0", "inflight": 1}
     {"v": 2, "type": "w.result", "lease": "L7", "result": {...}}
-    {"v": 2, "type": "w.progress", "event": {"tag": "x00001", ...}}
+    {"v": 2, "type": "w.progress", "lease": "L7",
+     "event": {"kind": "sample", "uid": "bzip2/Plain/1", ...}}
     {"v": 2, "type": "w.bye", "name": "w0"}
 
 coordinator → worker::
 
     {"type": "w.registered", "worker": "w0", "heartbeat": 1.0}
-    {"type": "w.assign", "lease": "L7", "tag": "x00001",
+    {"type": "w.assign", "lease": "L7",
      "unit": {"uid", "module", "func", "kwargs", "key_payload"},
      "timeout": null, "retries": 0}
     {"type": "w.revoke", "lease": "L7"}
@@ -59,7 +60,10 @@ A lease id is coordinator-scoped and single-use: a ``w.result`` whose
 lease the coordinator no longer holds (revoked after a missed
 heartbeat, or assigned to a worker that was declared dead and later
 rejoined) is acknowledged and discarded — results are content-addressed
-and idempotent, so a late duplicate can never corrupt a job.
+and idempotent, so a late duplicate can never corrupt a job.  A
+``w.progress`` event (sampler snapshot or ``fault.*``) reaches the
+watchers of its lease's unit; one for a lease no longer held is
+dropped the same way.
 """
 
 from __future__ import annotations

@@ -76,7 +76,6 @@ class Execution:
 
     key: str
     unit: WorkUnit
-    tag: str  # stamps progress events; routes them to subscribers
     subscribers: List[Tuple[Job, str]] = field(default_factory=list)
     task: object = None  # asyncio.Task, set at dispatch
 
@@ -102,10 +101,8 @@ class Scheduler:
         self.executions_started = 0
         self._next_job = 1
         self._next_seq = 1
-        self._next_tag = 1
         self._ready: List[Tuple[int, int, int, str]] = []  # heap
         self._inflight: Dict[str, Execution] = {}  # cache key -> execution
-        self._by_tag: Dict[str, Execution] = {}
         self._heap_units: Dict[str, Tuple[Job, WorkUnit]] = {}
         self._loop = None  # captured lazily on first submit
 
@@ -124,19 +121,6 @@ class Scheduler:
         job.events.append(event)
         for queue in list(job.watchers):
             queue.put_nowait(event)
-
-    def on_progress(self, event: dict) -> None:
-        """Route one worker progress event (event-loop thread only)."""
-        execution = self._by_tag.get(event.get("tag"))
-        if execution is None:
-            return
-        fields = {
-            key: value
-            for key, value in event.items()
-            if key not in ("tag", "kind")
-        }
-        for job, _uid in list(execution.subscribers):
-            self._event(job, event.get("kind", "progress"), **fields)
 
     # ------------------------------------------------------------- submit
 
@@ -295,13 +279,10 @@ class Scheduler:
     def _dispatch(self, job: Job, unit: WorkUnit, key: str) -> None:
         import asyncio
 
-        tag = f"x{self._next_tag:05d}"
-        self._next_tag += 1
         execution = Execution(
-            key=key, unit=unit, tag=tag, subscribers=[(job, unit.uid)]
+            key=key, unit=unit, subscribers=[(job, unit.uid)]
         )
         self._inflight[key] = execution
-        self._by_tag[tag] = execution
         self.executions_started += 1
         job.executed += 1
         if job.started is None:
@@ -315,14 +296,13 @@ class Scheduler:
     async def _run(self, execution: Execution) -> None:
         unit = execution.unit
 
-        def on_fault(kind: str, info: dict) -> None:
-            for job, uid in list(execution.subscribers):
+        def on_event(kind: str, info: dict) -> None:
+            # Progress and fault.* alike: every subscribed job sees it.
+            for job, _uid in list(execution.subscribers):
                 self._event(job, kind, **info)
 
         try:
-            result = await self.executor.run_unit(
-                unit, tag=execution.tag, on_event=on_fault
-            )
+            result = await self.executor.run_unit(unit, on_event=on_event)
         except Exception as error:  # noqa: BLE001 — must never leak
             result = UnitResult(
                 uid=unit.uid,
@@ -336,7 +316,6 @@ class Scheduler:
         if result.ok and self.cache is not None:
             self.cache.put(execution.key, unit, result.value)
         self._inflight.pop(execution.key, None)
-        self._by_tag.pop(execution.tag, None)
         aborted = (result.error or {}).get("type") == WORKER_ABORTED
         for job, uid in execution.subscribers:
             delivered = UnitResult(

@@ -7,8 +7,9 @@ supervised-process :class:`~repro.service.pool.UnitExecutor` a local
 daemon uses, so per-unit timeouts, retries with seeded backoff, and
 quarantine behave identically whether a unit runs in-process or three
 hosts away.  Results travel back as ``w.result`` frames; progress and
-fault events are forwarded live as ``w.progress`` so coordinator-side
-watchers see remote units exactly like local ones.
+fault events are forwarded live as ``w.progress`` frames naming the
+lease, so coordinator-side watchers see remote units exactly like
+local ones.
 
 Liveness is the worker's job: it heartbeats at the interval the
 coordinator announced in ``w.registered``.  If the coordinator goes
@@ -28,9 +29,7 @@ from __future__ import annotations
 
 import asyncio
 import os
-import queue as _queue_mod
 import signal
-import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -66,8 +65,6 @@ class WorkerDaemon:
             )
         self.config = config
         self.executor = UnitExecutor()
-        self.progress_queue = self.executor.make_queue()
-        self.executor.progress_queue = self.progress_queue
         self.inflight = 0
         self.completed = 0
         self.sessions = 0
@@ -112,38 +109,23 @@ class WorkerDaemon:
         except (ConnectionError, OSError, RuntimeError):
             pass
 
-    # ----------------------------------------------------- progress pump
-
-    def _drain_progress(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Thread target: hop worker-process progress events onto the
-        loop, where they are forwarded as ``w.progress`` frames."""
-        while True:
-            try:
-                event = self.progress_queue.get(timeout=0.2)
-            except (_queue_mod.Empty, OSError):
-                if self._stop.is_set():
-                    return
-                continue
-            if event is None:
-                return
-            try:
-                loop.call_soon_threadsafe(self._forward_progress, event)
-            except RuntimeError:
-                return
-
-    def _forward_progress(self, event: dict) -> None:
-        if isinstance(event, dict):
-            asyncio.ensure_future(
-                self._send_quiet(
-                    protocol.request("w.progress", event=event)
-                )
-            )
+    def _post(self, frame: dict) -> None:
+        """Write one frame at once, without awaiting the drain, so
+        frames leave in call order: a unit's ``w.progress`` frames
+        always precede its ``w.result``.  With no connection the frame
+        is dropped."""
+        writer = self._writer
+        if writer is None:
+            return
+        try:
+            writer.write(protocol.encode_frame(frame))
+        except (ConnectionError, OSError, RuntimeError):
+            pass
 
     # -------------------------------------------------------- assignment
 
     async def _run_assignment(self, frame: dict) -> None:
         lease = frame.get("lease")
-        tag = frame.get("tag")
         try:
             unit = protocol.unit_from_wire(frame.get("unit") or {})
         except KeyError:
@@ -155,15 +137,15 @@ class WorkerDaemon:
         self.executor.retries = int(frame.get("retries") or 0)
 
         def on_event(kind: str, info: dict) -> None:
-            event = {"kind": kind, "tag": tag}
+            event = {"kind": kind}
             event.update(info)
-            self._forward_progress(event)
+            self._post(
+                protocol.request("w.progress", lease=lease, event=event)
+            )
 
         self.inflight += 1
         try:
-            result = await self.executor.run_unit(
-                unit, tag=tag, on_event=on_event
-            )
+            result = await self.executor.run_unit(unit, on_event=on_event)
         finally:
             self.inflight -= 1
         self.completed += 1
@@ -293,10 +275,6 @@ class WorkerDaemon:
                 loop.add_signal_handler(signum, self.request_stop)
             except (ValueError, NotImplementedError, RuntimeError):
                 pass
-        pump = threading.Thread(
-            target=self._drain_progress, args=(loop,), daemon=True
-        )
-        pump.start()
         endpoint = self.config.socket_path or "%s:%d" % self.config.tcp
         failures = 0
         try:
@@ -332,11 +310,6 @@ class WorkerDaemon:
                 self.log("coordinator connection lost; reconnecting")
         finally:
             self._stop.set()
-            try:
-                self.progress_queue.put(None)
-            except Exception:  # noqa: BLE001
-                pass
-            pump.join(timeout=2.0)
 
 
 def serve_worker(config: WorkerConfig) -> None:

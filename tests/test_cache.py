@@ -172,6 +172,7 @@ _OPS = st.lists(
         st.sampled_from(["lookup", "install", "invalidate"]),
         st.integers(min_value=0, max_value=40),
     ),
+    min_size=60,
     max_size=300,
 )
 # Long streams over few line numbers, so probes often land on a full

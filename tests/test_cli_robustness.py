@@ -48,6 +48,23 @@ class TestCliRobustness:
 
         assert cycles(["--debug"]) > cycles([])
 
+    @pytest.mark.parametrize("action", ["replay", "stats"])
+    def test_trace_of_a_non_trace_file_exits_2(self, tmp_path, action):
+        path = tmp_path / "notes.txt"
+        path.write_text("not a trace\n")
+        code, output = run_cli(["trace", action, str(path)])
+        assert code == 2
+        assert output.startswith("not a trace file: ")
+        assert output.count("\n") == 1
+
+    @pytest.mark.parametrize("action", ["replay", "stats"])
+    def test_trace_of_a_missing_file_exits_2(self, tmp_path, action):
+        path = tmp_path / "missing.rtrace"
+        code, output = run_cli(["trace", action, str(path)])
+        assert code == 2
+        assert output.startswith(f"cannot read trace {path}: ")
+        assert output.count("\n") == 1
+
     def test_minic_parse_error_reported(self, tmp_path):
         bad = tmp_path / "bad.c"
         bad.write_text("int main( { return 0; }")

@@ -41,7 +41,7 @@ class TestRecordRoundtrip:
         assert encode_uop(MicroOp(OpType.DISARM, address=0x1000))[0] == 0xAF
 
     def test_record_is_fixed_width(self):
-        assert len(encode_uop(MicroOp(OpType.NOP))) == RECORD_SIZE == 16
+        assert len(encode_uop(MicroOp(OpType.NOP))) == RECORD_SIZE == 24
 
     def test_bad_record_length(self):
         with pytest.raises(EncodingError):
@@ -49,7 +49,7 @@ class TestRecordRoundtrip:
 
     def test_unknown_opcode(self):
         with pytest.raises(EncodingError):
-            decode_uop(b"\x77" + b"\x00" * 15)
+            decode_uop(b"\x77" + b"\x00" * (RECORD_SIZE - 1))
 
     def test_dependency_distance_range(self):
         with pytest.raises(EncodingError):
@@ -75,6 +75,14 @@ class TestTraceRoundtrip:
         data = bytearray(encode_trace([]))
         data[0] = ord("X")
         with pytest.raises(EncodingError):
+            decode_trace(bytes(data))
+
+    def test_version_1_trace_is_refused(self):
+        """Version 1 records dropped the pc of memory ops; reading one
+        as version 2 would misplace every field."""
+        data = bytearray(encode_trace([MicroOp(OpType.ALU)]))
+        data[4:6] = (1).to_bytes(2, "little")
+        with pytest.raises(EncodingError, match="version 1"):
             decode_trace(bytes(data))
 
     def test_truncated_body(self):
@@ -116,6 +124,30 @@ class TestTraceRoundtrip:
         original_cycles = OutOfOrderCore(MemoryHierarchy()).run(trace).cycles
         decoded_cycles = OutOfOrderCore(MemoryHierarchy()).run(decoded).cycles
         assert original_cycles == decoded_cycles
+
+
+@pytest.mark.parametrize("profile", ["xalancbmk", "lbm", "sjeng"])
+def test_recorded_trace_replays_like_the_trace_in_memory(profile):
+    """A recorded cell replays with the same CoreStats as the trace it
+    was recorded from: memory ops keep their pc, so fetch walks the
+    same I-cache lines."""
+    from repro.cpu import OutOfOrderCore
+    from repro.harness.configs import DefenseSpec, SimulationConfig
+    from repro.harness.experiment import _make_hierarchy, build_trace
+    from repro.workloads import profile_by_name
+
+    spec = DefenseSpec(name="rest", defense="rest")
+    config = SimulationConfig(scale=0.05)
+    trace, _ = build_trace(profile_by_name(profile), spec, config)
+    decoded = decode_trace(encode_trace(trace))
+
+    def replay(uops):
+        core = OutOfOrderCore(
+            _make_hierarchy(spec, config), config=config.core
+        )
+        return core.run(uops)
+
+    assert replay(decoded) == replay(trace)
 
 
 class TestEncodingProperties:

@@ -420,12 +420,14 @@ def running_coordinator(state_dir=None, **overrides):
             shutil.rmtree(state_dir, ignore_errors=True)
 
 
-def spawn_worker(socket_path, name, slots=2):
+def spawn_worker(socket_path, name, slots=2, fault_plan=None):
     src = str(Path(__file__).resolve().parents[1] / "src")
     import os
 
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    if fault_plan is not None:
+        env["REPRO_FAULT_PLAN"] = str(fault_plan)
     return subprocess.Popen(
         [
             sys.executable, "-m", "repro", "worker",
@@ -658,3 +660,77 @@ class TestFabricEndToEnd:
         assert final["state"] == "failed"
         assert final["error"]["type"] == "SweepError"
         assert uid in final["error"]["message"]
+
+
+def watch_events(socket_path, job_id):
+    """Every event frame of one job's watch stream, up to ``done``."""
+    events = []
+    with ServiceClient(socket_path=socket_path) as client:
+        for frame in client.watch(job_id):
+            if frame.get("type") == "done":
+                break
+            events.append(frame)
+        final = client.status(job_id)
+    return events, final
+
+
+class TestFabricProgress:
+    """A remote unit's events reach the coordinator's watchers while
+    the unit runs, exactly as a local daemon's do."""
+
+    def test_live_samples_stream_from_a_remote_worker(self):
+        with running_coordinator() as (daemon, socket_path, state):
+            worker = spawn_worker(socket_path, "w0")
+            try:
+                wait_workers(socket_path, 1)
+                with ServiceClient(socket_path=socket_path) as client:
+                    job = client.submit(
+                        "sweep",
+                        dict(SWEEP_PARAMS, live=True, sample_interval=500),
+                    )
+                events, final = watch_events(socket_path, job["id"])
+            finally:
+                worker.terminate()
+                worker.wait(timeout=10)
+        assert final["state"] == "done"
+        kinds = [event["kind"] for event in events]
+        samples = [event for event in events if event["kind"] == "sample"]
+        assert samples
+        assert all(
+            sample["uid"].startswith("bzip2/") and sample["cycle"] > 0
+            for sample in samples
+        )
+        last_sample = max(
+            index for index, kind in enumerate(kinds) if kind == "sample"
+        )
+        assert last_sample < kinds.index("job.done")
+        assert samples[0]["ts"] <= final["finished"]
+
+    def test_worker_fault_events_reach_the_coordinators_watcher(
+        self, tmp_path
+    ):
+        from repro.faults.plan import FaultPlan, FaultSpec
+
+        uid = "bzip2/Secure Heap/1"
+        plan = FaultPlan(seed=1)
+        plan.faults[uid] = FaultSpec(kind="crash", fail_attempts=1)
+        plan_path = plan.write(tmp_path / "plan.json")
+        with running_coordinator(retries=1) as (
+            daemon, socket_path, state,
+        ):
+            worker = spawn_worker(socket_path, "flaky", fault_plan=plan_path)
+            try:
+                wait_workers(socket_path, 1)
+                with ServiceClient(socket_path=socket_path) as client:
+                    job = client.submit("sweep", dict(SWEEP_PARAMS))
+                events, final = watch_events(socket_path, job["id"])
+            finally:
+                worker.terminate()
+                worker.wait(timeout=10)
+        assert final["state"] == "done"
+        retries = [
+            event for event in events if event["kind"] == "fault.retry"
+        ]
+        assert [(event["uid"], event["attempt"]) for event in retries] == [
+            (uid, 1)
+        ]

@@ -49,6 +49,14 @@ def sleep_for(seconds):
     return "woke"
 
 
+def report_then_fail_once(marker, steps):
+    from repro.harness.parallel import emit_progress
+
+    for step in range(steps):
+        emit_progress("step", n=step)
+    return fail_once(marker)
+
+
 def nested_sweep():
     results = execute_units([unit_of("sleep_for", seconds=0)], jobs=2)
     return results["sleep_for-unit"].value
@@ -163,6 +171,26 @@ class TestUnitExecutor:
         assert result.attempts == 2 and not result.quarantined
         assert [kind for kind, _ in events] == ["fault.retry"]
 
+    def test_progress_streams_in_order_with_fault_events(self, tmp_path):
+        """Each attempt's progress events reach ``on_event`` while it
+        runs, ahead of the retry decision that ends it."""
+        executor = UnitExecutor(retries=1, backoff=0.01)
+        result, events = run_executor(
+            executor,
+            unit_of(
+                "report_then_fail_once", marker=str(tmp_path / "m"), steps=2
+            ),
+        )
+        assert result.ok and result.attempts == 2
+        steps = [("step", {"uid": "report_then_fail_once-unit", "n": n})
+                 for n in range(2)]
+        assert [event for event in events if event[0] == "step"] == (
+            steps + steps
+        )
+        assert [kind for kind, _ in events] == [
+            "step", "step", "fault.retry", "step", "step",
+        ]
+
     def test_timeout_leads_to_quarantine(self):
         executor = UnitExecutor(timeout=0.3, retries=1, backoff=0.01)
         result, events = run_executor(
@@ -191,6 +219,33 @@ class TestUnitExecutor:
         assert not result.quarantined
         assert result.attempts == 1
         assert events == []
+
+
+@pytest.mark.parametrize("supervised", [False, True])
+def test_engine_progress_reaches_on_progress(tmp_path, supervised):
+    """In process and over a supervised attempt's pipe alike, a unit's
+    progress events reach ``on_progress`` in order; the tracer still
+    records only the supervisor's ``fault.*`` decisions."""
+    from repro.obs.tracer import RingTracer
+
+    marker = tmp_path / "m"
+    if not supervised:
+        marker.touch()  # the one in-process attempt succeeds
+    unit = unit_of("report_then_fail_once", marker=str(marker), steps=3)
+    progress = []
+    tracer = RingTracer()
+    results = execute_units(
+        [unit], retries=1 if supervised else 0, backoff=0.01,
+        tracer=tracer,
+        on_progress=lambda kind, info: progress.append((kind, info)),
+    )
+    attempts = results[unit.uid].attempts
+    assert results[unit.uid].ok and attempts == (2 if supervised else 1)
+    steps = [("step", {"uid": unit.uid, "n": n}) for n in range(3)]
+    assert progress == steps * attempts
+    assert [event["kind"] for event in tracer.events()] == (
+        ["fault.retry"] if supervised else []
+    )
 
 
 def test_sweep_nested_in_supervised_worker_under_fault_plan(

@@ -11,6 +11,8 @@ service clients — and asserts the service's core contracts:
   each unique unit exactly once (`executions == unique units`); the
   loser of each race attaches as `shared`/`cached`.
 * **Warm cache**: a third submission after completion executes nothing.
+* **Live progress**: a ``live`` sweep job's ``watch`` stream carries at
+  least one sampler ``sample`` event before its ``done`` frame.
 * **Clean shutdown**: the daemon drains on `shutdown` and exits 0.
 
 Exit code 0 is the pass signal; the daemon log is left in the state
@@ -144,6 +146,21 @@ def main(argv=None):
             check(
                 final3["state"] == "done" and final3["executed"] == 0,
                 "warm resubmission executed nothing",
+            )
+            live = client.submit(
+                "sweep",
+                {"benchmarks": ["bzip2"], "specs": ["Secure Heap"],
+                 "seeds": [args.seed], "scale": 0.05, "live": True,
+                 "sample_interval": 500},
+            )
+            samples = 0
+            for frame in client.watch(live["id"]):
+                if frame.get("type") == "done":
+                    break
+                samples += frame.get("kind") == "sample"
+            check(
+                samples >= 1,
+                f"live sweep streamed {samples} sample event(s) before done",
             )
             client.shutdown()
         daemon.wait(timeout=60)
