@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from typing import Callable, List, Tuple
 
-import pytest  # noqa: F401  (documentational: mirrored by tests/)
-
 from repro.cache.cache import CacheConfig
 from repro.cache.hierarchy import HierarchyConfig, MemoryHierarchy
 from repro.core import Mode, RestException, Token, TokenConfigRegister

@@ -15,6 +15,10 @@ be **byte-identical** to the fault-free baseline — injected hangs,
 crashes, transient failures, allocator errors, and cache corruption
 may cost retries, but they must never change a result.  Units the plan
 made permanently faulty must end up quarantined (and nothing else may).
+And the faults must have fired: a runner that never killed a hang
+would still heal to identity once the hang slept itself out, so the
+chaos manifest's ``fault`` counters must reach the plan
+(:func:`missing_faults`).
 """
 
 from __future__ import annotations
@@ -103,6 +107,29 @@ def check_identity(
     return quarantined, mismatches, problems
 
 
+#: Fault kinds whose every injection fails an attempt, so costs a retry.
+_FAILING_KINDS = ("hang", "crash", "transient", "memory_error")
+
+
+def missing_faults(plan: FaultPlan, fault: Dict[str, int]) -> List[str]:
+    """One line per ``fault`` counter of a chaos run below the plan.
+
+    Every planned hang must have timed out, every planned crash
+    crashed, and every planned failing fault cost at least one retry.
+    """
+    counts = plan.kind_counts()
+    floors = {
+        "timeouts": counts.get("hang", 0),
+        "crashes": counts.get("crash", 0),
+        "retries": sum(counts.get(kind, 0) for kind in _FAILING_KINDS),
+    }
+    return [
+        f"fault.{name}: {fault.get(name, 0)} counted, {floor} planned"
+        for name, floor in floors.items()
+        if fault.get(name, 0) < floor
+    ]
+
+
 def run_chaos(
     outdir: str,
     scale: float = 0.35,
@@ -185,11 +212,13 @@ def run_chaos(
         baseline_dir, chaos_dir, plan.permanent_uids()
     )
     chaos = json.loads((chaos_dir / "manifest.json").read_text())
+    fault = chaos.get("fault", {})
+    problems += missing_faults(plan, fault)
 
     report = ChaosReport(
         ok=not problems and not mismatches,
         plan=plan,
-        fault=chaos.get("fault", {}),
+        fault=fault,
         baseline_dir=baseline_dir,
         chaos_dir=chaos_dir,
         quarantined=quarantined,

@@ -44,13 +44,17 @@ a single pending unit, with no ``timeout``, ``retries`` or active
 shared-pool path: a pool loses a dead worker's task and waits for it
 forever.
 
-Supervision's two halves are shared with the job service and the
-distributed fabric, so each exists once: :class:`RetryPolicy` decides
-what an attempt's outcome means (retry after a seeded backoff,
-quarantine, or done) and stamps the final result, and
-:class:`SupervisedAttempt` runs one attempt in its own process and
-classifies crashes, timeouts and drain aborts.  Both report through
-one ``emit(kind, info)`` callable.
+Supervision exists once, shared with the job service and the
+distributed fabric: :class:`RetryPolicy` decides what an attempt's
+outcome means (retry after a seeded backoff, quarantine, or done) and
+stamps the final result; :class:`SupervisedAttempt` runs one attempt
+in its own process and classifies crashes, timeouts and drain aborts;
+and the async runner :func:`run_unit` drives one unit's attempts on an
+event loop.  :func:`execute_units` runs its pending units through
+``run_unit`` under ``asyncio.run``; the local daemon and every fabric
+worker await it per unit.  All three report through one ``emit(kind,
+info)`` callable.  ``asyncio`` is imported only when a unit runs
+supervised, so a warm sweep never loads it.
 
 Timing discipline: units report their own ``cpu_seconds`` (process CPU
 time, well-defined under parallelism) and ``wall_seconds``; retried
@@ -87,22 +91,17 @@ imports no target at all.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import importlib
-import itertools
 import json
 import multiprocessing
 import os
 import random
 import shutil
 import tempfile
-import threading
 import time
 import traceback
-from collections import deque
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from multiprocessing import connection as _mp_connection
 from pathlib import Path
 from typing import (
     Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
@@ -638,9 +637,9 @@ WORKER_ABORTED = "WorkerAborted"
 class RetryPolicy:
     """The one retry/backoff/quarantine policy of every executor.
 
-    The sweep engine, the job service's :class:`UnitExecutor` and the
-    fabric's lost-lease bound (``backoff=0``) all ask this object what
-    an attempt's outcome means: retry after a seeded backoff delay,
+    The supervised-attempt runner (:func:`run_unit`) and the fabric's
+    lost-lease bound (``backoff=0``) both ask this object what an
+    attempt's outcome means: retry after a seeded backoff delay,
     quarantine (the retry budget is spent), or done.  ``WorkerAborted``
     and an active drain are final and never quarantined.
     """
@@ -720,19 +719,14 @@ class RetryPolicy:
         return None
 
 
-#: Serialises import-then-fork of :class:`SupervisedAttempt` starts.
-_START_LOCK = threading.Lock()
-
-
 class SupervisedAttempt:
     """One attempt of one unit in its own worker process.
 
     The worker reports over a one-way pipe: its progress events, then
-    its result.  The owner waits on :attr:`conn` (alone, or
-    multiplexed with other attempts) and calls :meth:`collect` each
-    time it is ready; in between, :meth:`expire` enforces the per-unit
-    timeout and an optional drain deadline.  A dead worker takes down
-    exactly this attempt, never a shared pool.
+    its result.  :func:`run_unit` awaits :attr:`conn` and calls
+    :meth:`collect` each time it is ready; in between, :meth:`expire`
+    enforces the per-unit timeout and an optional drain deadline.  A
+    dead worker takes down exactly this attempt, never a shared pool.
     """
 
     def __init__(
@@ -752,11 +746,8 @@ class SupervisedAttempt:
             args=(child_conn, task),
             daemon=True,
         )
-        # The service starts attempts from several threads: none may
-        # fork while another is half-way through importing its target.
-        with _START_LOCK:
-            _import_target(unit)
-            self.process.start()
+        _import_target(unit)
+        self.process.start()
         child_conn.close()
         self.started = time.monotonic()
         self.deadline = (
@@ -849,110 +840,122 @@ class SupervisedAttempt:
         return None
 
 
-def _run_supervised(
-    pending: List[WorkUnit],
-    jobs: int,
-    absorb: Callable[[UnitResult, bool], None],
-    timeout: Optional[float],
-    policy: RetryPolicy,
-    emit: Callable[[str, dict], None],
-) -> None:
-    """Out-of-process dispatch: one :class:`SupervisedAttempt` per attempt.
+class Drain:
+    """Drain state of one host, shared by every :func:`run_unit` it starts.
 
-    Owning each attempt's process (instead of sharing a pool) is what
-    makes hung-worker SIGKILL, hard-crash detection and re-dispatch
-    possible: a dead worker fails its own unit and nothing else.
-    Up to ``jobs`` attempts run at once, multiplexed on their pipes.
-    ``absorb`` receives only *final* results — retries are internal —
-    with timing accumulated across attempts.
+    :meth:`begin` stops retries and arms a grace deadline: an attempt
+    still running when it passes is killed as ``WorkerAborted``.  Runs
+    waiting on an attempt are woken at once so they see the deadline.
     """
-    context = _pool_context()
-    queue = deque((unit, 1) for unit in pending)
-    waiting: List = []  # (ready_at, seq, unit, attempt) retry backoff heap
-    seq = itertools.count()
-    inflight: Dict = {}  # conn -> SupervisedAttempt
-    spent: Dict[str, List[float]] = {}  # uid -> [cpu, wall]
 
-    def settle(
-        attempt: SupervisedAttempt, result: UnitResult, quiet: bool = False
-    ) -> None:
-        unit = attempt.unit
+    def __init__(self) -> None:
+        self.deadline: Optional[float] = None
+        self.wakers: set = set()  # wake callables of runs awaiting a pipe
+
+    def begin(self, grace: float) -> None:
+        self.deadline = time.monotonic() + max(0.0, grace)
+        for wake in list(self.wakers):
+            wake()
+
+
+async def _outcome(
+    running: SupervisedAttempt,
+    emit: Callable[[str, dict], None],
+    drain: Drain,
+) -> UnitResult:
+    """Await one attempt's result on the event loop: read its pipe when
+    it turns readable, kill it at its own or the drain's deadline."""
+    import asyncio
+
+    loop = asyncio.get_running_loop()
+    fd = running.conn.fileno()
+    while True:
+        waiter = loop.create_future()
+
+        def wake() -> None:
+            if not waiter.done():
+                waiter.set_result(None)
+
+        deadline = min(
+            (d for d in (running.deadline, drain.deadline) if d is not None),
+            default=None,
+        )
+        timer = (
+            None if deadline is None
+            else loop.call_later(deadline - time.monotonic(), wake)
+        )
+        loop.add_reader(fd, wake)
+        drain.wakers.add(wake)
+        try:
+            await waiter
+        finally:
+            loop.remove_reader(fd)  # before collect/expire close the pipe
+            drain.wakers.discard(wake)
+            if timer is not None:
+                timer.cancel()
+        if running.conn.poll(0):
+            result = running.collect(emit)
+            if result is not None:
+                return result
+        result = running.expire(time.monotonic(), emit, drain.deadline)
+        if result is not None:
+            return result
+
+
+async def run_unit(
+    unit: WorkUnit,
+    on_event: Optional[Callable[[str, dict], None]] = None,
+    timeout: Optional[float] = None,
+    policy: RetryPolicy = RetryPolicy(),
+    drain: Optional[Drain] = None,
+    slots: Optional["asyncio.Semaphore"] = None,
+    flush: Optional[Callable[[UnitResult], None]] = None,
+) -> UnitResult:
+    """Run one unit to its final result, one supervised attempt at a time.
+
+    The one runner of supervised attempts: :func:`execute_units`, the
+    job service's local daemon and every fabric worker await it per
+    unit.  Each attempt forks on the event loop's own thread, so the
+    process forks single-threaded.  Its result pipe is awaited with
+    ``loop.add_reader``, bounded by ``timeout`` and ``drain``'s
+    deadline; ``policy`` decides after each attempt, and a backoff is
+    an ``asyncio.sleep``.  ``on_event`` receives, in order, each
+    attempt's progress events and the ``fault.*`` decisions.
+
+    ``slots`` (an ``asyncio.Semaphore``) bounds the attempts in flight
+    across runs; a run holds it while an attempt runs, never while it
+    backs off.  A run cancelled while its attempt's successful result
+    already sits in the pipe (``KeyboardInterrupt`` tearing a sweep
+    down) stamps that result and passes it to ``flush``; the worker is
+    killed and joined either way.
+    """
+    import asyncio
+
+    emit = on_event if on_event is not None else _quiet
+    drain = drain if drain is not None else Drain()
+    context = _pool_context()
+    spent = [0.0, 0.0]
+    attempt = 1
+    while True:
+        async with slots if slots is not None else nullcontext():
+            running = SupervisedAttempt(context, unit, attempt, timeout)
+            try:
+                result = await _outcome(running, emit, drain)
+            except (asyncio.CancelledError, KeyboardInterrupt):
+                done = running.collect() if running.conn.poll(0) else None
+                if flush is not None and done is not None and done.ok:
+                    policy.settle(done, attempt, spent)
+                    flush(done)
+                raise
+            finally:
+                running.close()
         delay = policy.settle(
-            result,
-            attempt.attempt,
-            spent.setdefault(unit.uid, [0.0, 0.0]),
-            emit,
+            result, attempt, spent, emit, draining=drain.deadline is not None
         )
         if delay is None:
-            absorb(result, quiet)
-        else:
-            heapq.heappush(
-                waiting,
-                (time.monotonic() + delay, next(seq), unit,
-                 attempt.attempt + 1),
-            )
-
-    try:
-        while queue or waiting or inflight:
-            now = time.monotonic()
-            while waiting and waiting[0][0] <= now:
-                _, _, unit, number = heapq.heappop(waiting)
-                queue.append((unit, number))
-            while queue and len(inflight) < jobs:
-                unit, number = queue.popleft()
-                attempt = SupervisedAttempt(context, unit, number, timeout)
-                inflight[attempt.conn] = attempt
-            if not inflight:
-                if waiting:
-                    time.sleep(
-                        max(0.0, min(0.05, waiting[0][0] - time.monotonic()))
-                    )
-                continue
-
-            wake = [now + 0.05] + [
-                attempt.deadline
-                for attempt in inflight.values()
-                if attempt.deadline is not None
-            ]
-            if waiting:
-                wake.append(waiting[0][0])
-            ready = _mp_connection.wait(
-                list(inflight), timeout=max(0.0, min(wake) - now)
-            )
-            for conn in ready:
-                attempt = inflight[conn]
-                result = attempt.collect(emit)
-                if result is not None:
-                    del inflight[conn]
-                    settle(attempt, result)
-
-            now = time.monotonic()
-            for conn, attempt in list(inflight.items()):
-                result = attempt.expire(now, emit)
-                if result is not None:
-                    del inflight[conn]
-                    settle(attempt, result)
-    except KeyboardInterrupt:
-        # Checkpoint flush: absorb every completed-but-unmerged result
-        # (which writes it to the cache) before tearing workers down,
-        # so an interrupted sweep resumes without re-executing them.
-        for conn, attempt in list(inflight.items()):
-            try:
-                while conn.poll(0):
-                    result = conn.recv()
-                    if isinstance(result, UnitResult):
-                        if result.ok:
-                            settle(attempt, result, quiet=True)
-                        break
-            except Exception:  # noqa: BLE001 — best-effort flush
-                pass
-        raise
-    finally:
-        for attempt in inflight.values():
-            try:
-                attempt.close()
-            except Exception:  # noqa: BLE001
-                pass
+            return result
+        await asyncio.sleep(delay)
+        attempt += 1
 
 
 def execute_units(
@@ -978,8 +981,9 @@ def execute_units(
     results before propagating).
 
     With ``jobs > 1`` and more than one pending unit, each attempt runs
-    in its own supervised worker process, up to ``jobs`` at once; a
-    worker that dies hard fails only its unit (``WorkerCrash``).
+    in its own supervised worker process (:func:`run_unit`), up to
+    ``jobs`` at once; a worker that dies hard fails only its unit
+    (``WorkerCrash``).
     ``timeout`` (per-unit wall seconds) SIGKILLs a hung worker
     (``WorkerTimeout``), and ``retries`` (extra attempts after the
     first) re-runs a failed attempt after a seeded exponential
@@ -1076,14 +1080,41 @@ def execute_units(
         elif on_progress is not None:
             on_progress(kind, info)
 
-    _run_supervised(
-        pending,
-        jobs=max(1, jobs),
-        absorb=absorb,
-        timeout=timeout,
-        policy=RetryPolicy(retries, backoff, retry_seed),
-        emit=emit,
-    )
+    import asyncio
+
+    policy = RetryPolicy(retries, backoff, retry_seed)
+
+    async def sweep() -> None:
+        slots = asyncio.Semaphore(max(1, jobs))
+        runs = {
+            asyncio.ensure_future(run_unit(
+                unit, emit, timeout, policy, slots=slots,
+                flush=lambda result: absorb(result, quiet=True),
+            ))
+            for unit in pending
+        }
+        done: List[UnitResult] = []
+        try:
+            while runs:
+                finished, runs = await asyncio.wait(
+                    runs, return_when=asyncio.FIRST_COMPLETED
+                )
+                done = [task.result() for task in finished]
+                while done:
+                    absorb(done.pop())
+        finally:
+            # On KeyboardInterrupt each cancelled run flushes the result
+            # in its pipe; runs that finished in the same wake are
+            # flushed here.
+            for task in runs:
+                task.cancel()
+            if runs:
+                await asyncio.wait(runs)
+            for result in done:
+                if result.ok:
+                    absorb(result, quiet=True)
+
+    asyncio.run(sweep())
     return results
 
 

@@ -8,16 +8,15 @@ fabric) for the architecture.  Quick tour:
   ``w.result`` / heartbeats).
 * :mod:`repro.service.jobs` — job kinds (``run_all``, ``sweep``) and
   their decomposition into engine work units.
-* :mod:`repro.service.pool` — supervised worker processes under
-  asyncio (timeout / retry / quarantine / drain-abort).
 * :mod:`repro.service.scheduler` — priority classes, FIFO fairness,
   admission control, single-flight dedup, drain persistence.
 * :mod:`repro.service.fabric` — coordinator-side worker registry,
   heartbeat-backed leases, rendezvous routing, bounded reassignment.
 * :mod:`repro.service.worker` — the ``repro worker`` daemon: dials a
   coordinator, executes assignments, reconnects on loss.
-* :mod:`repro.service.daemon` — the ``repro serve`` process (local
-  executor by default, ``--coordinator`` for fabric mode).
+* :mod:`repro.service.daemon` — the ``repro serve`` process (by
+  default each unit awaits the engine's supervised-attempt runner,
+  ``--coordinator`` runs units on the fabric's workers).
 * :mod:`repro.service.client` — blocking client used by the CLI verbs
   (``submit``, ``status``, ``watch``, ``workers``, ``jobs``,
   ``shutdown``), plus :func:`watch_resilient` for restart-surviving

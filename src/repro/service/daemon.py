@@ -1,4 +1,4 @@
-"""The simulation job daemon: asyncio server + worker pool + scheduler.
+"""The simulation job daemon: asyncio server + scheduler + supervised runs.
 
 ``repro serve --state-dir DIR`` runs one daemon per state directory.
 It listens on a Unix socket (``DIR/daemon.sock``; optionally also TCP
@@ -7,8 +7,11 @@ via ``--tcp HOST:PORT``), speaks the JSON-lines protocol of
 
 * a :class:`~repro.service.scheduler.Scheduler` (job table, priority
   queue, single-flight dedup, admission control),
-* a :class:`~repro.service.pool.UnitExecutor` (supervised worker
-  processes with the engine's timeout/retry/quarantine policy),
+* unit execution: each unit awaits the engine's supervised-attempt
+  runner (:func:`~repro.harness.parallel.run_unit`) with the daemon's
+  timeout, retry policy and drain; in ``--coordinator`` mode a
+  :class:`~repro.service.fabric.FabricDispatcher` runs it on
+  registered workers instead,
 * the shared :class:`~repro.harness.parallel.ResultCache` under
   ``DIR/cache`` — the same content-addressed store CLI sweeps use, so
   daemon and CLI runs feed each other,
@@ -29,6 +32,7 @@ already hold.
 from __future__ import annotations
 
 import asyncio
+import functools
 import json
 import os
 import signal
@@ -38,11 +42,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro.harness.parallel import ResultCache
+from repro.harness.parallel import Drain, ResultCache, RetryPolicy, run_unit
 from repro.service import protocol
 from repro.service.fabric import FabricDispatcher
 from repro.service.scheduler import AdmissionError, Scheduler
-from repro.service.pool import UnitExecutor
 
 #: Socket filename inside the state directory.
 SOCKET_NAME = "daemon.sock"
@@ -103,15 +106,19 @@ class Daemon:
                 log=self.log,
                 events_path=self.state_dir / "fabric-events.jsonl",
             )
-            self.executor = self.fabric
+            run, begin_drain = self.fabric.run_unit, self.fabric.begin_drain
         else:
-            self.executor = UnitExecutor(
+            drain = Drain()
+            run = functools.partial(
+                run_unit,
                 timeout=config.timeout,
-                retries=config.retries,
-                backoff=config.backoff,
+                policy=RetryPolicy(config.retries, config.backoff),
+                drain=drain,
             )
+            begin_drain = drain.begin
         self.scheduler = Scheduler(
-            self.executor,
+            run,
+            begin_drain,
             self.cache,
             slots=config.slots,
             max_jobs=config.max_jobs,

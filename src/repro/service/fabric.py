@@ -3,7 +3,7 @@
 ``repro serve --coordinator`` keeps the whole v1 service surface —
 scheduler, admission control, single-flight dedup, shared result
 cache — but executes units on *remote worker daemons* (``repro worker
---connect``) instead of a local pool.  This module owns everything
+--connect``) instead of on its own host.  This module owns everything
 worker-facing:
 
 * the **worker registry**: every registered worker's name, capacity,
@@ -54,6 +54,7 @@ from typing import Callable, Dict, List, Optional
 from repro.harness.parallel import (
     QUARANTINE,
     WORKER_ABORTED,
+    Drain,
     RetryPolicy,
     UnitResult,
     WorkUnit,
@@ -132,11 +133,15 @@ def rendezvous_rank(key: str, names: List[str]) -> List[str]:
 
 
 class FabricDispatcher:
-    """Remote execution backend with the :class:`UnitExecutor` interface.
+    """Remote execution backend for the scheduler.
 
-    The scheduler calls :meth:`run_unit` exactly as it would on the
-    local executor; this class hides assignment, lease tracking,
-    revocation, and bounded reassignment behind that one awaitable.
+    The scheduler awaits :meth:`run_unit` and calls :meth:`begin_drain`
+    exactly as a local daemon's scheduler awaits the engine's runner
+    (:func:`~repro.harness.parallel.run_unit`) and begins its
+    :class:`~repro.harness.parallel.Drain`; this class hides
+    assignment, lease tracking, revocation, and bounded reassignment
+    behind that one awaitable.  On each worker the unit runs through
+    that same runner.
     """
 
     def __init__(
@@ -172,8 +177,7 @@ class FabricDispatcher:
         self._next_lease = 1
         self._next_worker = 1
         self._wake = asyncio.Event()  # capacity freed / worker joined
-        self._draining = False
-        self._drain_deadline: Optional[float] = None
+        self.drain = Drain()
         self._monitor_task: Optional[asyncio.Task] = None
 
     # ------------------------------------------------------------ events
@@ -376,7 +380,7 @@ class FabricDispatcher:
     ) -> UnitResult:
         """Run one unit on the fabric to a final :class:`UnitResult`.
 
-        Same contract as :meth:`UnitExecutor.run_unit`: never raises,
+        Same contract as the engine's ``run_unit``: never raises,
         returns quarantined-or-aborted structured failures instead.
         ``on_event`` receives ``fabric.*`` lifecycle decisions and the
         events the worker forwards for the unit's current lease.
@@ -385,7 +389,7 @@ class FabricDispatcher:
         key = unit.cache_key(self.salt)
         assignment = 0
         while True:
-            if self._draining:
+            if self.drain.deadline is not None:
                 return self._aborted(unit, max(1, assignment))
             worker = self._route(key)
             if worker is None:
@@ -424,7 +428,7 @@ class FabricDispatcher:
                     "assignment": assignment,
                 },
             )
-            if self._draining:
+            if self.drain.deadline is not None:
                 return self._aborted(unit, assignment)
             lost = UnitResult(
                 uid=unit.uid,
@@ -465,8 +469,8 @@ class FabricDispatcher:
                         ),
                     )
             if (
-                self._drain_deadline is not None
-                and now >= self._drain_deadline
+                self.drain.deadline is not None
+                and now >= self.drain.deadline
             ):
                 for lease in list(self.leases.values()):
                     self._revoke(lease, reason="drain grace expired")
@@ -474,15 +478,14 @@ class FabricDispatcher:
     # ------------------------------------------------------------- drain
 
     def begin_drain(self, grace: float) -> None:
-        """Mirror of :meth:`UnitExecutor.begin_drain` for the fabric.
+        """Mirror of the engine's ``Drain.begin`` for the fabric.
 
         Stops granting leases, asks every worker to finish what it
         holds, and arms a deadline after which outstanding leases are
         revoked — their units come back ``WorkerAborted`` and persist
         across the restart, exactly like locally-aborted units.
         """
-        self._draining = True
-        self._drain_deadline = time.monotonic() + max(0.0, grace)
+        self.drain.begin(grace)
         self._wake.set()
         for worker in self.workers.values():
             try:

@@ -40,7 +40,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.harness.parallel import (
     WORKER_ABORTED,
@@ -56,7 +56,6 @@ from repro.service.jobs import (
     build_units,
     finalize_job,
 )
-from repro.service.pool import UnitExecutor
 
 #: Persisted queue file name (under the daemon state directory).
 QUEUE_FILE = "queue.json"
@@ -81,16 +80,26 @@ class Execution:
 
 
 class Scheduler:
+    """Job table and unit queue of one daemon.
+
+    ``await run_unit(unit, on_event)`` runs one unit to its final
+    result and ``begin_drain(grace)`` starts a drain: the engine's
+    runner with a :class:`~repro.harness.parallel.Drain` for a local
+    daemon, a ``FabricDispatcher``'s methods for a coordinator.
+    """
+
     def __init__(
         self,
-        executor: UnitExecutor,
+        run_unit: Callable[..., Awaitable[UnitResult]],
+        begin_drain: Callable[[float], None],
         cache: Optional[ResultCache],
         slots: int = 2,
         max_jobs: int = 8,
         salt: Optional[str] = None,
         jobs_dir=None,
     ) -> None:
-        self.executor = executor
+        self.run_unit = run_unit
+        self.begin_drain = begin_drain
         self.cache = cache
         self.slots = max(1, slots)
         self.max_jobs = max_jobs
@@ -302,7 +311,7 @@ class Scheduler:
                 self._event(job, kind, **info)
 
         try:
-            result = await self.executor.run_unit(unit, on_event=on_event)
+            result = await self.run_unit(unit, on_event)
         except Exception as error:  # noqa: BLE001 — must never leak
             result = UnitResult(
                 uid=unit.uid,
@@ -405,7 +414,7 @@ class Scheduler:
     async def drain(self, grace: float) -> None:
         """Close admission, finish/abort in-flight work, settle jobs."""
         self.draining = True
-        self.executor.begin_drain(grace)
+        self.begin_drain(grace)
         tasks = [
             execution.task
             for execution in list(self._inflight.values())

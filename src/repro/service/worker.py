@@ -2,21 +2,26 @@
 
 ``repro worker --connect ENDPOINT`` runs one worker: it dials the
 coordinator, registers its name and slot count, and then executes
-whatever ``w.assign`` frames arrive — each assignment through the same
-supervised-process :class:`~repro.service.pool.UnitExecutor` a local
-daemon uses, so per-unit timeouts, retries with seeded backoff, and
+whatever ``w.assign`` frames arrive.  Each assignment awaits the
+engine's supervised-attempt runner
+(:func:`~repro.harness.parallel.run_unit`) with the timeout and retry
+budget the frame carries — the runner a CLI sweep and a local daemon
+use — so per-unit timeouts, retries with seeded backoff, and
 quarantine behave identically whether a unit runs in-process or three
-hosts away.  Results travel back as ``w.result`` frames; progress and
-fault events are forwarded live as ``w.progress`` frames naming the
-lease, so coordinator-side watchers see remote units exactly like
-local ones.
+hosts away.  Attempts fork on the event loop's own thread, so the
+worker forks single-threaded.  Results travel back as ``w.result``
+frames; progress and fault events are forwarded live as
+``w.progress`` frames naming the lease, so coordinator-side watchers
+see remote units exactly like local ones.
 
 Liveness is the worker's job: it heartbeats at the interval the
 coordinator announced in ``w.registered``.  If the coordinator goes
-away (restart, crash, network), the worker reconnects with seeded
-exponential backoff and registers again — from the coordinator's side
-a rejoin is just a new worker joining, so a worker can be SIGKILLed
-and relaunched mid-sweep without any special-case recovery path.
+away (restart, crash, network), or is not bound yet, the worker
+redials with exponential backoff — tens of milliseconds apart at
+first, at most every 2 s — and registers again.  From the
+coordinator's side a rejoin is just a new worker joining, so a worker
+can be SIGKILLed and relaunched mid-sweep without any special-case
+recovery path.
 
 Fault injection composes for free: ``REPRO_FAULT_PLAN`` is read inside
 the supervised worker *processes*, which inherit this daemon's
@@ -35,12 +40,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro.harness.parallel import backoff_delay
+from repro.harness.parallel import (
+    Drain,
+    RetryPolicy,
+    backoff_delay,
+    run_unit,
+)
 from repro.service import protocol
-from repro.service.pool import UnitExecutor
 
 #: Reconnect backoff base (seconds); capped growth via backoff_delay.
-_RECONNECT_BASE = 0.25
+_RECONNECT_BASE = 0.02
 
 
 @dataclass
@@ -54,7 +63,6 @@ class WorkerConfig:
     state_dir: Optional[str] = None  # for worker.log; stdout if None
     reconnect: bool = True
     reconnect_tries: int = 30  # consecutive failed dials before giving up
-    reconnect_seed: int = 0
 
 
 class WorkerDaemon:
@@ -64,7 +72,7 @@ class WorkerDaemon:
                 "worker needs exactly one of socket_path or tcp"
             )
         self.config = config
-        self.executor = UnitExecutor()
+        self.drain = Drain()  # this session's; _session makes a new one
         self.inflight = 0
         self.completed = 0
         self.sessions = 0
@@ -131,10 +139,6 @@ class WorkerDaemon:
         except KeyError:
             self.log(f"malformed assign for lease {lease}; dropped")
             return
-        # Per-unit policy is coordinator configuration, constant across
-        # assigns, so updating the shared executor is race-free.
-        self.executor.timeout = frame.get("timeout")
-        self.executor.retries = int(frame.get("retries") or 0)
 
         def on_event(kind: str, info: dict) -> None:
             event = {"kind": kind}
@@ -145,7 +149,13 @@ class WorkerDaemon:
 
         self.inflight += 1
         try:
-            result = await self.executor.run_unit(unit, on_event=on_event)
+            result = await run_unit(
+                unit,
+                on_event,
+                timeout=frame.get("timeout"),
+                policy=RetryPolicy(int(frame.get("retries") or 0)),
+                drain=self.drain,
+            )
         finally:
             self.inflight -= 1
         self.completed += 1
@@ -185,10 +195,9 @@ class WorkerDaemon:
         """One registered connection, register to EOF."""
         self._writer = writer
         self.sessions += 1
-        # A fresh session un-drains the executor: a coordinator that
-        # drained and restarted may assign again.
-        self.executor._draining = False
-        self.executor._drain_deadline = None
+        # A coordinator that drained and restarted may assign again;
+        # runs of the drained session keep its drain.
+        self.drain = Drain()
         await self._send(
             protocol.request(
                 "w.register",
@@ -232,7 +241,7 @@ class WorkerDaemon:
                 elif ftype == "w.drain":
                     grace = float(frame.get("grace", 10.0))
                     self.log(f"coordinator draining (grace={grace}s)")
-                    self.executor.begin_drain(grace)
+                    self.drain.begin(grace)
                 elif ftype == "w.revoke":
                     # Best-effort: the coordinator reassigned this
                     # lease; our eventual result will be discarded, so
@@ -296,7 +305,6 @@ class WorkerDaemon:
                             _RECONNECT_BASE,
                             failures,
                             self.config.name or "worker",
-                            self.config.reconnect_seed,
                         ),
                         2.0,  # cap: poll a long outage every couple s
                     )

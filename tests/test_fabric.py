@@ -39,6 +39,7 @@ from repro.service.fabric import (
     FabricDispatcher,
     rendezvous_rank,
 )
+from repro.service.worker import WorkerConfig, WorkerDaemon
 
 
 @pytest.fixture(autouse=True)
@@ -457,6 +458,19 @@ SWEEP_PARAMS = {
     "scale": 0.05,
     "live": False,
 }
+
+
+class TestWorkerRedial:
+    def test_worker_gives_up_on_an_unbound_socket_quickly(self, tmp_path):
+        """The first redials are tens of milliseconds apart, so a worker
+        started beside its coordinator joins as soon as it binds."""
+        config = WorkerConfig(
+            socket_path=str(tmp_path / "nobody.sock"), reconnect_tries=3
+        )
+        started = time.monotonic()
+        with pytest.raises(ConnectionError, match="after 4 attempt"):
+            asyncio.run(WorkerDaemon(config).run())
+        assert time.monotonic() - started < 0.5
 
 
 class TestFabricEndToEnd:

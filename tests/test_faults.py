@@ -10,6 +10,7 @@ byte-identical to a fault-free one after ``strip_volatile``.
 """
 
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -32,6 +33,7 @@ from repro.faults.chaos import run_chaos
 from repro.faults.inject import corrupt_cache_entry
 from repro.harness.parallel import (
     ResultCache,
+    SupervisedAttempt,
     UnitResult,
     WorkUnit,
     backoff_delay,
@@ -415,6 +417,8 @@ class TestInterruptFlush:
         with pytest.raises(KeyboardInterrupt):
             execute_units(units, jobs=2, cache=cache, progress=progress,
                           retries=retries, backoff=0.02)
+        # the interrupt killed and joined every in-flight attempt
+        assert multiprocessing.active_children() == []
         # every completed unit reached the cache before the interrupt
         # tore the engine down: the resumed sweep re-executes nothing.
         stores = cache.stores
@@ -550,6 +554,32 @@ class TestChaosIdentity:
             for uid in report.quarantined:
                 manifest["experiments"].pop(uid, None)
         assert strip_volatile(baseline) == strip_volatile(chaos)
+
+    def test_chaos_fails_when_hangs_are_never_killed(
+        self, tmp_path, fast_experiments, monkeypatch
+    ):
+        """A runner that never kills a hang still heals to identity
+        once the hang sleeps itself out; the fault counters catch it."""
+        monkeypatch.setattr(
+            SupervisedAttempt, "expire", lambda self, *args, **kwargs: None
+        )
+        report = run_chaos(
+            tmp_path / "chaos",
+            scale=0.02,
+            jobs=2,
+            timeout=20.0,
+            retries=2,
+            backoff=0.02,
+            fault_seed=7,
+            hang_seconds=0.5,
+            quiet=True,
+        )
+        hangs = report.plan.kind_counts()["hang"]
+        assert report.mismatches == []
+        assert not report.ok
+        assert f"fault.timeouts: 0 counted, {hangs} planned" in (
+            report.problems
+        )
 
     def test_chaos_cli(self, tmp_path, fast_experiments, monkeypatch):
         from repro.__main__ import main

@@ -71,6 +71,7 @@ import sys
 from repro.experiments.run_all import run_all
 run_all(sys.argv[1], scale=0.05, jobs=2, cache_dir=sys.argv[2],
         names=["table1", "table2"])
+print("asyncio" in sys.modules)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "repro"))
 """
 
@@ -82,7 +83,10 @@ def test_warm_run_all_loads_only_the_engine(tmp_path):
     warm = _python(_WARM_RUN, str(tmp_path / "warm"), cache)
     assert warm.returncode == 0, warm.stderr
     assert "(2 cached, 0 failed)" in warm.stdout
-    loaded = set(eval(warm.stdout.strip().splitlines()[-1]))
+    *_, warm_asyncio, warm_modules = warm.stdout.strip().splitlines()
+    # The supervised runner's asyncio loads only when a unit runs.
+    assert warm_asyncio == "False"
+    loaded = set(eval(warm_modules))
     assert loaded <= ENGINE_MODULES, sorted(loaded - ENGINE_MODULES)
     assert not [
         name for name in loaded

@@ -2,32 +2,38 @@
 
 :class:`RetryPolicy` is the one retry/quarantine decision of the sweep
 engine, the job service and the fabric, so its answers are pinned as a
-table here.  :class:`UnitExecutor` is driven directly (no daemon) to
-check that the service's supervised attempts classify crashes,
-timeouts and drain aborts the way the engine does.  The chaos identity
-checker is fed doctored manifests.
+table here.  The runner :func:`run_unit` is driven directly (no
+daemon), with a :class:`Drain` as the daemon and the fabric worker
+pass it, to check how it classifies crashes, timeouts and drain
+aborts.  The chaos
+identity checker is fed doctored manifests.
 """
 
 import asyncio
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.faults import ENV_VAR, FaultPlan
 from repro.faults.chaos import check_identity
 from repro.harness.parallel import (
     DONE,
     QUARANTINE,
     RETRY,
+    Drain,
     RetryPolicy,
     UnitResult,
     WorkUnit,
     backoff_delay,
     execute_units,
+    run_unit,
 )
-from repro.service.pool import UnitExecutor
 
 
 # -- unit targets (run in forked worker processes) --------------------------
@@ -72,14 +78,17 @@ def unit_of(func, **kwargs):
     )
 
 
-def run_executor(executor, unit, during=None):
-    """Run one unit; returns (result, [(kind, info), ...])."""
+def run_executor(unit, during=None, **options):
+    """Run one unit through :func:`run_unit`; returns (result,
+    [(kind, info), ...])."""
     events = []
 
     async def scenario():
         task = asyncio.ensure_future(
-            executor.run_unit(
-                unit, on_event=lambda kind, info: events.append((kind, info))
+            run_unit(
+                unit,
+                lambda kind, info: events.append((kind, info)),
+                **options,
             )
         )
         if during is not None:
@@ -148,14 +157,14 @@ def test_policy_drain_is_final_and_not_quarantined():
     assert not result.quarantined and result.attempts == 1
 
 
-# -- UnitExecutor -------------------------------------------------------------
+# -- the runner as the daemon and the fabric worker call it ------------------
 
 
 class TestUnitExecutor:
+    """:func:`run_unit` in its role as the service's unit executor."""
+
     def test_hard_crash_reports_exit_code(self):
-        result, events = run_executor(
-            UnitExecutor(), unit_of("exit_hard", code=3)
-        )
+        result, events = run_executor(unit_of("exit_hard", code=3))
         assert not result.ok and result.quarantined
         assert result.error["type"] == "WorkerCrash"
         assert "exit code 3" in result.error["message"]
@@ -163,9 +172,9 @@ class TestUnitExecutor:
         assert crash["exit_code"] == 3
 
     def test_retry_to_success(self, tmp_path):
-        executor = UnitExecutor(retries=2, backoff=0.01)
         result, events = run_executor(
-            executor, unit_of("fail_once", marker=str(tmp_path / "m"))
+            unit_of("fail_once", marker=str(tmp_path / "m")),
+            policy=RetryPolicy(retries=2, backoff=0.01),
         )
         assert result.ok and result.value == "healed"
         assert result.attempts == 2 and not result.quarantined
@@ -174,12 +183,11 @@ class TestUnitExecutor:
     def test_progress_streams_in_order_with_fault_events(self, tmp_path):
         """Each attempt's progress events reach ``on_event`` while it
         runs, ahead of the retry decision that ends it."""
-        executor = UnitExecutor(retries=1, backoff=0.01)
         result, events = run_executor(
-            executor,
             unit_of(
                 "report_then_fail_once", marker=str(tmp_path / "m"), steps=2
             ),
+            policy=RetryPolicy(retries=1, backoff=0.01),
         )
         assert result.ok and result.attempts == 2
         steps = [("step", {"uid": "report_then_fail_once-unit", "n": n})
@@ -192,9 +200,10 @@ class TestUnitExecutor:
         ]
 
     def test_timeout_leads_to_quarantine(self):
-        executor = UnitExecutor(timeout=0.3, retries=1, backoff=0.01)
         result, events = run_executor(
-            executor, unit_of("sleep_for", seconds=30)
+            unit_of("sleep_for", seconds=30),
+            timeout=0.3,
+            policy=RetryPolicy(retries=1, backoff=0.01),
         )
         assert not result.ok and result.quarantined
         assert result.error["type"] == "WorkerTimeout"
@@ -205,14 +214,17 @@ class TestUnitExecutor:
         ]
 
     def test_drain_aborts_without_retry(self):
-        executor = UnitExecutor(retries=3, backoff=0.01)
+        drain = Drain()
 
         async def drain_soon():
             await asyncio.sleep(0.2)
-            executor.begin_drain(grace=0.0)
+            drain.begin(grace=0.0)
 
         result, events = run_executor(
-            executor, unit_of("sleep_for", seconds=30), during=drain_soon
+            unit_of("sleep_for", seconds=30),
+            during=drain_soon,
+            policy=RetryPolicy(retries=3, backoff=0.01),
+            drain=drain,
         )
         assert not result.ok
         assert result.error["type"] == "WorkerAborted"
@@ -246,6 +258,47 @@ def test_engine_progress_reaches_on_progress(tmp_path, supervised):
     assert [event["kind"] for event in tracer.events()] == (
         ["fault.retry"] if supervised else []
     )
+
+
+_FORK_THREADS = """
+import asyncio, json, threading
+from repro.harness import parallel
+from repro.service import protocol
+from repro.service.worker import WorkerConfig, WorkerDaemon
+
+counts = []
+start = parallel.SupervisedAttempt.__init__
+
+def counting(self, *args, **kwargs):
+    counts.append(threading.active_count())
+    start(self, *args, **kwargs)
+
+parallel.SupervisedAttempt.__init__ = counting
+parallel.execute_units(
+    [parallel.WorkUnit(f"u{i}", "os", "getpid") for i in range(3)], jobs=2
+)
+crash = parallel.WorkUnit("crash", "os", "_exit", {"status": 3})
+worker = WorkerDaemon(WorkerConfig(socket_path="unused"))
+asyncio.run(worker._run_assignment(
+    {"lease": "l1", "unit": protocol.unit_to_wire(crash), "retries": 1}
+))
+print(json.dumps(counts))
+"""
+
+
+def test_attempts_fork_from_a_single_threaded_process():
+    """Every attempt forks on the event loop's own thread, in a sweep
+    and in a fabric worker alike: forking a multi-threaded process can
+    deadlock the child (Python 3.12 warns on it)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", _FORK_THREADS],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert done.returncode == 0, done.stderr
+    # three sweep units, then two attempts of the worker's crashing unit
+    assert json.loads(done.stdout) == [1] * 5
 
 
 def test_sweep_nested_in_supervised_worker_under_fault_plan(
