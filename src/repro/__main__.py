@@ -605,43 +605,23 @@ def _cmd_loadgen(args: argparse.Namespace) -> int:
     import json
     from pathlib import Path
 
-    from repro.service.loadgen import (
-        LoadgenOptions,
-        compare_to_baseline,
-        run_loadgen,
-    )
+    from repro.faults.chaos import summarize
+    from repro.service.loadgen import compare_to_baseline, run_loadgen
 
-    options = LoadgenOptions(
-        out=args.dir,
-        seed=args.seed,
-        fault_seed=args.fault_seed,
-        slots=args.slots,
-        scale=args.scale,
-        chaos_workers=args.chaos_workers,
-        kills=args.kills,
-        permanent=args.permanent,
-        quiet=args.quiet,
-    )
-    bench = run_loadgen(options)
+    bench = run_loadgen(args.dir, quiet=args.quiet)
     out_path = Path(args.out or (Path(args.dir) / "BENCH_service.json"))
     out_path.parent.mkdir(parents=True, exist_ok=True)
     out_path.write_text(
         json.dumps(bench, indent=1, sort_keys=True) + "\n"
     )
     print(f"wrote {out_path}")
-    problems = []
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
-        problems = compare_to_baseline(bench, baseline)
-        for problem in problems:
-            print(f"DRIFT: {problem}")
-        if not problems:
-            print("no drift against baseline")
-    if not bench["chaos"]["identity"]:
-        for mismatch in bench["chaos"]["mismatches"]:
-            print(f"IDENTITY: {mismatch}")
-        print("chaos identity FAILED")
-        return 1
+    baseline = (
+        json.loads(Path(args.baseline).read_text()) if args.baseline else None
+    )
+    problems = compare_to_baseline(bench, baseline)
+    summarize("loadgen", bench["chaos"], problems, print)
+    if baseline is not None and not problems:
+        print("no drift against baseline")
     return 1 if problems else 0
 
 
@@ -1212,16 +1192,6 @@ def main(argv=None) -> int:
     p_load.add_argument("--baseline", default=None, metavar="FILE",
                         help="committed bench to gate deterministic "
                              "fields against (exit 1 on drift)")
-    p_load.add_argument("--seed", type=int, default=11)
-    p_load.add_argument("--fault-seed", type=int, default=7)
-    p_load.add_argument("--slots", type=positive_int, default=2,
-                        help="slots per worker")
-    p_load.add_argument("--scale", type=float, default=0.05)
-    p_load.add_argument("--chaos-workers", type=positive_int, default=2)
-    p_load.add_argument("--kills", type=non_negative_int, default=1,
-                        help="seeded mid-flight worker SIGKILLs")
-    p_load.add_argument("--permanent", type=non_negative_int, default=1,
-                        help="unhealable faults (expected quarantine)")
     p_load.add_argument("--quiet", action="store_true")
     p_load.set_defaults(handler=_cmd_loadgen)
 

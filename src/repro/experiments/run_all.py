@@ -28,9 +28,9 @@ under ``--outdir`` that is deleted when the experiments finish.
 hung workers are killed and re-dispatched, failed attempts retry with
 seeded backoff, and units that exhaust the budget are *quarantined* —
 the manifest gains a structured ``quarantine`` section and a ``fault``
-counter summary, the sweep completes degraded instead of aborting, and
-the engine's ``fault.*`` events are written to
-``events-engine.jsonl`` for ``repro report``.
+counter summary (which ``repro report`` renders), the sweep completes
+degraded instead of aborting, and the engine's ``fault.*`` events are
+written to ``events-engine.jsonl``.
 """
 
 from __future__ import annotations
@@ -139,7 +139,6 @@ def write_outputs(
     scale: float,
     seed: int,
     jobs: int = 1,
-    tracer=None,
     resilient: bool = False,
     wall_seconds: float = 0.0,
 ) -> Dict:
@@ -185,11 +184,7 @@ def write_outputs(
         manifest["experiments"][unit.uid] = record
     manifest["quarantine"] = quarantine_report(results)
     if resilient:
-        manifest["fault"] = fault_summary(results, tracer)
-        if tracer is not None and len(tracer):
-            from repro.obs.tracer import write_jsonl
-
-            write_jsonl(tracer.events(), out / "events-engine.jsonl")
+        manifest["fault"] = fault_summary(results)
     manifest["units_timing"] = {
         "cpu_seconds": round(unit_cpu, 3),
         "wall_seconds": round(unit_wall, 3),
@@ -233,11 +228,11 @@ def run_all(
         or retries > 0
         or bool(os.environ.get(FAULT_PLAN_ENV))
     )
-    tracer = None
-    if resilient:
-        from repro.obs.tracer import RingTracer
+    events: List[Dict] = []
 
-        tracer = RingTracer()
+    def record(kind: str, info: dict) -> None:
+        if kind.startswith("fault."):
+            events.append({"cycle": 0, "kind": kind, **info})
 
     wall0 = time.perf_counter()
     with cell_cache(
@@ -252,7 +247,7 @@ def run_all(
             retries=retries,
             backoff=backoff,
             retry_seed=seed,
-            tracer=tracer,
+            on_progress=record if resilient else None,
         )
 
     manifest = write_outputs(
@@ -262,10 +257,13 @@ def run_all(
         scale=scale,
         seed=seed,
         jobs=jobs,
-        tracer=tracer,
         resilient=resilient,
         wall_seconds=time.perf_counter() - wall0,
     )
+    if events:
+        (out / "events-engine.jsonl").write_text("".join(
+            json.dumps(event, sort_keys=True) + "\n" for event in events
+        ))
 
     failures = failed_units(results)
     if not quiet:

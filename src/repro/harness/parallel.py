@@ -31,8 +31,9 @@ Four properties the engine guarantees:
   attempt is retried after a seeded exponential backoff with jitter,
   and a unit that exhausts the budget is *quarantined*: the sweep
   completes in a marked-degraded state instead of aborting.
-  Retry/timeout/crash/quarantine decisions are emitted as ``fault.*``
-  events on an optional tracer (see :mod:`repro.obs.tracer`).
+  Retry/timeout/crash/quarantine decisions reach the caller as
+  ``fault.*`` events, and each final :class:`UnitResult` counts the
+  timeouts and crashes of its attempts.
 * **Resume.**  Because successful units are cached as they finish, a
   crashed, interrupted, or partially-failed sweep re-run recomputes
   only the missing/failed cells.  ``KeyboardInterrupt`` flushes every
@@ -241,8 +242,9 @@ class UnitResult:
 
     ``attempts`` counts executions including retries; ``cpu_seconds``/
     ``wall_seconds`` accumulate over every attempt, failed ones
-    included.  ``quarantined`` marks a unit that exhausted its retry
-    budget under the resilience layer.
+    included, and ``timeouts``/``crashes`` count the attempts that
+    ended ``WorkerTimeout``/``WorkerCrash``.  ``quarantined`` marks a
+    unit that exhausted its retry budget under the resilience layer.
     """
 
     uid: str
@@ -254,6 +256,8 @@ class UnitResult:
     cached: bool = False
     attempts: int = 1
     quarantined: bool = False
+    timeouts: int = 0
+    crashes: int = 0
 
 
 class ResultCache:
@@ -668,13 +672,15 @@ class RetryPolicy:
         self,
         result: UnitResult,
         attempt: int,
-        spent: Sequence[float],
+        tally: Sequence[float],
         quarantine: bool,
         emit: Callable[[str, dict], None] = _quiet,
     ) -> UnitResult:
-        """Stamp a final result: timing over every attempt, the attempt
-        count and the quarantine mark (announced as ``fault.quarantine``)."""
-        result.cpu_seconds, result.wall_seconds = spent
+        """Stamp a final result: the ``tally`` of every attempt, the
+        attempt count and the quarantine mark (announced as
+        ``fault.quarantine``)."""
+        (result.cpu_seconds, result.wall_seconds,
+         result.timeouts, result.crashes) = tally
         result.attempts = attempt
         result.quarantined = quarantine
         if quarantine:
@@ -692,17 +698,21 @@ class RetryPolicy:
         self,
         result: UnitResult,
         attempt: int,
-        spent: List[float],
+        tally: List[float],
         emit: Callable[[str, dict], None] = _quiet,
         draining: bool = False,
     ) -> Optional[float]:
         """Account one attempt; the delay before the next, or None.
 
-        ``spent`` is the unit's running ``[cpu, wall]`` total.  None
-        means ``result`` is final and stamped (see :meth:`finish`).
+        ``tally`` is the unit's running ``[cpu, wall, timeouts,
+        crashes]`` total.  None means ``result`` is final and stamped
+        (see :meth:`finish`).
         """
-        spent[0] += result.cpu_seconds
-        spent[1] += result.wall_seconds
+        error = (result.error or {}).get("type")
+        tally[0] += result.cpu_seconds
+        tally[1] += result.wall_seconds
+        tally[2] += error == "WorkerTimeout"
+        tally[3] += error == "WorkerCrash"
         answer, delay = self.decide(result, attempt, draining)
         if answer == RETRY:
             emit(
@@ -715,7 +725,7 @@ class RetryPolicy:
                 },
             )
             return delay
-        self.finish(result, attempt, spent, answer == QUARANTINE, emit)
+        self.finish(result, attempt, tally, answer == QUARANTINE, emit)
         return None
 
 
@@ -934,7 +944,7 @@ async def run_unit(
     emit = on_event if on_event is not None else _quiet
     drain = drain if drain is not None else Drain()
     context = _pool_context()
-    spent = [0.0, 0.0]
+    tally = [0.0, 0.0, 0, 0]
     attempt = 1
     while True:
         async with slots if slots is not None else nullcontext():
@@ -944,13 +954,13 @@ async def run_unit(
             except (asyncio.CancelledError, KeyboardInterrupt):
                 done = running.collect() if running.conn.poll(0) else None
                 if flush is not None and done is not None and done.ok:
-                    policy.settle(done, attempt, spent)
+                    policy.settle(done, attempt, tally)
                     flush(done)
                 raise
             finally:
                 running.close()
         delay = policy.settle(
-            result, attempt, spent, emit, draining=drain.deadline is not None
+            result, attempt, tally, emit, draining=drain.deadline is not None
         )
         if delay is None:
             return result
@@ -968,7 +978,6 @@ def execute_units(
     retries: int = 0,
     backoff: float = 0.25,
     retry_seed: int = 0,
-    tracer=None,
     on_progress: Optional[Callable[[str, dict], None]] = None,
 ) -> Dict[str, UnitResult]:
     """Run every unit, in parallel when ``jobs > 1``; returns {uid: result}.
@@ -996,7 +1005,8 @@ def execute_units(
 
     ``on_progress(kind, info)`` receives every event unit targets
     pass to :func:`emit_progress`, stamped with the unit id, while the
-    units run; it is called in the calling process.
+    units run, and a supervised run's ``fault.*`` decisions; it is
+    called in the calling process.
     """
     ordered: List[WorkUnit] = list(units)
     seen = set()
@@ -1069,17 +1079,6 @@ def execute_units(
                 install_progress(previous)
         return results
 
-    record = tracer is not None and getattr(tracer, "enabled", False)
-
-    def emit(kind: str, info: dict) -> None:
-        # The tracer records the supervisor's fault.* decisions only;
-        # everything else an attempt reports is the units' progress.
-        if kind.startswith("fault."):
-            if record:
-                tracer.emit(kind, 0, **info)
-        elif on_progress is not None:
-            on_progress(kind, info)
-
     import asyncio
 
     policy = RetryPolicy(retries, backoff, retry_seed)
@@ -1088,7 +1087,7 @@ def execute_units(
         slots = asyncio.Semaphore(max(1, jobs))
         runs = {
             asyncio.ensure_future(run_unit(
-                unit, emit, timeout, policy, slots=slots,
+                unit, on_progress, timeout, policy, slots=slots,
                 flush=lambda result: absorb(result, quiet=True),
             ))
             for unit in pending
@@ -1144,39 +1143,19 @@ def quarantine_report(results: Dict[str, UnitResult]) -> Dict[str, dict]:
     }
 
 
-def fault_summary(
-    results: Dict[str, UnitResult], tracer=None
-) -> Dict[str, int]:
+def fault_summary(results: Dict[str, UnitResult]) -> Dict[str, int]:
     """Retry/timeout/crash/quarantine counters for one engine run.
 
-    Derived from final results plus (when a tracer was attached) the
-    per-attempt ``fault.*`` events, which also see failures that later
-    healed.  Rendered as ``fault.*`` statsdump rows and recorded in the
-    sweep manifest's ``fault`` section.
+    Attempt counts are summed over the results that ran (a cache hit
+    cost nothing); rendered as ``fault.*`` statsdump rows and recorded
+    in the sweep manifest's ``fault`` section.
     """
-    summary = {
-        "retries": sum(
-            result.attempts - 1 for result in results.values()
-            if not result.cached
-        ),
-        "timeouts": 0,
-        "crashes": 0,
+    ran = [result for result in results.values() if not result.cached]
+    return {
+        "retries": sum(result.attempts - 1 for result in ran),
+        "timeouts": sum(result.timeouts for result in ran),
+        "crashes": sum(result.crashes for result in ran),
         "quarantined": sum(
             1 for result in results.values() if result.quarantined
         ),
     }
-    if tracer is not None:
-        for event in tracer.events():
-            kind = event.get("kind", "")
-            if kind == "fault.timeout":
-                summary["timeouts"] += 1
-            elif kind == "fault.crash":
-                summary["crashes"] += 1
-    else:
-        for result in results.values():
-            error = result.error or {}
-            if error.get("type") == "WorkerTimeout":
-                summary["timeouts"] += 1
-            elif error.get("type") == "WorkerCrash":
-                summary["crashes"] += 1
-    return summary

@@ -247,7 +247,6 @@ def seed_sweep(
     timeout: Optional[float] = None,
     retries: int = 0,
     backoff: float = 0.25,
-    tracer=None,
     live: bool = False,
     sample_interval: Optional[int] = None,
     on_progress=None,
@@ -287,7 +286,6 @@ def seed_sweep(
         retries=retries,
         backoff=backoff,
         retry_seed=min(seeds),
-        tracer=tracer,
         on_progress=on_progress,
     )
     raise_on_failed_cells(results)

@@ -18,12 +18,12 @@ An **event** is a flat dict with two mandatory keys — ``kind`` (a short
 dotted string, e.g. ``"commit"``, ``"l1d_fill"``, ``"alloc.arm"``) and
 ``cycle`` (the simulated cycle, or the trace position for software-side
 events emitted while generating a trace) — plus kind-specific fields.
-The schema is documented in ``docs/INTERNALS.md`` §8.  The sweep
-engine's resilience layer reuses the same interface for engine-level
-``fault.*`` events (``fault.retry`` / ``fault.timeout`` /
-``fault.crash`` / ``fault.quarantine``, all with ``cycle=0`` and a
-``uid`` field — wall-clock machinery has no simulated cycle), which
-``run_all`` stores as ``events-engine.jsonl``; see INTERNALS.md §9.
+The schema is documented in ``docs/INTERNALS.md`` §8.  ``run_all``
+stores the sweep engine's ``fault.*`` events (``fault.retry`` /
+``fault.timeout`` / ``fault.crash`` / ``fault.quarantine``) in the
+same line format as ``events-engine.jsonl``, all with ``cycle=0`` and
+a ``uid`` field — wall-clock machinery has no simulated cycle; see
+INTERNALS.md §9.
 
 Events serialise to JSONL (one JSON object per line) via
 :func:`write_jsonl`/:func:`read_jsonl`, which is what ``repro run

@@ -21,9 +21,9 @@ fabric) for the architecture.  Quick tour:
   (``submit``, ``status``, ``watch``, ``workers``, ``jobs``,
   ``shutdown``), plus :func:`watch_resilient` for restart-surviving
   watches.
-* :mod:`repro.service.loadgen` — the chaos-identity proof behind
-  ``repro loadgen`` (worker SIGKILLs plus a fault plan against a real
-  fleet, ``BENCH_service.json``).
+* :mod:`repro.service.loadgen` — the fleet executor of the chaos proof
+  (:mod:`repro.faults.chaos`) behind ``repro loadgen`` (worker SIGKILLs
+  plus a fault plan against a real fleet, ``BENCH_service.json``).
 """
 
 from repro import lazy_exports

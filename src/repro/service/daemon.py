@@ -124,6 +124,7 @@ class Daemon:
             max_jobs=config.max_jobs,
             salt=config.salt,
             jobs_dir=self.state_dir / "jobs",
+            resilient=config.timeout is not None or config.retries > 0,
         )
         if self.fabric is not None:
             # Capacity is whatever the registered workers bring; with no

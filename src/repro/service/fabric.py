@@ -446,7 +446,7 @@ class FabricDispatcher:
             if answer == QUARANTINE:
                 self.lost_units += 1
                 return self.lost_policy.finish(
-                    lost, assignment, (0.0, 0.0), True, emit
+                    lost, assignment, (0.0, 0.0, 0, 0), True, emit
                 )
             self.reassignments += 1
 

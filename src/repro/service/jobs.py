@@ -154,13 +154,13 @@ def _sweep_grid(params: dict):
 
 def finalize_job(
     kind: str, params: dict, units: List[WorkUnit], results: Dict[str, UnitResult],
-    outdir: Optional[str],
+    outdir: Optional[str], resilient: bool = False,
 ) -> dict:
     """Fold a completed job's unit results into its final payload.
 
-    Runs in a worker thread (it writes artifacts).  Raises
-    ``SweepError`` for a sweep with failed cells; ``run_all`` degrades
-    into its manifest instead, exactly like the direct CLI path.
+    Raises ``SweepError`` for a sweep with failed cells; ``run_all``
+    degrades into its manifest instead, exactly like the direct CLI
+    path, with a ``fault`` section when ``resilient``.
     """
     if kind == "run_all":
         from repro.experiments.run_all import write_outputs
@@ -172,6 +172,7 @@ def finalize_job(
             scale=float(params.get("scale", 0.5)),
             seed=int(params.get("seed", 1234)),
             jobs=0,
+            resilient=resilient,
         )
         return {"outdir": str(outdir), "manifest": manifest}
     if kind == "sweep":

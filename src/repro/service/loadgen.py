@@ -1,22 +1,23 @@
-"""``repro loadgen``: prove the sweep fabric under chaos.
+"""``repro loadgen``: the chaos proof on the sweep fabric.
 
 Runs against *real* daemon processes: the coordinator and its workers
 are spawned as subprocesses of this harness, exactly as an operator
-would run them.  A canonical ``run_all`` job is run twice: a
-fault-free single-worker baseline, then a multi-worker run with a
-seeded unit-level fault plan active inside the workers
+would run them.  A canonical ``run_all`` job runs on a multi-worker
+fleet with a seeded unit-level fault plan active inside the workers
 (``REPRO_FAULT_PLAN``) *and* a seeded :class:`WorkerKillPlan` executed
 against the fleet — workers SIGKILLed mid-flight once the coordinator
-has redeemed N results, replacements rejoining after a delay.  The run
-passes only if the merged manifest is ``strip_volatile``-identical to
-the baseline for every non-quarantined unit and the quarantine set
-equals the fault plan's permanents exactly — worker death may cost
-reassignments, never results.
+has redeemed N results, replacements rejoining after a delay.  This is
+the fleet executor of :mod:`repro.faults.chaos`: its output is judged
+against the same fault-free direct ``run_all`` and by the same
+:func:`~repro.faults.chaos.verdict` as ``repro chaos`` — identity for
+every non-quarantined unit, quarantine equal to the plan's permanents,
+``fault`` counters that reach the plan, and every planned kill landed.
+Worker death may cost reassignments, never results.
 
-The outcome (identity verdict, quarantine sets, kills landed) is
-written to ``BENCH_service.json`` and checked in CI via ``--baseline``.
-No host time is recorded: ``benchmarks/e2e`` is the one timing record,
-and its ``service`` workload is the fabric under a submission storm.
+The run's record is written to ``BENCH_service.json`` and checked in
+CI via ``--baseline`` (:func:`compare_to_baseline`).  No host time is
+recorded: ``benchmarks/e2e`` is the one timing record, and its
+``service`` workload is the fabric under a submission storm.
 """
 
 from __future__ import annotations
@@ -28,41 +29,42 @@ import subprocess
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from repro.faults.plan import FaultPlan, WorkerKillPlan
+from repro.faults.plan import WorkerKillPlan
 from repro.service.client import ServiceClient, ServiceError, wait_for_daemon
 
 #: Format tag of the committed benchmark artifact.
 FORMAT = "bench-service/v2"
 
+#: The fleet's chaos shape, pinned as ``BENCH_service.json``'s
+#: ``config``: the kill plan's seed, the fault plan's seed, the
+#: canonical job's scale, the fleet (workers and slots per worker), the
+#: seeded kills and the unhealable faults (the expected quarantine).
+CONFIG = {
+    "chaos_workers": 2,
+    "fault_seed": 7,
+    "kills": 1,
+    "permanent": 1,
+    "scale": 0.05,
+    "seed": 11,
+    "slots_per_worker": 2,
+}
+
 #: Experiments of the canonical chaos job: every run_all experiment
-#: without a fixed large-scale override, so the job tracks ``--scale``
-#: and stays CI-sized.
+#: without a fixed large-scale override, so the job stays CI-sized.
 FAST_EXPERIMENTS = (
     "table1", "table2", "table3", "fig7", "fig8",
     "intext", "security", "stalls",
 )
 
+#: Worker-side per-unit wall-clock kill and retry budget.
+UNIT_TIMEOUT = 120.0
+UNIT_RETRIES = 2
 
-@dataclass
-class LoadgenOptions:
-    """Knobs of one loadgen run (defaults: the committed bench shape)."""
-
-    out: str
-    seed: int = 11
-    fault_seed: int = 7
-    slots: int = 2  # per worker
-    scale: float = 0.05
-    chaos_workers: int = 2
-    kills: int = 1
-    permanent: int = 1
-    timeout: float = 120.0  # per-unit wall-clock kill (worker-side)
-    retries: int = 2  # worker-side retry budget per unit
-    job_deadline: float = 600.0  # give up waiting for any one job
-    quiet: bool = False
+#: How long to wait for the chaos job before giving up.
+JOB_DEADLINE = 600.0
 
 
 # ---------------------------------------------------------------- fleet
@@ -79,13 +81,11 @@ class Fleet:
     def __init__(
         self,
         state_dir: Path,
-        options: LoadgenOptions,
         worker_env: Optional[Dict[str, str]] = None,
         max_jobs: int = 16,
     ) -> None:
         self.state_dir = Path(state_dir)
         self.state_dir.mkdir(parents=True, exist_ok=True)
-        self.options = options
         self.worker_env = dict(worker_env or {})
         self.max_jobs = max_jobs
         self.socket_dir = Path(tempfile.mkdtemp(prefix="repro-fab-"))
@@ -113,8 +113,8 @@ class Fleet:
                 "--state-dir", str(self.state_dir),
                 "--socket", self.socket_path,
                 "--max-jobs", str(self.max_jobs),
-                "--timeout", str(self.options.timeout),
-                "--retries", str(self.options.retries),
+                "--timeout", str(UNIT_TIMEOUT),
+                "--retries", str(UNIT_RETRIES),
                 "--heartbeat", "0.5",
                 "--drain-grace", "30",
             ],
@@ -134,7 +134,7 @@ class Fleet:
                 sys.executable, "-m", "repro", "worker",
                 "--connect", self.socket_path,
                 "--name", f"w{index}",
-                "--slots", str(self.options.slots),
+                "--slots", str(CONFIG["slots_per_worker"]),
             ],
             env=self._env(self.worker_env),
             stdout=log,
@@ -209,28 +209,12 @@ class Fleet:
             pass
 
 
-# ---------------------------------------------------------- chaos phase
+# ---------------------------------------------------------- chaos run
 
 
-def _submit_run_all(
-    fleet: Fleet, outdir: Path, options: LoadgenOptions
-) -> str:
-    with fleet.client() as client:
-        job = client.submit(
-            "run_all",
-            {
-                "scale": options.scale,
-                "seed": 1234,
-                "names": list(FAST_EXPERIMENTS),
-                "outdir": str(outdir),
-            },
-        )
-    return job["id"]
-
-
-def _wait_job(fleet: Fleet, job_id: str, deadline_s: float) -> Dict:
+def _wait_job(fleet: Fleet, job_id: str) -> Dict:
     """Poll a job to terminal state, tolerating coordinator hiccups."""
-    deadline = time.monotonic() + deadline_s
+    deadline = time.monotonic() + JOB_DEADLINE
     while time.monotonic() < deadline:
         try:
             with fleet.client() as client:
@@ -240,21 +224,17 @@ def _wait_job(fleet: Fleet, job_id: str, deadline_s: float) -> Dict:
         except (OSError, ServiceError):
             pass
         time.sleep(0.1)
-    raise TimeoutError(f"job {job_id} still open after {deadline_s}s")
+    raise TimeoutError(f"job {job_id} still open after {JOB_DEADLINE}s")
 
 
 def _execute_kill_plan(
-    fleet: Fleet,
-    kill_plan: WorkerKillPlan,
-    job_id: str,
-    options: LoadgenOptions,
-    say,
+    fleet: Fleet, kill_plan: WorkerKillPlan, job_id: str, say
 ) -> List[Dict]:
     """Watch the redeemed-results counter; fire kills on schedule."""
     executed: List[Dict] = []
     pending = sorted(kill_plan.kills, key=lambda kill: kill.after_results)
     rejoin_at: List[float] = []
-    deadline = time.monotonic() + options.job_deadline
+    deadline = time.monotonic() + JOB_DEADLINE
     while (pending or rejoin_at) and time.monotonic() < deadline:
         now = time.monotonic()
         while rejoin_at and now >= rejoin_at[0]:
@@ -294,83 +274,60 @@ def _execute_kill_plan(
                     )
         if job_state in ("done", "failed"):
             # Too late for any kill still pending — record that, the
-            # bench gate checks kills actually landed.
+            # verdict checks kills actually landed.
             break
         time.sleep(0.05)
     return executed
 
 
-def run_chaos_phase(options: LoadgenOptions, say) -> Dict:
-    out = Path(options.out)
+def run_loadgen(outdir, quiet: bool = False) -> Dict:
+    """Run the fleet's chaos proof into ``outdir``; returns the bench
+    payload, whose ``chaos`` record :func:`compare_to_baseline` judges."""
     from repro.experiments.run_all import experiment_units
-    from repro.faults.chaos import check_identity
+    from repro.faults.chaos import chaos_record, compile_plan, direct_baseline
 
-    units = experiment_units(
-        options.scale, 1234, names=list(FAST_EXPERIMENTS)
+    say = (lambda *_: None) if quiet else print
+    out = Path(outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    scale, names = CONFIG["scale"], list(FAST_EXPERIMENTS)
+
+    say("loadgen: fault-free direct baseline")
+    baseline_run = direct_baseline(out / "baseline-run", scale, 1234, 2, names)
+    units = experiment_units(scale, 1234, names=names)
+    fault_plan, fault_path = compile_plan(
+        out, units, CONFIG["fault_seed"], ("transient", "crash"), 0.5,
+        CONFIG["permanent"], 300.0, lambda line: say(f"loadgen: {line}"),
     )
-
-    # -- fault-free single-worker baseline ------------------------------
-    say("loadgen: chaos baseline (1 worker, no faults)")
-    baseline_run = out / "baseline-run"
-    fleet = Fleet(out / "baseline-state", options)
-    try:
-        fleet.start_coordinator()
-        fleet.start_worker()
-        fleet.wait_capacity(1)
-        job_id = _submit_run_all(fleet, baseline_run, options)
-        job = _wait_job(fleet, job_id, options.job_deadline)
-        if job["state"] != "done":
-            raise RuntimeError(
-                f"baseline job failed: {job.get('error')}"
-            )
-    finally:
-        fleet.shutdown()
-
-    # -- seeded fault plan + kill schedule ------------------------------
-    fault_plan = FaultPlan(seed=options.fault_seed).compile_mix(
-        [unit.uid for unit in units],
-        kinds=("transient", "crash"),
-        fraction=0.5,
-        permanent=options.permanent,
-        hang_seconds=300.0,
-    )
-    fault_path = fault_plan.write(out / "fault-plan.json")
     kill_plan = WorkerKillPlan.compile(
-        seed=options.seed,
-        workers=options.chaos_workers,
-        kills=options.kills,
+        seed=CONFIG["seed"],
+        workers=CONFIG["chaos_workers"],
+        kills=CONFIG["kills"],
         total_units=len(units),
         rejoin_delay=1.0,
     )
     kill_plan.write(out / "kill-plan.json")
     say(
-        "loadgen: chaos run "
-        f"({options.chaos_workers} workers, {options.kills} kill(s), "
-        + ", ".join(
-            f"{count} {kind}"
-            for kind, count in fault_plan.kind_counts().items()
-        )
-        + f", {options.permanent} permanent)"
+        f"loadgen: chaos run ({CONFIG['chaos_workers']} workers, "
+        f"{CONFIG['kills']} kill(s))"
     )
 
-    # -- chaos run: multi-worker + fault env + kill schedule ------------
     chaos_run = out / "chaos-run"
     fleet = Fleet(
-        out / "chaos-state",
-        options,
-        worker_env={"REPRO_FAULT_PLAN": str(fault_path)},
+        out / "chaos-state", worker_env={"REPRO_FAULT_PLAN": str(fault_path)}
     )
-    kills_executed: List[Dict] = []
     try:
         fleet.start_coordinator()
-        for _ in range(options.chaos_workers):
+        for _ in range(CONFIG["chaos_workers"]):
             fleet.start_worker()
-        fleet.wait_capacity(options.chaos_workers)
-        job_id = _submit_run_all(fleet, chaos_run, options)
-        kills_executed = _execute_kill_plan(
-            fleet, kill_plan, job_id, options, say
-        )
-        job = _wait_job(fleet, job_id, options.job_deadline)
+        fleet.wait_capacity(CONFIG["chaos_workers"])
+        with fleet.client() as client:
+            job_id = client.submit(
+                "run_all",
+                {"scale": scale, "seed": 1234, "names": names,
+                 "outdir": str(chaos_run)},
+            )["id"]
+        kills_executed = _execute_kill_plan(fleet, kill_plan, job_id, say)
+        job = _wait_job(fleet, job_id)
         if job["state"] != "done":
             raise RuntimeError(f"chaos job failed: {job.get('error')}")
         with fleet.client() as client:
@@ -384,95 +341,47 @@ def run_chaos_phase(options: LoadgenOptions, say) -> Dict:
     if journal.is_file():
         shutil.copy(journal, chaos_run / "fabric-events.jsonl")
 
-    quarantine_expected = fault_plan.permanent_uids()
-    quarantine_actual, mismatches, problems = check_identity(
-        baseline_run, chaos_run, quarantine_expected
+    record = chaos_record(baseline_run, chaos_run, fault_plan)
+    record.update(
+        fabric=fabric_stats,
+        kills_executed=kills_executed,
+        kills_planned=CONFIG["kills"],
+        permanent_faults=CONFIG["permanent"],
+        units=len(units),
+        workers=CONFIG["chaos_workers"],
     )
-    identity = not mismatches and not problems
-    return {
-        "workers": options.chaos_workers,
-        "kills_planned": options.kills,
-        "kills_executed": kills_executed,
-        "permanent_faults": options.permanent,
-        "fault_kinds": fault_plan.kind_counts(),
-        "identity": identity,
-        "mismatches": mismatches,
-        "quarantine_expected": quarantine_expected,
-        "quarantine_actual": quarantine_actual,
-        "fabric": fabric_stats,
-        "units": len(units),
-    }
+    return {"format": FORMAT, "config": dict(CONFIG), "chaos": record}
 
 
 # ----------------------------------------------------------- bench gate
 
 
-def compare_to_baseline(current: Dict, baseline: Dict) -> List[str]:
-    """Deterministic-field drift between a run and the committed bench.
+def compare_to_baseline(current: Dict, baseline: Optional[Dict]) -> List[str]:
+    """Every reason a bench payload fails: the chaos verdict on its
+    record, plus drift from the committed bench when one is given.
 
-    Everything compared here is exact by construction, so any
-    difference is a real behaviour change.
+    Everything compared is exact by construction, so any difference is
+    a real behaviour change.
     """
-    problems: List[str] = []
-    if baseline.get("format") != current.get("format"):
-        problems.append(
-            f"format: {baseline.get('format')} != {current.get('format')}"
-        )
-    if baseline.get("config") != current.get("config"):
-        problems.append(
-            "config differs from baseline (regenerate BENCH_service.json "
-            "when loadgen parameters change)"
-        )
+    from repro.faults.chaos import verdict
+
     chaos = current.get("chaos", {})
-    base_chaos = baseline.get("chaos", {})
-    if not chaos.get("identity"):
-        problems.append(
-            "chaos identity failed: "
-            + "; ".join(chaos.get("mismatches", ["(no detail)"]))
-        )
-    if chaos.get("quarantine_expected") != chaos.get("quarantine_actual"):
-        problems.append(
-            f"quarantine {chaos.get('quarantine_actual')} != plan "
-            f"permanents {chaos.get('quarantine_expected')}"
-        )
-    if base_chaos and chaos.get("quarantine_expected") != base_chaos.get(
-        "quarantine_expected"
-    ):
-        problems.append(
-            "fault plan drifted: expected quarantine set changed"
-        )
-    if len(chaos.get("kills_executed", [])) < chaos.get("kills_planned", 0):
-        problems.append(
-            f"only {len(chaos.get('kills_executed', []))} of "
-            f"{chaos.get('kills_planned')} planned kill(s) landed "
-            "mid-flight"
-        )
-    return problems
-
-
-def run_loadgen(options: LoadgenOptions) -> Dict:
-    """Run the chaos proof; returns the bench payload (not yet gated)."""
-    say = (lambda *_: None) if options.quiet else print
-    out = Path(options.out)
-    out.mkdir(parents=True, exist_ok=True)
-
-    chaos = run_chaos_phase(options, say)
-    say(
-        "loadgen: chaos identity "
-        + ("PASS" if chaos["identity"] else "FAIL")
-        + f" (quarantine {chaos['quarantine_actual']})"
-    )
-
-    return {
-        "format": FORMAT,
-        "config": {
-            "seed": options.seed,
-            "fault_seed": options.fault_seed,
-            "scale": options.scale,
-            "slots_per_worker": options.slots,
-            "chaos_workers": options.chaos_workers,
-            "kills": options.kills,
-            "permanent": options.permanent,
-        },
-        "chaos": chaos,
-    }
+    problems: List[str] = []
+    if baseline is not None:
+        if baseline.get("format") != current.get("format"):
+            problems.append(
+                f"format: {baseline.get('format')} != {current.get('format')}"
+            )
+        if baseline.get("config") != current.get("config"):
+            problems.append(
+                "config differs from baseline (regenerate "
+                "BENCH_service.json when the loadgen shape changes)"
+            )
+        base_chaos = baseline.get("chaos", {})
+        drifted = [
+            key for key in ("fault_kinds", "quarantine_expected")
+            if chaos.get(key) != base_chaos.get(key)
+        ]
+        if drifted:
+            problems.append(f"fault plan drifted: {', '.join(drifted)}")
+    return problems + verdict(chaos)

@@ -261,6 +261,8 @@ def result_to_wire(result) -> Dict:
         "wall_seconds": result.wall_seconds,
         "attempts": result.attempts,
         "quarantined": result.quarantined,
+        "timeouts": result.timeouts,
+        "crashes": result.crashes,
     }
 
 
@@ -276,4 +278,6 @@ def result_from_wire(data: Dict):
         wall_seconds=float(data.get("wall_seconds", 0.0)),
         attempts=int(data.get("attempts", 1)),
         quarantined=bool(data.get("quarantined", False)),
+        timeouts=int(data.get("timeouts", 0)),
+        crashes=int(data.get("crashes", 0)),
     )

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
 from repro.harness.parallel import (
@@ -86,6 +86,9 @@ class Scheduler:
     result and ``begin_drain(grace)`` starts a drain: the engine's
     runner with a :class:`~repro.harness.parallel.Drain` for a local
     daemon, a ``FabricDispatcher``'s methods for a coordinator.
+    ``resilient`` (units run under a timeout or retry budget) gives a
+    ``run_all`` job's manifest its ``fault`` section, as it does a CLI
+    run's.
     """
 
     def __init__(
@@ -97,6 +100,7 @@ class Scheduler:
         max_jobs: int = 8,
         salt: Optional[str] = None,
         jobs_dir=None,
+        resilient: bool = False,
     ) -> None:
         self.run_unit = run_unit
         self.begin_drain = begin_drain
@@ -105,6 +109,7 @@ class Scheduler:
         self.max_jobs = max_jobs
         self.salt = salt
         self.jobs_dir = jobs_dir  # default run_all artifact root
+        self.resilient = resilient
         self.jobs: Dict[str, Job] = {}
         self.draining = False
         self.executions_started = 0
@@ -327,16 +332,8 @@ class Scheduler:
         self._inflight.pop(execution.key, None)
         aborted = (result.error or {}).get("type") == WORKER_ABORTED
         for job, uid in execution.subscribers:
-            delivered = UnitResult(
-                uid=uid,
-                ok=result.ok,
-                value=result.value,
-                error=result.error,
-                cpu_seconds=result.cpu_seconds,
-                wall_seconds=result.wall_seconds,
-                cached=job.unit_state.get(uid) == "shared",
-                attempts=result.attempts,
-                quarantined=result.quarantined,
+            delivered = replace(
+                result, uid=uid, cached=job.unit_state.get(uid) == "shared"
             )
             if aborted:
                 state = "aborted"
@@ -379,12 +376,13 @@ class Scheduler:
         asyncio.ensure_future(self._finalize(job))
 
     async def _finalize(self, job: Job) -> None:
-        import asyncio
-
+        # On the loop thread, blocking it while the artifacts are
+        # written: a helper thread would outlive the job, and every
+        # later attempt would fork from a multi-threaded process.
         try:
-            job.result = await asyncio.to_thread(
-                finalize_job,
+            job.result = finalize_job(
                 job.kind, job.params, job.units, job.results, job.outdir,
+                self.resilient,
             )
             job.state = "done"
         except Exception as error:  # noqa: BLE001 — job fails, daemon lives

@@ -293,8 +293,6 @@ class TestArgumentValidation:
     @pytest.mark.parametrize(
         "argv",
         [
-            ["loadgen", "DIR", "--kills", "-1"],
-            ["loadgen", "DIR", "--permanent", "-1"],
             ["chaos", "--permanent", "-1"],
         ],
     )

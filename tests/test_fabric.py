@@ -14,6 +14,7 @@ Three layers of test:
 """
 
 import asyncio
+import copy
 import json
 import shutil
 import signal
@@ -27,9 +28,10 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.modes import Mode
 from repro.harness.configs import DefenseSpec
-from repro.harness.parallel import WorkUnit
+from repro.harness.parallel import UnitResult, WorkUnit
 from repro.faults.plan import WorkerKill, WorkerKillPlan
 from repro.service import ServiceClient, ServiceError, wait_for_daemon
 from repro.service import protocol
@@ -39,6 +41,7 @@ from repro.service.fabric import (
     FabricDispatcher,
     rendezvous_rank,
 )
+from repro.service.loadgen import compare_to_baseline
 from repro.service.worker import WorkerConfig, WorkerDaemon
 
 
@@ -58,6 +61,13 @@ def make_unit(uid="bzip2/Secure Heap/1", **kwargs):
 
 
 class TestWireMarshalling:
+    def test_result_fault_counts_round_trip(self):
+        result = UnitResult(
+            uid="u", ok=True, value="v", attempts=3, timeouts=1, crashes=1
+        )
+        wire = json.loads(json.dumps(protocol.result_to_wire(result)))
+        assert protocol.result_from_wire(wire) == result
+
     def test_defense_spec_kwargs_round_trip(self):
         spec = DefenseSpec.rest("Secure Heap", mode=Mode.SECURE)
         unit = make_unit(profile="bzip2", spec=spec, scale=0.05, seed=1)
@@ -748,3 +758,62 @@ class TestFabricProgress:
         assert [(event["uid"], event["attempt"]) for event in retries] == [
             (uid, 1)
         ]
+
+
+# -- the fleet gate (``repro loadgen --baseline``) on synthetic payloads -----
+
+BENCH = json.loads(
+    (Path(repro.__file__).resolve().parents[2] / "BENCH_service.json")
+    .read_text()
+)
+
+#: Fault counters of a healthy fleet run of the committed plan.
+HEALED = {"crashes": 3, "quarantined": 1, "retries": 5, "timeouts": 0}
+
+
+def bench_with(config=None, **chaos):
+    current = copy.deepcopy(BENCH)
+    current["config"].update(config or {})
+    current["chaos"].update({"fault": HEALED, **chaos})
+    return current
+
+
+class TestFleetGate:
+    def test_committed_bench_passes_against_itself(self):
+        assert compare_to_baseline(BENCH, BENCH) == []
+
+    def test_healed_run_passes(self):
+        assert compare_to_baseline(bench_with(), BENCH) == []
+
+    @pytest.mark.parametrize(
+        "current, line",
+        [
+            (
+                bench_with(config={"kills": 2}),
+                "config differs from baseline (regenerate "
+                "BENCH_service.json when the loadgen shape changes)",
+            ),
+            (
+                bench_with(fault_kinds={"crash": 1, "transient": 3}),
+                "fault plan drifted: fault_kinds",
+            ),
+            (
+                bench_with(kills_executed=[]),
+                "only 0 of 1 planned kill(s) landed mid-flight",
+            ),
+            (
+                bench_with(
+                    identity=False,
+                    mismatches=["fig7: artifact bytes differ"],
+                ),
+                "fig7: artifact bytes differ",
+            ),
+            (
+                bench_with(fault={**HEALED, "crashes": 1}),
+                "fault.crashes: 1 counted, 2 planned",
+            ),
+        ],
+        ids=["config", "plan", "kill", "identity", "crashes"],
+    )
+    def test_each_problem_gives_its_one_line(self, current, line):
+        assert compare_to_baseline(current, BENCH) == [line]

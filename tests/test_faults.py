@@ -43,7 +43,6 @@ from repro.harness.parallel import (
     strip_volatile,
 )
 from repro.harness.statsdump import fault_rows, format_fault_stats
-from repro.obs.tracer import RingTracer
 
 #: Cheap experiment subset shared with test_parallel_engine.
 FAST_SCALES = {"table1": None, "table2": None, "_selftest": None}
@@ -180,15 +179,11 @@ class TestResilienceLayer:
             faults={"u1": FaultSpec(kind="transient", fail_attempts=2)},
         )
         activate(monkeypatch, tmp_path, plan)
-        tracer = RingTracer()
-        results = execute_units(
-            units, jobs=2, retries=3, tracer=tracer, **FAST
-        )
+        results = execute_units(units, jobs=2, retries=3, **FAST)
         assert results["u1"].ok and results["u1"].attempts == 3
         assert results["u0"].ok and results["u0"].attempts == 1
         assert results["u1"].value == "selftest ok: scale=1.0 seed=1"
-        kinds = tracer.counts()
-        assert kinds.get("fault.retry") == 2
+        assert fault_summary(results)["retries"] == 2
 
     def test_crash_is_recovered_not_deadlocked(self, monkeypatch, tmp_path):
         # A worker SIGKILL-style hard death (os._exit skips all Python
@@ -199,13 +194,10 @@ class TestResilienceLayer:
             seed=0, faults={"u2": FaultSpec(kind="crash", fail_attempts=1)}
         )
         activate(monkeypatch, tmp_path, plan)
-        tracer = RingTracer()
-        results = execute_units(
-            units, jobs=2, retries=1, tracer=tracer, **FAST
-        )
+        results = execute_units(units, jobs=2, retries=1, **FAST)
         assert all(result.ok for result in results.values())
         assert results["u2"].attempts == 2
-        assert tracer.counts().get("fault.crash") == 1
+        assert fault_summary(results)["crashes"] == 1
 
     def test_permanent_crash_quarantined(self, monkeypatch, tmp_path):
         units = selftest_units(3)
@@ -234,13 +226,11 @@ class TestResilienceLayer:
             },
         )
         activate(monkeypatch, tmp_path, plan)
-        tracer = RingTracer()
         results = execute_units(
-            units, jobs=2, retries=1, timeout=1.0, backoff=0.02,
-            tracer=tracer,
+            units, jobs=2, retries=1, timeout=1.0, backoff=0.02
         )
         assert results["u0"].ok and results["u0"].attempts == 2
-        assert tracer.counts().get("fault.timeout") == 1
+        assert fault_summary(results)["timeouts"] == 1
         # the killed attempt's wall time is accounted
         assert results["u0"].wall_seconds >= 1.0
 
@@ -300,11 +290,8 @@ class TestResilienceLayer:
             },
         )
         activate(monkeypatch, tmp_path, plan)
-        tracer = RingTracer()
-        results = execute_units(
-            units, jobs=2, retries=1, tracer=tracer, **FAST
-        )
-        summary = fault_summary(results, tracer)
+        results = execute_units(units, jobs=2, retries=1, **FAST)
+        summary = fault_summary(results)
         assert summary["retries"] == 2  # one heal + one futile retry
         assert summary["quarantined"] == 1
         text = format_fault_stats(summary)
@@ -539,11 +526,12 @@ class TestChaosIdentity:
             permanent=1,
             quiet=True,
         )
+        quarantined = report.record["quarantine_actual"]
         assert report.problems == []
-        assert report.mismatches == []
+        assert report.record["mismatches"] == []
         assert report.ok
-        assert len(report.quarantined) == 1
-        assert report.quarantined == report.plan.permanent_uids()
+        assert len(quarantined) == 1
+        assert quarantined == report.plan.permanent_uids()
         # the degraded manifest itself strips clean against baseline
         # once quarantined units are excluded
         baseline = json.loads(
@@ -551,7 +539,7 @@ class TestChaosIdentity:
         )
         chaos = json.loads((report.chaos_dir / "manifest.json").read_text())
         for manifest in (baseline, chaos):
-            for uid in report.quarantined:
+            for uid in quarantined:
                 manifest["experiments"].pop(uid, None)
         assert strip_volatile(baseline) == strip_volatile(chaos)
 
@@ -575,7 +563,7 @@ class TestChaosIdentity:
             quiet=True,
         )
         hangs = report.plan.kind_counts()["hang"]
-        assert report.mismatches == []
+        assert report.record["mismatches"] == []
         assert not report.ok
         assert f"fault.timeouts: 0 counted, {hangs} planned" in (
             report.problems

@@ -292,6 +292,34 @@ class TestFaultedJobs:
         assert "fault.retry" in kinds
         assert "fault.quarantine" in kinds
 
+    def test_run_all_job_counts_faults_like_direct_cli(
+        self, tmp_path, monkeypatch
+    ):
+        """Under a retry budget a run_all job's manifest carries the
+        ``fault`` section a CLI run_all with that budget writes."""
+        plan = FaultPlan(seed=1)
+        plan.faults["table2"] = FaultSpec(kind="crash", fail_attempts=1)
+        monkeypatch.setenv(
+            "REPRO_FAULT_PLAN", str(plan.write(tmp_path / "plan.json"))
+        )
+        params = {"names": ["table1", "table2"], "scale": 0.05, "seed": 99}
+        direct = run_all(
+            str(tmp_path / "direct"), retries=1, backoff=0.05,
+            use_cache=False, quiet=True, **params,
+        )
+        cli = json.loads((direct / "manifest.json").read_text())["fault"]
+        with running_daemon(retries=1, backoff=0.05) as (
+            daemon, socket_path, state,
+        ):
+            with ServiceClient(socket_path=socket_path) as client:
+                job = client.submit(
+                    "run_all", {**params, "outdir": str(tmp_path / "job")}
+                )
+                final = client.wait(job["id"])
+        fault = final["result"]["manifest"]["fault"]
+        assert fault == cli
+        assert (fault["crashes"], fault["retries"]) == (1, 1)
+
     def test_run_all_job_degrades_like_direct_cli(self, monkeypatch):
         """run_all jobs mirror CLI semantics: a failed experiment lands
         as a structured manifest error, the job still completes."""

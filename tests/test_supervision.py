@@ -20,8 +20,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.faults import ENV_VAR, FaultPlan
-from repro.faults.chaos import check_identity
+from repro.faults import ENV_VAR, FaultPlan, FaultSpec
+from repro.faults.chaos import chaos_record, check_identity, verdict
 from repro.harness.parallel import (
     DONE,
     QUARANTINE,
@@ -131,20 +131,21 @@ def test_policy_decisions(case, result, attempt, draining, answer):
 
 def test_policy_settle_stamps_final_result():
     policy = RetryPolicy(retries=1, backoff=0.0)
-    spent = [0.0, 0.0]
+    tally = [0.0, 0.0, 0, 0]
     events = []
 
     def emit(kind, info):
         events.append((kind, info))
 
-    first = failure()
+    first = failure("WorkerTimeout")
     first.cpu_seconds, first.wall_seconds = 1.0, 2.0
-    assert policy.settle(first, 1, spent, emit) == 0.0
+    assert policy.settle(first, 1, tally, emit) == 0.0
     second = failure()
     second.cpu_seconds, second.wall_seconds = 0.5, 0.25
-    assert policy.settle(second, 2, spent, emit) is None
+    assert policy.settle(second, 2, tally, emit) is None
     assert second.quarantined and second.attempts == 2
     assert (second.cpu_seconds, second.wall_seconds) == (1.5, 2.25)
+    assert (second.timeouts, second.crashes) == (1, 0)
     assert [kind for kind, _ in events] == ["fault.retry", "fault.quarantine"]
     assert events[1][1] == {"uid": "u", "attempts": 2, "error": "RuntimeError"}
 
@@ -152,7 +153,7 @@ def test_policy_settle_stamps_final_result():
 def test_policy_drain_is_final_and_not_quarantined():
     result = failure()
     assert RetryPolicy(retries=5).settle(
-        result, 1, [0.0, 0.0], draining=True
+        result, 1, [0.0, 0.0, 0, 0], draining=True
     ) is None
     assert not result.quarantined and result.attempts == 1
 
@@ -170,6 +171,7 @@ class TestUnitExecutor:
         assert "exit code 3" in result.error["message"]
         [crash] = [info for kind, info in events if kind == "fault.crash"]
         assert crash["exit_code"] == 3
+        assert (result.timeouts, result.crashes) == (0, 1)
 
     def test_retry_to_success(self, tmp_path):
         result, events = run_executor(
@@ -208,6 +210,7 @@ class TestUnitExecutor:
         assert not result.ok and result.quarantined
         assert result.error["type"] == "WorkerTimeout"
         assert result.attempts == 2
+        assert (result.timeouts, result.crashes) == (2, 0)
         assert [kind for kind, _ in events] == [
             "fault.timeout", "fault.retry", "fault.timeout",
             "fault.quarantine",
@@ -236,34 +239,34 @@ class TestUnitExecutor:
 @pytest.mark.parametrize("supervised", [False, True])
 def test_engine_progress_reaches_on_progress(tmp_path, supervised):
     """In process and over a supervised attempt's pipe alike, a unit's
-    progress events reach ``on_progress`` in order; the tracer still
-    records only the supervisor's ``fault.*`` decisions."""
-    from repro.obs.tracer import RingTracer
-
+    progress events reach ``on_progress`` in order, and so do the
+    supervisor's ``fault.*`` decisions between its attempts."""
     marker = tmp_path / "m"
     if not supervised:
         marker.touch()  # the one in-process attempt succeeds
     unit = unit_of("report_then_fail_once", marker=str(marker), steps=3)
     progress = []
-    tracer = RingTracer()
     results = execute_units(
         [unit], retries=1 if supervised else 0, backoff=0.01,
-        tracer=tracer,
         on_progress=lambda kind, info: progress.append((kind, info)),
     )
     attempts = results[unit.uid].attempts
     assert results[unit.uid].ok and attempts == (2 if supervised else 1)
     steps = [("step", {"uid": unit.uid, "n": n}) for n in range(3)]
-    assert progress == steps * attempts
-    assert [event["kind"] for event in tracer.events()] == (
-        ["fault.retry"] if supervised else []
+    assert [event for event in progress if event[0] == "step"] == (
+        steps * attempts
+    )
+    assert [kind for kind, _ in progress] == (
+        ["step"] * 3 + ["fault.retry"] + ["step"] * 3 if supervised
+        else ["step"] * 3
     )
 
 
 _FORK_THREADS = """
-import asyncio, json, threading
+import asyncio, functools, json, sys, threading
 from repro.harness import parallel
 from repro.service import protocol
+from repro.service.scheduler import Scheduler
 from repro.service.worker import WorkerConfig, WorkerDaemon
 
 counts = []
@@ -282,23 +285,40 @@ worker = WorkerDaemon(WorkerConfig(socket_path="unused"))
 asyncio.run(worker._run_assignment(
     {"lease": "l1", "unit": protocol.unit_to_wire(crash), "retries": 1}
 ))
+
+async def local_daemon():
+    drain = parallel.Drain()
+    scheduler = Scheduler(
+        functools.partial(parallel.run_unit, drain=drain), drain.begin,
+        None, jobs_dir=sys.argv[1],
+    )
+    for seed in (1, 2):  # the second job's attempt starts after the
+        job = scheduler.submit(  # first job finalized
+            "run_all", {"names": ["table2"], "scale": 0.01, "seed": seed}
+        )
+        await job.done_event.wait()
+        assert job.state == "done", job.error
+
+asyncio.run(local_daemon())
 print(json.dumps(counts))
 """
 
 
-def test_attempts_fork_from_a_single_threaded_process():
-    """Every attempt forks on the event loop's own thread, in a sweep
-    and in a fabric worker alike: forking a multi-threaded process can
-    deadlock the child (Python 3.12 warns on it)."""
+def test_attempts_fork_from_a_single_threaded_process(tmp_path):
+    """Every attempt forks on the event loop's own thread, in a sweep,
+    in a fabric worker and in a local daemon after a job finalized
+    alike: forking a multi-threaded process can deadlock the child
+    (Python 3.12 warns on it)."""
     env = dict(os.environ)
     env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
     done = subprocess.run(
-        [sys.executable, "-c", _FORK_THREADS],
+        [sys.executable, "-c", _FORK_THREADS, str(tmp_path)],
         capture_output=True, text=True, timeout=120, env=env,
     )
     assert done.returncode == 0, done.stderr
-    # three sweep units, then two attempts of the worker's crashing unit
-    assert json.loads(done.stdout) == [1] * 5
+    # three sweep units, two attempts of the worker's crashing unit,
+    # then one attempt of each local-daemon job
+    assert json.loads(done.stdout) == [1] * 7
 
 
 def test_sweep_nested_in_supervised_worker_under_fault_plan(
@@ -376,4 +396,20 @@ class TestChaosIdentity:
         assert problems == [
             "c: quarantined but its fault was healable",
             "d: permanently faulted but not quarantined",
+        ]
+
+    def test_fault_counters_below_the_plan_fail_the_verdict(self, tmp_path):
+        """A run that heals to identity but whose manifest counted no
+        crash fails: the planned crash never fired."""
+        base = write_run(
+            tmp_path / "base", {"a": record("a", 1, 1.0)}, {"a.txt": "A"}
+        )
+        chaos = write_run(
+            tmp_path / "chaos", {"a": record("a", 1, 1.0)}, {"a.txt": "A"}
+        )
+        plan = FaultPlan(seed=1)
+        plan.faults["a"] = FaultSpec(kind="crash", fail_attempts=1)
+        assert verdict(chaos_record(base, chaos, plan)) == [
+            "fault.crashes: 0 counted, 1 planned",
+            "fault.retries: 0 counted, 1 planned",
         ]

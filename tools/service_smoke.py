@@ -5,8 +5,10 @@ Boots a real daemon as a subprocess, runs the same scaled-down
 ``run_all`` three ways — directly (no service), and from two concurrent
 service clients — and asserts the service's core contracts:
 
-* **Identity**: every service job's manifest equals the direct run's
-  after ``strip_volatile``, and the artifact files are byte-identical.
+* **Identity**: every service job passes ``check_identity`` against the
+  direct run, the verdict every chaos proof uses: each experiment
+  record equals the direct run's after ``strip_volatile``, every
+  artifact is byte-identical, and nothing is quarantined.
 * **Single-flight dedup**: the two concurrent jobs together execute
   each unique unit exactly once (`executions == unique units`); the
   loser of each race attaches as `shared`/`cached`.
@@ -15,19 +17,18 @@ service clients — and asserts the service's core contracts:
   least one sampler ``sample`` event before its ``done`` frame.
 * **Clean shutdown**: the daemon drains on `shutdown` and exits 0.
 
-Exit code 0 is the pass signal; the daemon log is left in the state
-dir for artifact upload.
+Exit code 0 is the pass signal; the daemon log and the daemon's own
+output (``daemon.out``) are left in the state dir for artifact upload.
 """
 
 import argparse
-import json
 import subprocess
 import sys
 import threading
 from pathlib import Path
 
 from repro.experiments.run_all import run_all
-from repro.harness.parallel import strip_volatile
+from repro.faults.chaos import check_identity
 from repro.service import ServiceClient, wait_for_daemon
 
 
@@ -57,13 +58,12 @@ def main(argv=None):
         str(direct), scale=args.scale, seed=args.seed, jobs=1,
         use_cache=False, quiet=True, names=list(args.names),
     )
-    direct_manifest = strip_volatile(
-        json.loads((direct / "manifest.json").read_text())
-    )
 
     daemon = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve",
-         "--state-dir", str(state), "--slots", "2"]
+         "--state-dir", str(state), "--slots", "2"],
+        stdout=(state / "daemon.out").open("wb"),
+        stderr=subprocess.STDOUT,
     )
     try:
         wait_for_daemon(socket_path=socket_path, timeout=30)
@@ -103,20 +103,13 @@ def main(argv=None):
 
         unique_units = finals[0]["units"]["total"]
         for slot, final in enumerate(finals):
-            outdir = Path(final["outdir"])
-            manifest = strip_volatile(
-                json.loads((outdir / "manifest.json").read_text())
+            _, mismatches, problems = check_identity(
+                direct, Path(final["outdir"]), []
             )
             check(
-                manifest == direct_manifest,
-                f"client-{slot} manifest strip_volatile-identical to direct",
+                not mismatches and not problems,
+                f"client-{slot} identical to direct {mismatches + problems}",
             )
-            for name in args.names:
-                check(
-                    (outdir / f"{name}.txt").read_bytes()
-                    == (direct / f"{name}.txt").read_bytes(),
-                    f"client-{slot} artifact {name}.txt byte-identical",
-                )
 
         executed = sum(final["executed"] for final in finals)
         deduped = sum(final["dedup_hits"] for final in finals)
