@@ -293,6 +293,8 @@ class TestArgumentValidation:
     @pytest.mark.parametrize(
         "argv",
         [
+            ["chaos", "--retries", "-1"],
+            ["chaos", "--jobs", "-1"],
             ["chaos", "--permanent", "-1"],
         ],
     )
