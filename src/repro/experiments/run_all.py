@@ -35,7 +35,6 @@ written to ``events-engine.jsonl``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
@@ -287,6 +286,8 @@ def run_all(
 def positive_int(text: str) -> int:
     """argparse type for counts that only make sense strictly positive
     (``--jobs``): ``--jobs 0`` is a usage error, not a serial run."""
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -300,6 +301,8 @@ def positive_int(text: str) -> int:
 
 def non_negative_int(text: str) -> int:
     """argparse type for counts where zero means "none" (``--retries``)."""
+    import argparse
+
     try:
         value = int(text)
     except ValueError:
@@ -313,6 +316,8 @@ def non_negative_int(text: str) -> int:
 
 def positive_float(text: str) -> float:
     """argparse type for durations (``--timeout``): strictly positive."""
+    import argparse
+
     try:
         value = float(text)
     except ValueError:
@@ -326,6 +331,8 @@ def positive_float(text: str) -> float:
 
 def cache_directory(text: str) -> str:
     """argparse type for cache-directory flags: reject plain files."""
+    import argparse
+
     if Path(text).is_file():
         raise argparse.ArgumentTypeError(
             f"{text!r} is a file, not a cache directory"
@@ -334,6 +341,8 @@ def cache_directory(text: str) -> str:
 
 
 def main(argv=None) -> int:
+    import argparse
+
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--outdir", default="results")
     parser.add_argument("--scale", type=float, default=0.5)

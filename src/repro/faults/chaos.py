@@ -215,16 +215,16 @@ def chaos_record(
 def verdict(record: Dict) -> List[str]:
     """Every reason a chaos run's record fails the proof; [] passes.
 
-    A record without ``fault`` counters (written before each unit's
-    result carried its timeout and crash counts) skips the fault floor;
-    every run records them now.
+    A record without ``fault`` counters fails the fault floor like one
+    whose counters are all zero.
     """
     lines = list(record.get("mismatches", [])) + quarantine_problems(
         record.get("quarantine_actual", []),
         record.get("quarantine_expected", []),
     )
-    if "fault" in record:
-        lines += missing_faults(record["fault_kinds"], record["fault"])
+    lines += missing_faults(
+        record.get("fault_kinds", {}), record.get("fault", {})
+    )
     landed = len(record.get("kills_executed", []))
     planned = record.get("kills_planned", 0)
     if landed < planned:

@@ -28,7 +28,9 @@ import json
 import marshal
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.cache.hierarchy import HierarchyStats, MemoryHierarchy
 from repro.core.token import Token, TokenConfigRegister
@@ -40,9 +42,11 @@ from repro.defenses.plugin import get_plugin, is_baseline, make_defense
 from repro.harness.configs import DefenseSpec, SimulationConfig, config_payload
 from repro.harness.parallel import WorkUnit, _cached
 from repro.runtime.machine import ExecutionMode, Machine
-from repro.workloads.attacks import ATTACK_REGISTRY, AttackOutcome, run_attack
 from repro.workloads.generator import SyntheticWorkload, WorkloadStats
 from repro.workloads.spec import BenchmarkProfile
+
+if TYPE_CHECKING:
+    from repro.workloads.attacks import AttackOutcome
 
 
 @dataclass
@@ -475,8 +479,13 @@ def attack_outcomes(mode: str) -> Dict[str, AttackOutcome]:
     :func:`~repro.harness.parallel.cell_cache` block the row is one
     record, uid ``attacks/<mode>``, so Table III, the security coverage
     table and the attack matrices of one sweep run the suite once per
-    mode.
+    mode.  The attack suite is imported here, so simulating cells never
+    loads it.
     """
+    from repro.workloads.attacks import (
+        ATTACK_REGISTRY, AttackOutcome, run_attack,
+    )
+
     names = sorted(ATTACK_REGISTRY)
     unit = WorkUnit(
         uid=f"attacks/{mode}",

@@ -3,8 +3,8 @@
 Experiment sweeps (``run_all``, ``seed_sweep``) decompose into
 independent *work units* — picklable descriptions of one computation
 (an experiment regeneration, or one (benchmark, spec, seed) simulation
-cell).  :func:`execute_units` fans units out over ``multiprocessing``
-workers and merges results deterministically regardless of completion
+cell).  :func:`execute_units` fans units out over worker processes
+and merges results deterministically regardless of completion
 order: results are keyed by unit id, and callers iterate in their own
 unit order, so ``jobs=4`` output is byte-identical to ``jobs=1``.
 
@@ -24,16 +24,15 @@ Four properties the engine guarantees:
   (type, message, traceback) that the caller records; all other units
   complete.
 * **Supervision.**  A unit that runs out of process runs each attempt
-  in its own supervised worker process.  A worker that dies hard
-  (``os._exit``, SIGKILL, OOM-kill) fails exactly its own unit as a
-  ``WorkerCrash``; with a per-unit wall-clock ``timeout`` a hung worker
-  is SIGKILLed as a ``WorkerTimeout``.  With ``retries`` a failed
-  attempt is retried after a seeded exponential backoff with jitter,
-  and a unit that exhausts the budget is *quarantined*: the sweep
-  completes in a marked-degraded state instead of aborting.
-  Retry/timeout/crash/quarantine decisions reach the caller as
-  ``fault.*`` events, and each final :class:`UnitResult` counts the
-  timeouts and crashes of its attempts.
+  in its own worker process (:mod:`repro.harness.supervision`): a
+  worker that dies hard fails only its own unit (``WorkerCrash``), a
+  hung one is killed at the per-unit ``timeout`` (``WorkerTimeout``),
+  and with ``retries`` a failed attempt is retried after a seeded
+  backoff until the unit is *quarantined*: the sweep completes in a
+  marked-degraded state instead of aborting.  Retry/timeout/crash/
+  quarantine decisions reach the caller as ``fault.*`` events, and
+  each final :class:`UnitResult` counts the timeouts and crashes of
+  its attempts.
 * **Resume.**  Because successful units are cached as they finish, a
   crashed, interrupted, or partially-failed sweep re-run recomputes
   only the missing/failed cells.  ``KeyboardInterrupt`` flushes every
@@ -44,18 +43,6 @@ a single pending unit, with no ``timeout``, ``retries`` or active
 ``REPRO_FAULT_PLAN``), or supervised as above.  There is no third,
 shared-pool path: a pool loses a dead worker's task and waits for it
 forever.
-
-Supervision exists once, shared with the job service and the
-distributed fabric: :class:`RetryPolicy` decides what an attempt's
-outcome means (retry after a seeded backoff, quarantine, or done) and
-stamps the final result; :class:`SupervisedAttempt` runs one attempt
-in its own process and classifies crashes, timeouts and drain aborts;
-and the async runner :func:`run_unit` drives one unit's attempts on an
-event loop.  :func:`execute_units` runs its pending units through
-``run_unit`` under ``asyncio.run``; the local daemon and every fabric
-worker await it per unit.  All three report through one ``emit(kind,
-info)`` callable.  ``asyncio`` is imported only when a unit runs
-supervised, so a warm sweep never loads it.
 
 Timing discipline: units report their own ``cpu_seconds`` (process CPU
 time, well-defined under parallelism) and ``wall_seconds``; retried
@@ -82,11 +69,14 @@ cells and attack rows that units compute are shared through one
 :class:`ResultCache` as well (:func:`_cached`), so a sweep computes
 each of them once.
 
-**Import before fork.**  This module imports nothing of the simulator.
-A unit's module is imported in the parent just before workers fork
-(:func:`_import_target`), so forked workers inherit it and a sweep
-pays each import once, while a run that finds every unit cached
-imports no target at all.
+**Import before fork.**  This module imports nothing of the simulator
+and nothing of process supervision: ``multiprocessing``, ``asyncio``
+and :mod:`repro.harness.supervision` are imported by
+:func:`execute_units` only when it has a pending unit to supervise,
+so a run that finds every unit cached loads nothing of the engine
+beyond this module.  A supervised unit's module is imported
+in the parent just before its worker forks, so forked workers inherit
+it and a sweep pays each import once.
 """
 
 from __future__ import annotations
@@ -94,19 +84,15 @@ from __future__ import annotations
 import hashlib
 import importlib
 import json
-import multiprocessing
 import os
-import random
 import shutil
 import tempfile
 import time
-import traceback
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
-    TypeVar,
+    Callable, Dict, Iterable, Iterator, List, Optional, TypeVar,
 )
 
 #: Environment variable activating worker-side fault injection (see
@@ -181,6 +167,30 @@ def emit_progress(kind: str, **fields) -> bool:
 _SALT_MEMO: Optional[str] = None
 
 
+def _source_digest(root: str) -> str:
+    """sha256 prefix over every ``*.py`` file under ``root``.
+
+    Each file contributes its relative path, a NUL and its bytes, in
+    the order of its path components (the order ``sorted(Path(root)
+    .rglob("*.py"))`` gives), from one ``os.walk`` of the tree.
+    """
+    files = []
+    for directory, _, names in os.walk(root):
+        relative = os.path.relpath(directory, root)
+        parts = () if relative == os.curdir else tuple(
+            relative.split(os.sep)
+        )
+        files.extend(parts + (name,) for name in names if name.endswith(".py"))
+    digest = hashlib.sha256()
+    for parts in sorted(files):
+        name = os.path.join(*parts)
+        digest.update(name.encode())
+        digest.update(b"\0")
+        with open(os.path.join(root, name), "rb") as handle:
+            digest.update(handle.read())
+    return digest.hexdigest()[:16]
+
+
 def code_version_salt() -> str:
     """Digest of every source file in the ``repro`` package.
 
@@ -195,13 +205,9 @@ def code_version_salt() -> str:
     if _SALT_MEMO is None:
         import repro
 
-        root = Path(repro.__file__).resolve().parent
-        digest = hashlib.sha256()
-        for path in sorted(root.rglob("*.py")):
-            digest.update(str(path.relative_to(root)).encode())
-            digest.update(b"\0")
-            digest.update(path.read_bytes())
-        _SALT_MEMO = digest.hexdigest()[:16]
+        _SALT_MEMO = _source_digest(
+            os.path.dirname(os.path.realpath(repro.__file__))
+        )
     return _SALT_MEMO
 
 
@@ -544,6 +550,8 @@ def _execute_task(task) -> UnitResult:
             attempts=attempt,
         )
     except Exception as error:  # noqa: BLE001 — isolation is the point
+        import traceback
+
         return UnitResult(
             uid=uid,
             ok=False,
@@ -558,29 +566,6 @@ def _execute_task(task) -> UnitResult:
         )
 
 
-def _import_target(unit: WorkUnit) -> None:
-    """Import ``unit``'s module here, before a worker forks.
-
-    Forked workers inherit it, so a sweep pays each import once, and a
-    run that finds every unit cached imports no target at all.  A
-    module that fails to import is left to the worker, which reports
-    the error as the unit's structured failure.
-    """
-    try:
-        importlib.import_module(unit.module)
-    except Exception:  # noqa: BLE001 — the worker reports it
-        pass
-
-
-def _pool_context():
-    """Prefer fork (cheap, inherits in-process monkeypatches); fall back
-    to the platform default where fork is unavailable."""
-    methods = multiprocessing.get_all_start_methods()
-    if "fork" in methods:
-        return multiprocessing.get_context("fork")
-    return multiprocessing.get_context()
-
-
 def backoff_delay(
     base: float, attempt: int, uid: str, seed: int = 0
 ) -> float:
@@ -591,381 +576,10 @@ def backoff_delay(
     run waits exactly as long, and simultaneous retries of different
     units decorrelate instead of stampeding.
     """
+    import random
+
     rng = random.Random(f"{seed}:{uid}:{attempt}")
     return base * (2 ** (attempt - 1)) * (0.5 + rng.random())
-
-
-def _supervised_worker(conn, task) -> None:
-    """Entry point of a per-attempt supervised worker process.
-
-    Progress events travel over ``conn`` as ``(kind, info)`` pairs,
-    ahead of the one :class:`UnitResult` that ends the attempt.
-    """
-    install_progress(lambda kind, info: conn.send((kind, info)))
-    try:
-        result = _execute_task(task)
-        conn.send(result)
-    except Exception:  # noqa: BLE001 — e.g. unpicklable value
-        try:
-            conn.send(
-                UnitResult(
-                    uid=task[0],
-                    ok=False,
-                    error={
-                        "type": "WorkerProtocolError",
-                        "message": "worker could not deliver its result",
-                        "traceback": traceback.format_exc(),
-                    },
-                    attempts=task[4],
-                )
-            )
-        except Exception:  # noqa: BLE001
-            pass
-    finally:
-        conn.close()
-
-
-def _quiet(kind: str, info: dict) -> None:
-    """The ``emit`` of a caller that records no ``fault.*`` events."""
-
-
-#: Answers of :meth:`RetryPolicy.decide`.
-RETRY, QUARANTINE, DONE = "retry", "quarantine", "done"
-
-#: Structured error type of an attempt killed because its host is
-#: draining; final, never quarantined (the unit re-runs after restart).
-WORKER_ABORTED = "WorkerAborted"
-
-
-@dataclass(frozen=True)
-class RetryPolicy:
-    """The one retry/backoff/quarantine policy of every executor.
-
-    The supervised-attempt runner (:func:`run_unit`) and the fabric's
-    lost-lease bound (``backoff=0``) both ask this object what an
-    attempt's outcome means: retry after a seeded backoff delay,
-    quarantine (the retry budget is spent), or done.  ``WorkerAborted``
-    and an active drain are final and never quarantined.
-    """
-
-    retries: int = 0
-    backoff: float = 0.25
-    retry_seed: int = 0
-
-    def decide(
-        self, result: UnitResult, attempt: int, draining: bool = False
-    ) -> Tuple[str, float]:
-        """``(answer, delay)`` for attempt number ``attempt`` (1-based)."""
-        if (
-            result.ok
-            or draining
-            or (result.error or {}).get("type") == WORKER_ABORTED
-        ):
-            return DONE, 0.0
-        if attempt > self.retries:
-            return QUARANTINE, 0.0
-        return RETRY, backoff_delay(
-            self.backoff, attempt, result.uid, self.retry_seed
-        )
-
-    def finish(
-        self,
-        result: UnitResult,
-        attempt: int,
-        tally: Sequence[float],
-        quarantine: bool,
-        emit: Callable[[str, dict], None] = _quiet,
-    ) -> UnitResult:
-        """Stamp a final result: the ``tally`` of every attempt, the
-        attempt count and the quarantine mark (announced as
-        ``fault.quarantine``)."""
-        (result.cpu_seconds, result.wall_seconds,
-         result.timeouts, result.crashes) = tally
-        result.attempts = attempt
-        result.quarantined = quarantine
-        if quarantine:
-            emit(
-                "fault.quarantine",
-                {
-                    "uid": result.uid,
-                    "attempts": attempt,
-                    "error": result.error["type"],
-                },
-            )
-        return result
-
-    def settle(
-        self,
-        result: UnitResult,
-        attempt: int,
-        tally: List[float],
-        emit: Callable[[str, dict], None] = _quiet,
-        draining: bool = False,
-    ) -> Optional[float]:
-        """Account one attempt; the delay before the next, or None.
-
-        ``tally`` is the unit's running ``[cpu, wall, timeouts,
-        crashes]`` total.  None means ``result`` is final and stamped
-        (see :meth:`finish`).
-        """
-        error = (result.error or {}).get("type")
-        tally[0] += result.cpu_seconds
-        tally[1] += result.wall_seconds
-        tally[2] += error == "WorkerTimeout"
-        tally[3] += error == "WorkerCrash"
-        answer, delay = self.decide(result, attempt, draining)
-        if answer == RETRY:
-            emit(
-                "fault.retry",
-                {
-                    "uid": result.uid,
-                    "attempt": attempt,
-                    "error": result.error["type"],
-                    "delay": round(delay, 4),
-                },
-            )
-            return delay
-        self.finish(result, attempt, tally, answer == QUARANTINE, emit)
-        return None
-
-
-class SupervisedAttempt:
-    """One attempt of one unit in its own worker process.
-
-    The worker reports over a one-way pipe: its progress events, then
-    its result.  :func:`run_unit` awaits :attr:`conn` and calls
-    :meth:`collect` each time it is ready; in between, :meth:`expire`
-    enforces the per-unit timeout and an optional drain deadline.  A
-    dead worker takes down exactly this attempt, never a shared pool.
-    """
-
-    def __init__(
-        self,
-        context,
-        unit: WorkUnit,
-        attempt: int,
-        timeout: Optional[float],
-    ) -> None:
-        self.unit = unit
-        self.attempt = attempt
-        self.timeout = timeout
-        self.conn, child_conn = context.Pipe(duplex=False)
-        task = (unit.uid, unit.module, unit.func, unit.kwargs, attempt)
-        self.process = context.Process(
-            target=_supervised_worker,
-            args=(child_conn, task),
-            daemon=True,
-        )
-        _import_target(unit)
-        self.process.start()
-        child_conn.close()
-        self.started = time.monotonic()
-        self.deadline = (
-            self.started + timeout if timeout is not None else None
-        )
-
-    def _failure(self, error_type: str, message: str) -> UnitResult:
-        return UnitResult(
-            uid=self.unit.uid,
-            ok=False,
-            error={"type": error_type, "message": message, "traceback": ""},
-            wall_seconds=time.monotonic() - self.started,
-            attempts=self.attempt,
-        )
-
-    def close(self, kill: bool = True) -> Optional[int]:
-        """Reap the worker (SIGKILL first unless ``kill=False``) and
-        close the pipe; returns the exit code."""
-        if kill:
-            self.process.kill()
-        self.process.join(timeout=5.0)
-        self.conn.close()
-        return self.process.exitcode
-
-    def collect(
-        self, emit: Callable[[str, dict], None] = _quiet
-    ) -> Optional[UnitResult]:
-        """Read :attr:`conn` once it is ready; the result, or None while
-        the worker still runs.
-
-        Every progress event read on the way goes to ``emit``, in the
-        order the worker sent it.  Pipe EOF with no result means the
-        worker died hard (``os._exit``, SIGKILL, OOM-kill): a
-        ``WorkerCrash`` carrying the exit code, read after the worker
-        is joined.
-        """
-        try:
-            while True:
-                message = self.conn.recv()
-                if isinstance(message, UnitResult):
-                    break
-                emit(*message)
-                if not self.conn.poll(0):
-                    return None
-        except (EOFError, OSError):
-            code = self.close(kill=False)
-            emit(
-                "fault.crash",
-                {"uid": self.unit.uid, "attempt": self.attempt,
-                 "exit_code": code},
-            )
-            return self._failure(
-                "WorkerCrash",
-                f"worker died with exit code {code} on attempt "
-                f"{self.attempt}",
-            )
-        self.close(kill=False)
-        return message
-
-    def expire(
-        self,
-        now: float,
-        emit: Callable[[str, dict], None] = _quiet,
-        drain_deadline: Optional[float] = None,
-    ) -> Optional[UnitResult]:
-        """SIGKILL a worker past its deadline; None while it may run.
-
-        Past the per-unit timeout the attempt is a ``WorkerTimeout``;
-        past ``drain_deadline`` it is ``WorkerAborted``.
-        """
-        if self.deadline is not None and now >= self.deadline:
-            self.close()
-            emit(
-                "fault.timeout",
-                {"uid": self.unit.uid, "attempt": self.attempt,
-                 "timeout": self.timeout},
-            )
-            return self._failure(
-                "WorkerTimeout",
-                f"exceeded {self.timeout}s wall-clock on attempt "
-                f"{self.attempt}",
-            )
-        if drain_deadline is not None and now >= drain_deadline:
-            self.close()
-            return self._failure(
-                WORKER_ABORTED,
-                "daemon drain grace expired; unit will be re-run after "
-                "restart",
-            )
-        return None
-
-
-class Drain:
-    """Drain state of one host, shared by every :func:`run_unit` it starts.
-
-    :meth:`begin` stops retries and arms a grace deadline: an attempt
-    still running when it passes is killed as ``WorkerAborted``.  Runs
-    waiting on an attempt are woken at once so they see the deadline.
-    """
-
-    def __init__(self) -> None:
-        self.deadline: Optional[float] = None
-        self.wakers: set = set()  # wake callables of runs awaiting a pipe
-
-    def begin(self, grace: float) -> None:
-        self.deadline = time.monotonic() + max(0.0, grace)
-        for wake in list(self.wakers):
-            wake()
-
-
-async def _outcome(
-    running: SupervisedAttempt,
-    emit: Callable[[str, dict], None],
-    drain: Drain,
-) -> UnitResult:
-    """Await one attempt's result on the event loop: read its pipe when
-    it turns readable, kill it at its own or the drain's deadline."""
-    import asyncio
-
-    loop = asyncio.get_running_loop()
-    fd = running.conn.fileno()
-    while True:
-        waiter = loop.create_future()
-
-        def wake() -> None:
-            if not waiter.done():
-                waiter.set_result(None)
-
-        deadline = min(
-            (d for d in (running.deadline, drain.deadline) if d is not None),
-            default=None,
-        )
-        timer = (
-            None if deadline is None
-            else loop.call_later(deadline - time.monotonic(), wake)
-        )
-        loop.add_reader(fd, wake)
-        drain.wakers.add(wake)
-        try:
-            await waiter
-        finally:
-            loop.remove_reader(fd)  # before collect/expire close the pipe
-            drain.wakers.discard(wake)
-            if timer is not None:
-                timer.cancel()
-        if running.conn.poll(0):
-            result = running.collect(emit)
-            if result is not None:
-                return result
-        result = running.expire(time.monotonic(), emit, drain.deadline)
-        if result is not None:
-            return result
-
-
-async def run_unit(
-    unit: WorkUnit,
-    on_event: Optional[Callable[[str, dict], None]] = None,
-    timeout: Optional[float] = None,
-    policy: RetryPolicy = RetryPolicy(),
-    drain: Optional[Drain] = None,
-    slots: Optional["asyncio.Semaphore"] = None,
-    flush: Optional[Callable[[UnitResult], None]] = None,
-) -> UnitResult:
-    """Run one unit to its final result, one supervised attempt at a time.
-
-    The one runner of supervised attempts: :func:`execute_units`, the
-    job service's local daemon and every fabric worker await it per
-    unit.  Each attempt forks on the event loop's own thread, so the
-    process forks single-threaded.  Its result pipe is awaited with
-    ``loop.add_reader``, bounded by ``timeout`` and ``drain``'s
-    deadline; ``policy`` decides after each attempt, and a backoff is
-    an ``asyncio.sleep``.  ``on_event`` receives, in order, each
-    attempt's progress events and the ``fault.*`` decisions.
-
-    ``slots`` (an ``asyncio.Semaphore``) bounds the attempts in flight
-    across runs; a run holds it while an attempt runs, never while it
-    backs off.  A run cancelled while its attempt's successful result
-    already sits in the pipe (``KeyboardInterrupt`` tearing a sweep
-    down) stamps that result and passes it to ``flush``; the worker is
-    killed and joined either way.
-    """
-    import asyncio
-
-    emit = on_event if on_event is not None else _quiet
-    drain = drain if drain is not None else Drain()
-    context = _pool_context()
-    tally = [0.0, 0.0, 0, 0]
-    attempt = 1
-    while True:
-        async with slots if slots is not None else nullcontext():
-            running = SupervisedAttempt(context, unit, attempt, timeout)
-            try:
-                result = await _outcome(running, emit, drain)
-            except (asyncio.CancelledError, KeyboardInterrupt):
-                done = running.collect() if running.conn.poll(0) else None
-                if flush is not None and done is not None and done.ok:
-                    policy.settle(done, attempt, tally)
-                    flush(done)
-                raise
-            finally:
-                running.close()
-        delay = policy.settle(
-            result, attempt, tally, emit, draining=drain.deadline is not None
-        )
-        if delay is None:
-            return result
-        await asyncio.sleep(delay)
-        attempt += 1
 
 
 def execute_units(
@@ -990,7 +604,8 @@ def execute_units(
     results before propagating).
 
     With ``jobs > 1`` and more than one pending unit, each attempt runs
-    in its own supervised worker process (:func:`run_unit`), up to
+    in its own supervised worker process
+    (:func:`~repro.harness.supervision.supervise_units`), up to
     ``jobs`` at once; a worker that dies hard fails only its unit
     (``WorkerCrash``).
     ``timeout`` (per-unit wall seconds) SIGKILLs a hung worker
@@ -1034,6 +649,8 @@ def execute_units(
                     progress(f"{unit.uid} [cached]")
                 continue
         pending.append(unit)
+    if not pending:
+        return results
 
     by_uid = {unit.uid: unit for unit in pending}
 
@@ -1055,16 +672,14 @@ def execute_units(
             progress(f"{result.uid} [{status}]")
 
     supervised = (
-        timeout is not None
-        or retries > 0
-        or (jobs > 1 and len(pending) > 1)
-        or (
-            bool(os.environ.get(FAULT_PLAN_ENV))
-            # A supervised worker may not spawn children, so a sweep
-            # nested in one (defensezoo runs the foundry) stays put.
-            and not multiprocessing.current_process().daemon
-        )
+        timeout is not None or retries > 0 or (jobs > 1 and len(pending) > 1)
     )
+    if not supervised and os.environ.get(FAULT_PLAN_ENV):
+        import multiprocessing
+
+        # A supervised worker may not spawn children, so a sweep nested
+        # in one (defensezoo runs the foundry) stays put.
+        supervised = not multiprocessing.current_process().daemon
     if not supervised:
         previous = _PROGRESS_SINK
         if on_progress is not None:
@@ -1079,41 +694,12 @@ def execute_units(
                 install_progress(previous)
         return results
 
-    import asyncio
+    from repro.harness.supervision import RetryPolicy, supervise_units
 
-    policy = RetryPolicy(retries, backoff, retry_seed)
-
-    async def sweep() -> None:
-        slots = asyncio.Semaphore(max(1, jobs))
-        runs = {
-            asyncio.ensure_future(run_unit(
-                unit, on_progress, timeout, policy, slots=slots,
-                flush=lambda result: absorb(result, quiet=True),
-            ))
-            for unit in pending
-        }
-        done: List[UnitResult] = []
-        try:
-            while runs:
-                finished, runs = await asyncio.wait(
-                    runs, return_when=asyncio.FIRST_COMPLETED
-                )
-                done = [task.result() for task in finished]
-                while done:
-                    absorb(done.pop())
-        finally:
-            # On KeyboardInterrupt each cancelled run flushes the result
-            # in its pipe; runs that finished in the same wake are
-            # flushed here.
-            for task in runs:
-                task.cancel()
-            if runs:
-                await asyncio.wait(runs)
-            for result in done:
-                if result.ok:
-                    absorb(result, quiet=True)
-
-    asyncio.run(sweep())
+    supervise_units(
+        pending, absorb, jobs, timeout,
+        RetryPolicy(retries, backoff, retry_seed), on_progress,
+    )
     return results
 
 

@@ -158,8 +158,9 @@ def watch_resilient(
     A broken socket mid-stream (daemon killed), a ``draining`` frame
     (daemon restarting gracefully), or a connect failure all trigger a
     reconnect with seeded exponential backoff (the same
-    :func:`~repro.harness.parallel.backoff_delay` the retry engine
-    uses, keyed by job id, so two watchers of different jobs do not
+    :func:`~repro.harness.parallel.backoff_delay` the engine's
+    :class:`~repro.harness.supervision.RetryPolicy` uses, keyed by job
+    id, so two watchers of different jobs do not
     thundering-herd a restarting daemon).  Each successful
     re-establishment yields one structured frame::
 

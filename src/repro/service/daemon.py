@@ -8,7 +8,7 @@ via ``--tcp HOST:PORT``), speaks the JSON-lines protocol of
 * a :class:`~repro.service.scheduler.Scheduler` (job table, priority
   queue, single-flight dedup, admission control),
 * unit execution: each unit awaits the engine's supervised-attempt
-  runner (:func:`~repro.harness.parallel.run_unit`) with the daemon's
+  runner (:func:`~repro.harness.supervision.run_unit`) with the daemon's
   timeout, retry policy and drain; in ``--coordinator`` mode a
   :class:`~repro.service.fabric.FabricDispatcher` runs it on
   registered workers instead,
@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro.harness.parallel import Drain, ResultCache, RetryPolicy, run_unit
+from repro.harness.parallel import ResultCache
+from repro.harness.supervision import Drain, RetryPolicy, run_unit
 from repro.service import protocol
 from repro.service.fabric import FabricDispatcher
 from repro.service.scheduler import AdmissionError, Scheduler

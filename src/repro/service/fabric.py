@@ -51,13 +51,12 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional
 
-from repro.harness.parallel import (
+from repro.harness.parallel import UnitResult, WorkUnit
+from repro.harness.supervision import (
     QUARANTINE,
     WORKER_ABORTED,
     Drain,
     RetryPolicy,
-    UnitResult,
-    WorkUnit,
 )
 from repro.service import protocol
 
@@ -137,8 +136,8 @@ class FabricDispatcher:
 
     The scheduler awaits :meth:`run_unit` and calls :meth:`begin_drain`
     exactly as a local daemon's scheduler awaits the engine's runner
-    (:func:`~repro.harness.parallel.run_unit`) and begins its
-    :class:`~repro.harness.parallel.Drain`; this class hides
+    (:func:`~repro.harness.supervision.run_unit`) and begins its
+    :class:`~repro.harness.supervision.Drain`; this class hides
     assignment, lease tracking, revocation, and bounded reassignment
     behind that one awaitable.  On each worker the unit runs through
     that same runner.

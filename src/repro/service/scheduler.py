@@ -42,12 +42,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Awaitable, Callable, Dict, List, Optional, Tuple
 
-from repro.harness.parallel import (
-    WORKER_ABORTED,
-    ResultCache,
-    UnitResult,
-    WorkUnit,
-)
+from repro.harness.parallel import ResultCache, UnitResult, WorkUnit
+from repro.harness.supervision import WORKER_ABORTED
 from repro.harness.persistence import atomic_write_json
 from repro.service.jobs import (
     PRIORITIES,
@@ -84,7 +80,7 @@ class Scheduler:
 
     ``await run_unit(unit, on_event)`` runs one unit to its final
     result and ``begin_drain(grace)`` starts a drain: the engine's
-    runner with a :class:`~repro.harness.parallel.Drain` for a local
+    runner with a :class:`~repro.harness.supervision.Drain` for a local
     daemon, a ``FabricDispatcher``'s methods for a coordinator.
     ``resilient`` (units run under a timeout or retry budget) gives a
     ``run_all`` job's manifest its ``fault`` section, as it does a CLI

@@ -4,7 +4,7 @@
 coordinator, registers its name and slot count, and then executes
 whatever ``w.assign`` frames arrive.  Each assignment awaits the
 engine's supervised-attempt runner
-(:func:`~repro.harness.parallel.run_unit`) with the timeout and retry
+(:func:`~repro.harness.supervision.run_unit`) with the timeout and retry
 budget the frame carries — the runner a CLI sweep and a local daemon
 use — so per-unit timeouts, retries with seeded backoff, and
 quarantine behave identically whether a unit runs in-process or three
@@ -40,12 +40,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Tuple
 
-from repro.harness.parallel import (
-    Drain,
-    RetryPolicy,
-    backoff_delay,
-    run_unit,
-)
+from repro.harness.parallel import backoff_delay
+from repro.harness.supervision import Drain, RetryPolicy, run_unit
 from repro.service import protocol
 
 #: Reconnect backoff base (seconds); capped growth via backoff_delay.

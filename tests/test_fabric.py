@@ -782,6 +782,19 @@ class TestFleetGate:
     def test_committed_bench_passes_against_itself(self):
         assert compare_to_baseline(BENCH, BENCH) == []
 
+    def test_committed_record_passes_the_fault_floor(self):
+        from repro.faults.chaos import missing_faults, verdict
+
+        chaos = BENCH["chaos"]
+        assert missing_faults(chaos["fault_kinds"], chaos["fault"]) == []
+        assert verdict(chaos) == []
+        # The floor applies to every record: one without counters fails.
+        bare = {key: value for key, value in chaos.items() if key != "fault"}
+        assert verdict(bare) == [
+            "fault.crashes: 0 counted, 2 planned",
+            "fault.retries: 0 counted, 4 planned",
+        ]
+
     def test_healed_run_passes(self):
         assert compare_to_baseline(bench_with(), BENCH) == []
 

@@ -33,7 +33,6 @@ from repro.faults.chaos import run_chaos
 from repro.faults.inject import corrupt_cache_entry
 from repro.harness.parallel import (
     ResultCache,
-    SupervisedAttempt,
     UnitResult,
     WorkUnit,
     backoff_delay,
@@ -42,6 +41,7 @@ from repro.harness.parallel import (
     quarantine_report,
     strip_volatile,
 )
+from repro.harness.supervision import SupervisedAttempt
 from repro.harness.statsdump import fault_rows, format_fault_stats
 
 #: Cheap experiment subset shared with test_parallel_engine.

@@ -2,8 +2,10 @@
 
 Package ``__init__``s resolve their public names on first use, so a
 warm ``run_all`` (every unit cached) loads the sweep engine and none of
-the simulator; ``execute_units`` imports a pending unit's module in the
-parent before workers fork, so they inherit it.
+the simulator, and ``execute_units`` loads the supervised-attempt
+runner only when it has a unit to supervise; that runner imports a
+unit's module in the parent before its worker forks, so the worker
+inherits it.
 """
 
 import importlib
@@ -32,6 +34,13 @@ ENGINE_MODULES = {
 SIMULATOR_PACKAGES = (
     "repro.cache", "repro.cpu", "repro.defenses", "repro.runtime",
     "repro.workloads",
+)
+
+#: What only running a unit (supervised, or failing) or parsing a
+#: command line needs: a warm ``run_all`` loads none of it.
+SUPERVISION_MODULES = (
+    "multiprocessing", "asyncio", "traceback", "argparse",
+    "repro.harness.supervision",
 )
 
 
@@ -71,21 +80,29 @@ import sys
 from repro.experiments.run_all import run_all
 run_all(sys.argv[1], scale=0.05, jobs=2, cache_dir=sys.argv[2],
         names=["table1", "table2"])
-print("asyncio" in sys.modules)
+print(sorted(m for m in sys.argv[3:] if m in sys.modules))
 print(sorted(m for m in sys.modules if m.split(".")[0] == "repro"))
 """
 
 
 def test_warm_run_all_loads_only_the_engine(tmp_path):
     cache = str(tmp_path / "cache")
-    cold = _python(_WARM_RUN, str(tmp_path / "cold"), cache)
+    cold = _python(
+        _WARM_RUN, str(tmp_path / "cold"), cache, *SUPERVISION_MODULES
+    )
     assert cold.returncode == 0, cold.stderr
-    warm = _python(_WARM_RUN, str(tmp_path / "warm"), cache)
+    warm = _python(
+        _WARM_RUN, str(tmp_path / "warm"), cache, *SUPERVISION_MODULES
+    )
     assert warm.returncode == 0, warm.stderr
     assert "(2 cached, 0 failed)" in warm.stdout
-    *_, warm_asyncio, warm_modules = warm.stdout.strip().splitlines()
-    # The supervised runner's asyncio loads only when a unit runs.
-    assert warm_asyncio == "False"
+    *_, warm_supervision, warm_modules = warm.stdout.strip().splitlines()
+    # Supervision (and its multiprocessing and asyncio) loads only when
+    # a unit runs; argparse only when a command line is parsed.
+    assert warm_supervision == "[]"
+    # The cold run supervised both units.
+    cold_supervision = cold.stdout.strip().splitlines()[-2]
+    assert "repro.harness.supervision" in eval(cold_supervision)
     loaded = set(eval(warm_modules))
     assert loaded <= ENGINE_MODULES, sorted(loaded - ENGINE_MODULES)
     assert not [
@@ -98,6 +115,28 @@ def test_warm_run_all_loads_only_the_engine(tmp_path):
     assert {"repro.experiments.table1", "repro.experiments.table2"} <= (
         cold_loaded
     )
+
+
+_ONE_CELL = """
+import sys
+from repro.harness.configs import DefenseSpec, SimulationConfig
+from repro.harness.experiment import run_benchmark
+from repro.workloads.spec import profile_by_name
+run_benchmark(profile_by_name("sjeng"), DefenseSpec.plain(),
+              SimulationConfig(scale=0.01))
+print(sorted(m for m in sys.argv[1:] if m in sys.modules))
+"""
+
+
+def test_one_cell_loads_no_supervision_and_no_attacks():
+    """Setting up and running a cell needs neither the supervised-attempt
+    runner nor the attack suite (only ``attack_outcomes`` loads it)."""
+    result = _python(
+        _ONE_CELL, "repro.harness.supervision", "repro.workloads.attacks",
+        "repro.harness.experiment",
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "['repro.harness.experiment']"
 
 
 _IMPORT_EACH = """

@@ -1,11 +1,15 @@
 """Determinism, caching, failure isolation, and resume for the
 parallel sweep engine (repro.harness.parallel + run_all + seed_sweep)."""
 
+import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments import run_all as driver
+from repro.harness import parallel
 from repro.harness.configs import DefenseSpec
 from repro.harness.parallel import (
     TIMING_FIELDS,
@@ -35,6 +39,16 @@ def fast_experiments(monkeypatch):
     monkeypatch.setattr(driver, "EXPERIMENT_SCALES", dict(FAST_SCALES))
 
 
+def _pathlib_digest(root: Path) -> str:
+    """The code-version digest recomputed with ``Path.rglob``."""
+    digest = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        digest.update(str(path.relative_to(root)).encode())
+        digest.update(b"\0")
+        digest.update(path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
 def read_outputs(outdir):
     return {
         path.name: path.read_bytes()
@@ -56,6 +70,22 @@ class TestUnitPrimitives:
 
     def test_code_version_salt_env_override(self):
         assert code_version_salt() == "test-salt"
+
+    def test_code_version_salt_matches_pathlib_walk(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE_SALT")
+        monkeypatch.setattr(parallel, "_SALT_MEMO", None)
+        root = Path(repro.__file__).resolve().parent
+        assert code_version_salt() == _pathlib_digest(root)
+
+    def test_source_digest_orders_by_path_components(self, tmp_path):
+        # "a.py" < "a/b.py" by component, but not by string ('.' < '/').
+        for name in ("a.py", "a/b.py", "a-b.py", "A.py", "a/c/d.py",
+                     "a/notes.txt", "ab/e.py"):
+            (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / name).write_text(f"# {name}\n")
+        assert parallel._source_digest(str(tmp_path)) == _pathlib_digest(
+            tmp_path
+        )
 
     def test_strip_volatile_recurses(self):
         data = {

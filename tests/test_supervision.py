@@ -23,15 +23,17 @@ import repro
 from repro.faults import ENV_VAR, FaultPlan, FaultSpec
 from repro.faults.chaos import chaos_record, check_identity, verdict
 from repro.harness.parallel import (
+    UnitResult,
+    WorkUnit,
+    backoff_delay,
+    execute_units,
+)
+from repro.harness.supervision import (
     DONE,
     QUARANTINE,
     RETRY,
     Drain,
     RetryPolicy,
-    UnitResult,
-    WorkUnit,
-    backoff_delay,
-    execute_units,
     run_unit,
 )
 
@@ -264,19 +266,19 @@ def test_engine_progress_reaches_on_progress(tmp_path, supervised):
 
 _FORK_THREADS = """
 import asyncio, functools, json, sys, threading
-from repro.harness import parallel
+from repro.harness import parallel, supervision
 from repro.service import protocol
 from repro.service.scheduler import Scheduler
 from repro.service.worker import WorkerConfig, WorkerDaemon
 
 counts = []
-start = parallel.SupervisedAttempt.__init__
+start = supervision.SupervisedAttempt.__init__
 
 def counting(self, *args, **kwargs):
     counts.append(threading.active_count())
     start(self, *args, **kwargs)
 
-parallel.SupervisedAttempt.__init__ = counting
+supervision.SupervisedAttempt.__init__ = counting
 parallel.execute_units(
     [parallel.WorkUnit(f"u{i}", "os", "getpid") for i in range(3)], jobs=2
 )
@@ -287,9 +289,9 @@ asyncio.run(worker._run_assignment(
 ))
 
 async def local_daemon():
-    drain = parallel.Drain()
+    drain = supervision.Drain()
     scheduler = Scheduler(
-        functools.partial(parallel.run_unit, drain=drain), drain.begin,
+        functools.partial(supervision.run_unit, drain=drain), drain.begin,
         None, jobs_dir=sys.argv[1],
     )
     for seed in (1, 2):  # the second job's attempt starts after the
